@@ -208,7 +208,7 @@ def parse_input(text: str, command: str = "semicascade", options: dict | None = 
             raise MalformedInputError("certify needs a 'certificate' object")
         try:
             payload["certificate"] = TamenessCertificate.from_dict(data["certificate"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedInputError("bad certificate: %s" % exc) from exc
 
     return JobSpec(command=command, input=data, options=dict(options or {}), payload=payload)

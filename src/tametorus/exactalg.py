@@ -133,15 +133,15 @@ def mat_pow(a: IntMatrix, n: int) -> IntMatrix:
     n = operator.index(n)
     if n < 0:
         raise ValueError("exponent must be nonnegative, got %d" % n)
-    result = IntMatrix.identity(a.d)
+    result = None
     base = a
     while n:
         if n & 1:
-            result = mat_mul(result, base)
+            result = base if result is None else mat_mul(result, base)
         n >>= 1
         if n:
             base = mat_mul(base, base)
-    return result
+    return IntMatrix.identity(a.d) if result is None else result
 
 
 class RatPoly:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DeterminantNotUnitError
-from .exactalg import IntMatrix, RatPoly, mat_mul, min_poly, poly_gcd, strip_x_factor
+from .exactalg import IntMatrix, RatPoly, mat_mul, mat_pow, min_poly, poly_gcd, strip_x_factor
 
 __all__ = [
     "TAME",
@@ -56,6 +56,17 @@ CASCADE = "CASCADE"
 NON_SQUAREFREE = "NON_SQUAREFREE"
 ORDER_BOUND_EXHAUSTED = "ORDER_BOUND_EXHAUSTED"
 ZERO_EIGENVALUE = "ZERO_EIGENVALUE"
+
+
+def _exact_int(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("%s must be an integer, got %r" % (name, value))
+    return value
+
+
+def _optional_int(data: dict, key: str) -> int | None:
+    value = data.get(key)
+    return None if value is None else _exact_int(value, key)
 
 
 @dataclass(frozen=True)
@@ -90,7 +101,7 @@ class UntameWitness:
         return cls(
             reason=data["reason"],
             stripped_min_poly=RatPoly(data["stripped_min_poly"]),
-            s_max=data.get("s_max"),
+            s_max=_optional_int(data, "s_max"),
             detail=data.get("detail", ""),
         )
 
@@ -123,15 +134,21 @@ class TamenessCertificate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TamenessCertificate":
+        """Rebuild a certificate; raises TypeError or ValueError when an
+        exponent field is not an integer or the pair has not two entries."""
         pair = data.get("minimal_pair")
+        if pair is not None:
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ValueError("minimal_pair must hold exactly two integers, got %r" % (pair,))
+            pair = tuple(_exact_int(v, "minimal_pair entry") for v in pair)
         witness = data.get("witness")
         return cls(
             verdict=data["verdict"],
             kind=data["kind"],
-            index_k=data.get("index_k"),
-            period_s=data.get("period_s"),
-            minimal_pair=tuple(pair) if pair is not None else None,
-            minimal_order_m=data.get("minimal_order_m"),
+            index_k=_optional_int(data, "index_k"),
+            period_s=_optional_int(data, "period_s"),
+            minimal_pair=pair,
+            minimal_order_m=_optional_int(data, "minimal_order_m"),
             witness=UntameWitness.from_dict(witness) if witness is not None else None,
         )
 
@@ -153,20 +170,28 @@ class OrderBoundTable:
     s_max: int
 
 
+def _prime_divisors(n: int) -> list[int]:
+    """Distinct primes dividing n >= 1, by trial division."""
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 def euler_phi(n: int) -> int:
     """Euler's totient by trial-division factorization."""
     if n < 1:
         raise ValueError("totient requires n >= 1")
     result = n
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        result -= result // n
+    for p in _prime_divisors(n):
+        result -= result // p
     return result
 
 
@@ -351,20 +376,45 @@ def oracle_semicascade(a: IntMatrix):
     return UNTAME, None
 
 
-def _powers_up_to(a: IntMatrix, q: int) -> list[IntMatrix]:
-    powers = [IntMatrix.identity(a.d)]
-    for _ in range(q):
-        powers.append(mat_mul(powers[-1], a))
-    return powers
+def _has_index_and_period(a: IntMatrix, k: int, s: int) -> bool:
+    """Whether the powers of A have index exactly k and period exactly s.
+
+    A^k = A^{k+s} holds exactly when k is at least the index and s a
+    multiple of the period; the two remaining checks exclude a smaller
+    index and every proper divisor of s (see certificate_check).
+    """
+    head = mat_pow(a, k)
+    if mat_pow(a, k + s) != head:
+        return False
+    if k > 0 and mat_pow(a, k - 1 + s) == mat_pow(a, k - 1):
+        return False
+    return all(mat_pow(a, k + s // r) != head for r in _prime_divisors(s))
 
 
 def certificate_check(a: IntMatrix, cert: TamenessCertificate) -> bool:
     """Re-verify every claim in a certificate by exact computation.
 
-    TAME claims are checked directly against matrix powers, including
-    minimality (all smaller pairs / orders are scanned). UNTAME verdicts
-    are re-checked by the exhaustive power enumeration oracle, and the
-    witness data is re-derived from the minimal polynomial.
+    A TAME claim is proved by the cyclic-monoid argument: the powers of A
+    have a unique index k and period s (A^i = A^j for i < j exactly when
+    i >= k and s | j - i), and the least pair (p, q) with A^p = A^q is
+    (k, k + s). A semicascade pair (k, k + s) therefore holds and is
+    minimal exactly when A^k = A^{k+s}, A^{k-1} != A^{k-1+s} if k > 0, and
+    A^{k+s/r} != A^k for every prime r | s; a cascade order m exactly when
+    A^m = I and A^{m/r} != I for every prime r | m. Each power comes from
+    binary exponentiation, so a claim costs O(log q) matrix products per
+    prime of s instead of q products and a quadratic scan.
+
+    A finite power semigroup has index at most d and period at most
+    s_max(d), so a claim with q > d + s_max(d), or m > s_max(d), is
+    rejected before any power is computed.
+
+    UNTAME verdicts are re-checked by the exhaustive power enumeration
+    oracle, and the witness data is re-derived from the minimal
+    polynomial. Every CASCADE claim needs |det A| = 1 (a TAME one implies
+    it through A^m = I). For such A a repetition A^p = A^q gives
+    A^{q-p} = I, so the oracle's first repetition is (0, m) with m <= s_max
+    exactly when some 1 <= m <= s_max has A^m = I; an UNTAME cascade claim
+    thus holds exactly when the oracle finds no repetition.
     """
     if cert.verdict == TAME and cert.kind == SEMICASCADE:
         if cert.minimal_pair is None or cert.witness is not None:
@@ -376,18 +426,9 @@ def certificate_check(a: IntMatrix, cert: TamenessCertificate) -> bool:
             return False
         if cert.index_k != p or cert.period_s != q - p:
             return False
-        powers = _powers_up_to(a, q)
-        if powers[p] != powers[q]:
+        if q > a.d + order_bound(a.d).s_max:
             return False
-        # Minimality in the lexicographic (q, p) order.
-        for q2 in range(1, q):
-            for p2 in range(q2):
-                if powers[p2] == powers[q2]:
-                    return False
-        for p2 in range(p):
-            if powers[p2] == powers[q]:
-                return False
-        return True
+        return _has_index_and_period(a, p, q - p)
 
     if cert.verdict == TAME and cert.kind == CASCADE:
         m = cert.minimal_order_m
@@ -395,24 +436,18 @@ def certificate_check(a: IntMatrix, cert: TamenessCertificate) -> bool:
             return False
         if cert.minimal_pair is not None or cert.index_k not in (None, 0):
             return False
-        powers = _powers_up_to(a, m)
-        if powers[m] != powers[0]:
+        if m > order_bound(a.d).s_max:
             return False
-        return all(powers[m2] != powers[0] for m2 in range(1, m))
+        return _has_index_and_period(a, 0, m)
 
     if cert.verdict == UNTAME:
-        if cert.witness is None:
+        if cert.witness is None or cert.kind not in (SEMICASCADE, CASCADE):
+            return False
+        if cert.kind == CASCADE and abs(a.det()) != 1:
             return False
         verdict, _ = oracle_semicascade(a)
-        if cert.kind == SEMICASCADE:
-            if verdict != UNTAME:
-                return False
-        else:
-            # Cascade untameness: no power up to the complete bound is I.
-            s_max = order_bound(a.d).s_max
-            powers = _powers_up_to(a, s_max)
-            if any(powers[m] == powers[0] for m in range(1, s_max + 1)):
-                return False
+        if verdict != UNTAME:
+            return False
         return _witness_check(a, cert.witness)
 
     return False

@@ -275,6 +275,57 @@ class TestCommands:
         code, out = run_cli(["certify", "--input", str(path)], capsys)
         assert code == 0 and json.loads(out)["result"]["exact"]["valid"] is False
 
+    @pytest.mark.parametrize(
+        "certificate",
+        [
+            {"verdict": "TAME", "kind": "SEMICASCADE", "index_k": 0,
+             "period_s": 10 ** 12, "minimal_pair": [0, 10 ** 12]},
+            {"verdict": "TAME", "kind": "CASCADE",
+             "period_s": 10 ** 12, "minimal_order_m": 10 ** 12},
+        ],
+    )
+    def test_certify_rejects_claim_beyond_bound_without_products(
+        self, capsys, tmp_path, monkeypatch, certificate
+    ):
+        import tametorus.exactalg
+        import tametorus.tameness
+
+        calls = []
+        real_mul = tametorus.exactalg.mat_mul
+
+        def counting_mul(a, b):
+            calls.append(1)
+            return real_mul(a, b)
+
+        monkeypatch.setattr(tametorus.exactalg, "mat_mul", counting_mul)
+        monkeypatch.setattr(tametorus.tameness, "mat_mul", counting_mul)
+        path = tmp_path / "claim.json"
+        path.write_text(json.dumps({"d": 2, "A": [[1, 0], [0, 1]], "certificate": certificate}))
+        code, out = run_cli(["certify", "--input", str(path)], capsys)
+        assert code == 0 and json.loads(out)["result"]["exact"]["valid"] is False
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "certificate",
+        [
+            {"verdict": "TAME", "kind": "SEMICASCADE", "index_k": 0, "period_s": 4,
+             "minimal_pair": [0, 4, 5]},
+            {"verdict": "TAME", "kind": "SEMICASCADE", "index_k": 0, "period_s": 4,
+             "minimal_pair": [0, "4"]},
+            {"verdict": "TAME", "kind": "CASCADE", "period_s": 4, "minimal_order_m": 4.0},
+            {"verdict": "UNTAME", "kind": "SEMICASCADE",
+             "witness": {"reason": "NON_SQUAREFREE", "stripped_min_poly": [1e400]}},
+        ],
+        ids=["pair_of_three", "string_exponent", "float_order", "infinite_coefficient"],
+    )
+    def test_certify_malformed_certificate_exit_2(self, capsys, tmp_path, certificate):
+        path = tmp_path / "claim.json"
+        # 1e400 is serialized as Infinity, which Python's json reads back
+        path.write_text(json.dumps({"d": 2, "A": [[0, -1], [1, 0]], "certificate": certificate}))
+        code, out = run_cli(["certify", "--input", str(path)], capsys)
+        assert code == 2
+        assert json.loads(out)["result"]["error"]["code"] == "MALFORMED"
+
     def test_stdin_input(self, capsys, monkeypatch):
         import io
 

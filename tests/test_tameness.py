@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import product
 
@@ -10,10 +11,12 @@ from tametorus import (
     SEMICASCADE,
     TAME,
     UNTAME,
+    ZERO_EIGENVALUE,
     DeterminantNotUnitError,
     IntMatrix,
     RatPoly,
     TamenessCertificate,
+    UntameWitness,
     certificate_check,
     decide_cascade,
     decide_semicascade,
@@ -21,10 +24,14 @@ from tametorus import (
     inverse_phi,
     mat_mul,
     mat_pow,
+    min_poly,
     oracle_semicascade,
     order_bound,
     order_of_x_mod,
+    poly_divmod,
+    strip_x_factor,
 )
+from tametorus.tameness import _witness_check
 
 
 class TestInversePhi:
@@ -305,3 +312,194 @@ class TestInvariance:
             _, q = cert.minimal_pair
             distinct = {mat_pow(a, n).entries for n in range(q + 10)}
             assert len(distinct) == q
+
+
+def _exhaustive_certificate_check(a, cert):
+    """Test-only reference for certificate_check, by direct scan.
+
+    Builds A^0..A^q by sequential products and scans every smaller pair
+    for minimality; an UNTAME cascade claim scans A^1..A^{s_max} for I.
+    CASCADE claims need |det A| = 1. The witness re-derivation is
+    certificate_check's own.
+    """
+    if cert.kind == CASCADE and abs(a.det()) != 1:
+        return False
+
+    def powers_up_to(q):
+        powers = [IntMatrix.identity(a.d)]
+        for _ in range(q):
+            powers.append(mat_mul(powers[-1], a))
+        return powers
+
+    if cert.verdict == TAME and cert.kind == SEMICASCADE:
+        if cert.minimal_pair is None or cert.witness is not None:
+            return False
+        if cert.minimal_order_m is not None:
+            return False
+        p, q = cert.minimal_pair
+        if not (0 <= p < q):
+            return False
+        if cert.index_k != p or cert.period_s != q - p:
+            return False
+        powers = powers_up_to(q)
+        if powers[p] != powers[q]:
+            return False
+        for q2 in range(1, q):
+            for p2 in range(q2):
+                if powers[p2] == powers[q2]:
+                    return False
+        return all(powers[p2] != powers[q] for p2 in range(p))
+
+    if cert.verdict == TAME and cert.kind == CASCADE:
+        m = cert.minimal_order_m
+        if m is None or m < 1 or cert.period_s != m:
+            return False
+        if cert.minimal_pair is not None or cert.index_k not in (None, 0):
+            return False
+        powers = powers_up_to(m)
+        if powers[m] != powers[0]:
+            return False
+        return all(powers[m2] != powers[0] for m2 in range(1, m))
+
+    if cert.verdict == UNTAME:
+        if cert.witness is None:
+            return False
+        if cert.kind == SEMICASCADE:
+            if oracle_semicascade(a)[0] != UNTAME:
+                return False
+        else:
+            s_max = order_bound(a.d).s_max
+            powers = powers_up_to(s_max)
+            if any(powers[m] == powers[0] for m in range(1, s_max + 1)):
+                return False
+        return _witness_check(a, cert.witness)
+
+    return False
+
+
+def _pair_claim(p, q):
+    return TamenessCertificate(
+        verdict=TAME, kind=SEMICASCADE, index_k=p, period_s=q - p, minimal_pair=(p, q)
+    )
+
+
+def _claims(a):
+    """TAME pairs (p, q) with p < 4 and p < q < 16, TAME orders m < 16, and
+    UNTAME claims of both kinds for each witness reason."""
+    for p in range(4):
+        for q in range(p + 1, 16):
+            yield _pair_claim(p, q)
+    for m in range(16):
+        yield TamenessCertificate(verdict=TAME, kind=CASCADE, period_s=m, minimal_order_m=m)
+    g = strip_x_factor(min_poly(a))[1]
+    witnesses = (
+        UntameWitness(reason=NON_SQUAREFREE, stripped_min_poly=g),
+        UntameWitness(reason=ORDER_BOUND_EXHAUSTED, stripped_min_poly=g,
+                      s_max=order_bound(a.d).s_max),
+        UntameWitness(reason=ZERO_EIGENVALUE, stripped_min_poly=g),
+    )
+    for kind in (SEMICASCADE, CASCADE):
+        for witness in witnesses:
+            yield TamenessCertificate(verdict=UNTAME, kind=kind, witness=witness)
+
+
+def _primes_dividing(n):
+    return [r for r in range(2, n + 1) if n % r == 0 and all(r % t for t in range(2, r))]
+
+
+def _cyclotomic(n):
+    """Phi_n as a RatPoly, by dividing x^n - 1 by Phi_m for m | n, m < n."""
+    f = RatPoly([-1] + [0] * (n - 1) + [1])
+    for m in range(1, n):
+        if n % m == 0:
+            f, rem = poly_divmod(f, _cyclotomic(m))
+            assert rem.is_zero
+    return f
+
+
+def _block_diag(blocks):
+    d = sum(len(b) for b in blocks)
+    out = [[0] * d for _ in range(d)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at : at + len(row)] = row
+        at += len(b)
+    return out
+
+
+def _tame_with_known_pair(rng, d):
+    """U * diag(C(Phi_n) for distinct n, C(Phi_1) padding, J_k(0)) * U^-1,
+    whose minimal pair is (k, lcm n)."""
+    k = rng.randint(0, min(2, d - 1))
+    choices = [n for n in range(2, 31) if euler_phi(n) <= d - k]
+    orders, budget = [], d - k
+    for n in rng.sample(choices, len(choices)):
+        if euler_phi(n) <= budget:
+            orders.append(n)
+            budget -= euler_phi(n)
+    blocks = []
+    for n in orders:
+        phi = [int(c) for c in _cyclotomic(n).int_coeffs()]
+        m = len(phi) - 1
+        blocks.append([[1 if i == j + 1 else 0 for j in range(m - 1)] + [-phi[i]]
+                       for i in range(m)])
+    blocks += [[[1]]] * budget
+    if k:
+        blocks.append([[1 if j == i + 1 else 0 for j in range(k)] for i in range(k)])
+    u, u_inv = _random_unimodular(rng, d)
+    a = mat_mul(mat_mul(u, IntMatrix(_block_diag(blocks))), u_inv)
+    return a, k, math.lcm(1, *orders)
+
+
+class TestCertificateCheckEquivalence:
+    """The mat_pow proof in certificate_check against the exhaustive scan."""
+
+    def test_equals_exhaustive_check_on_grid(self):
+        accepted = {}
+        for combo in product((-1, 0, 1), repeat=4):
+            a = IntMatrix([combo[:2], combo[2:]])
+            for cert in _claims(a):
+                expected = _exhaustive_certificate_check(a, cert)
+                assert certificate_check(a, cert) is expected, (a, cert)
+                key = (cert.verdict, cert.kind)
+                accepted[key] = accepted.get(key, 0) + expected
+        tame = sum(oracle_semicascade(IntMatrix([c[:2], c[2:]]))[0] == TAME
+                   for c in product((-1, 0, 1), repeat=4))
+        # every tame matrix has exactly one valid pair inside the grid
+        assert accepted[(TAME, SEMICASCADE)] == tame
+        assert accepted[(TAME, CASCADE)] > 0
+        assert accepted[(UNTAME, SEMICASCADE)] > accepted[(UNTAME, CASCADE)] > 0
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_cyclotomic_blocks_with_nilpotent_part(self, d):
+        rng = random.Random(4000 + d)
+        for _ in range(4):
+            a, k, s = _tame_with_known_pair(rng, d)
+            assert decide_semicascade(a).minimal_pair == (k, k + s)
+            assert certificate_check(a, _pair_claim(k, k + s))
+            wrong = [(k + 1, k + 1 + s), (k, k + 2 * s)]
+            if k > 0:
+                wrong.append((k - 1, k - 1 + s))
+            wrong += [(k, k + s // r) for r in _primes_dividing(s)]
+            for p, q in wrong:
+                claim = _pair_claim(p, q)
+                assert certificate_check(a, claim) is False, (a, p, q)
+                assert _exhaustive_certificate_check(a, claim) is False, (a, p, q)
+            if k == 0:
+                for m, valid in [(s, True), (2 * s, False)] + [
+                    (s // r, False) for r in _primes_dividing(s)
+                ]:
+                    claim = TamenessCertificate(
+                        verdict=TAME, kind=CASCADE, period_s=m, minimal_order_m=m
+                    )
+                    assert certificate_check(a, claim) is valid, (a, m)
+
+    def test_rejects_cascade_claim_without_unit_determinant(self):
+        a = IntMatrix([[2, 0], [0, 1]])
+        semi = decide_semicascade(a)
+        assert semi.verdict == UNTAME and certificate_check(a, semi)
+        claim = TamenessCertificate(verdict=UNTAME, kind=CASCADE, witness=semi.witness)
+        assert certificate_check(a, claim) is False
+        with pytest.raises(DeterminantNotUnitError):
+            decide_cascade(a)
