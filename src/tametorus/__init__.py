@@ -5,8 +5,9 @@ The package decides, with re-checkable certificates, whether the
 iteration semigroup (semicascade) or iteration group (cascade) of
 x -> Ax + b on the d-torus is tame: for the semigroup the criterion is
 an exact power coincidence A^p = A^q, for the group a finite order
-A^m = I. Exact integer/rational algebra lives in exactalg, the decision
-procedures in tameness, floating-point orbit and independence probes in
+A^m = I. Exact integer matrix and polynomial algebra (including the
+minimal polynomial) lives in exactalg, the decision procedures in
+tameness, floating-point orbit and independence probes in
 dynamics, greedy Sidon-subset extraction in sidon, and the batch
 interface in cli.
 """
@@ -27,17 +28,12 @@ from .errors import (
 )
 from .exactalg import (
     IntMatrix,
-    RatMatrix,
     RatPoly,
-    char_poly,
     mat_mul,
     mat_pow,
     min_poly,
     poly_divmod,
-    poly_eval_at_matrix,
     poly_gcd,
-    poly_lcm,
-    rank,
     strip_x_factor,
 )
 from .tameness import (
@@ -97,18 +93,13 @@ __all__ = [
     "DimensionMismatchError",
     # exactalg
     "IntMatrix",
-    "RatMatrix",
     "RatPoly",
     "mat_mul",
     "mat_pow",
-    "char_poly",
     "min_poly",
-    "rank",
     "poly_gcd",
-    "poly_lcm",
     "poly_divmod",
     "strip_x_factor",
-    "poly_eval_at_matrix",
     # tameness
     "TAME",
     "UNTAME",

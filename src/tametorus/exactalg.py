@@ -1,14 +1,16 @@
-"""Exact integer and rational linear and polynomial algebra.
+"""Exact integer matrix and rational polynomial algebra.
 
-Everything in this module computes over Python ints and
-fractions.Fraction, so no operation ever rounds. Arbitrary precision is
-mandatory, not a nicety: powers of expanding integer matrices grow
-geometrically (hyperbolic 2x2 matrices produce golden-ratio-like entry
-growth) and overflow fixed-width integers within a few dozen steps.
+Matrices and the minimal polynomial are computed over Python ints;
+RatPoly and its divmod/gcd use fractions.Fraction. No operation ever
+rounds. Arbitrary precision is mandatory, not a nicety: powers of
+expanding integer matrices grow geometrically (hyperbolic 2x2 matrices
+produce golden-ratio-like entry growth) and overflow fixed-width
+integers within a few dozen steps.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 
@@ -16,18 +18,13 @@ from .errors import DimensionMismatchError
 
 __all__ = [
     "IntMatrix",
-    "RatMatrix",
     "RatPoly",
     "mat_mul",
     "mat_pow",
-    "char_poly",
     "min_poly",
-    "rank",
     "poly_gcd",
-    "poly_lcm",
     "poly_divmod",
     "strip_x_factor",
-    "poly_eval_at_matrix",
 ]
 
 
@@ -122,9 +119,9 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Exact product of two square integer matrices of equal dimension."""
     if a.d != b.d:
         raise DimensionMismatchError("cannot multiply %dx%d by %dx%d" % (a.d, a.d, b.d, b.d))
-    bt = b.transpose().entries
+    cols = tuple(zip(*b.entries))
     return IntMatrix(
-        [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a.entries]
+        [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.entries]
     )
 
 
@@ -313,15 +310,6 @@ def poly_gcd(f: RatPoly, g: RatPoly) -> RatPoly:
     return f.monic()
 
 
-def poly_lcm(f: RatPoly, g: RatPoly) -> RatPoly:
-    """Monic least common multiple of two nonzero polynomials."""
-    if f.is_zero or g.is_zero:
-        raise ValueError("lcm requires nonzero polynomials")
-    q, r = poly_divmod(f * g, poly_gcd(f, g))
-    assert r.is_zero
-    return q.monic()
-
-
 def strip_x_factor(f: RatPoly) -> tuple[int, RatPoly]:
     """Write f = x^k * g with g(0) != 0 and k maximal; return (k, g)."""
     if f.is_zero:
@@ -332,174 +320,45 @@ def strip_x_factor(f: RatPoly) -> tuple[int, RatPoly]:
     return k, RatPoly(f.coeffs[k:])
 
 
-class RatMatrix:
-    """Immutable square matrix with exact rational entries."""
+def min_poly(a: IntMatrix) -> RatPoly:
+    """Monic minimal polynomial of an integer matrix.
 
-    __slots__ = ("d", "entries")
-
-    def __init__(self, entries):
-        rows = tuple(tuple(Fraction(e) for e in row) for row in entries)
-        if not rows:
-            raise ValueError("dimension must be at least 1")
-        if any(len(row) != len(rows) for row in rows):
-            raise DimensionMismatchError("expected a square matrix")
-        self.d = len(rows)
-        self.entries = rows
-
-    @classmethod
-    def identity(cls, d: int) -> "RatMatrix":
-        return cls([[1 if i == j else 0 for j in range(d)] for i in range(d)])
-
-    @classmethod
-    def zero(cls, d: int) -> "RatMatrix":
-        return cls([[0] * d for _ in range(d)])
-
-    @classmethod
-    def from_int_matrix(cls, a: IntMatrix) -> "RatMatrix":
-        return cls(a.entries)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(e == 0 for row in self.entries for e in row)
-
-    def __add__(self, other):
-        if not isinstance(other, RatMatrix) or self.d != other.d:
-            return NotImplemented
-        return RatMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatMatrix([[e * other for e in row] for row in self.entries])
-        if isinstance(other, RatMatrix):
-            if self.d != other.d:
-                raise DimensionMismatchError("dimension mismatch in product")
-            bt = tuple(zip(*other.entries))
-            return RatMatrix(
-                [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in self.entries]
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, RatMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return "RatMatrix(%s)" % ([list(map(str, row)) for row in self.entries],)
-
-
-def rank(a: RatMatrix) -> int:
-    """Exact rank over the rationals by Gaussian elimination."""
-    rows = [list(r) for r in a.entries]
-    n = a.d
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, n) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(r + 1, n):
-            if rows[i][c] != 0:
-                factor = rows[i][c] / rows[r][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == n:
-            break
-    return r
-
-
-def char_poly(a: IntMatrix) -> RatPoly:
-    """Monic characteristic polynomial, by the Faddeev-LeVerrier recurrence.
-
-    The recurrence runs over exact rationals; the result always has
-    integer coefficients, which is asserted before returning.
+    mu is the first linear dependency among vec(A^0), vec(A^1), ..., which
+    Cayley-Hamilton guarantees by vec(A^d). Each new power is reduced
+    against the stored independent ones by fraction-free elimination
+    (Bareiss 1968): cross-multiply by the stored pivot, carry the same
+    combination of powers along, and divide the reduced vector and its
+    combination by their common gcd, so everything stays in integers.
+    The first power that reduces to zero gives c_0 I + ... + c_k A^k = 0
+    with c_k != 0. Since I, ..., A^{k-1} are independent this relation is
+    c_k * mu, and mu is monic and integral, so dividing by c_k is exact.
+    No factorization is ever performed.
     """
     d = a.d
-    af = [[Fraction(x) for x in row] for row in a.entries]
-
-    def fmul(m1, m2):
-        return [
-            [sum(m1[i][k] * m2[k][j] for k in range(d)) for j in range(d)]
-            for i in range(d)
-        ]
-
-    coeffs = [Fraction(0)] * (d + 1)
-    coeffs[d] = Fraction(1)
-    m = [[Fraction(0)] * d for _ in range(d)]
-    for k in range(1, d + 1):
-        # M_k = A * M_{k-1} + c_{d-k+1} * I ; c_{d-k} = -tr(A * M_k) / k
-        m = fmul(af, m)
-        ck = coeffs[d - k + 1]
-        for i in range(d):
-            m[i][i] += ck
-        am = fmul(af, m)
-        coeffs[d - k] = -sum(am[i][i] for i in range(d)) / k
-    poly = RatPoly(coeffs)
-    assert poly.has_integer_coeffs(), "characteristic polynomial must be integral"
-    return poly
-
-
-def _krylov_relation(a: IntMatrix, start: tuple[int, ...]) -> RatPoly:
-    """Minimal monic polynomial p with p(A) v = 0 for the start vector v.
-
-    Builds the Krylov sequence v, Av, A^2 v, ... and row-reduces each new
-    vector against the previously stored independent ones, tracking the
-    combination coefficients. The first vector that reduces to zero gives
-    the relation; it is monic because reduction never touches the newest
-    coefficient.
-    """
-    d = a.d
-    rows: list[tuple[int, list[Fraction], list[Fraction]]] = []
-    cur = [Fraction(x) for x in start]
-    k = 0
-    while True:
-        vec = list(cur)
-        comb = [Fraction(0)] * (k + 1)
-        comb[k] = Fraction(1)
+    # (pivot index, reduced vec(A^i), its combination of I, A, ..., A^d)
+    rows: list[tuple[int, list[int], list[int]]] = []
+    power = IntMatrix.identity(d)
+    for k in range(d + 1):
+        vec = [x for row in power.entries for x in row]
+        comb = [0] * (d + 1)
+        comb[k] = 1
         for pivot, rvec, rcomb in rows:
             c = vec[pivot]
-            if c != 0:
-                factor = c / rvec[pivot]
-                vec = [x - factor * y for x, y in zip(vec, rvec)]
-                for i, rc in enumerate(rcomb):
-                    comb[i] -= factor * rc
-        if all(x == 0 for x in vec):
-            return RatPoly(comb)
-        pivot = next(i for i, x in enumerate(vec) if x != 0)
-        rows.append((pivot, vec, comb))
-        cur = [
-            sum(Fraction(a.entries[i][j]) * cur[j] for j in range(d)) for i in range(d)
-        ]
-        k += 1
-
-
-def min_poly(a: IntMatrix) -> RatPoly:
-    """Monic minimal polynomial of an integer matrix over the rationals.
-
-    Combines the per-basis-vector Krylov relations by lcm; stops early once
-    the degree reaches d, since the minimal polynomial divides the degree-d
-    characteristic polynomial. No factorization is ever performed.
-    """
-    d = a.d
-    result = RatPoly.one()
-    for j in range(d):
-        e_j = tuple(1 if i == j else 0 for i in range(d))
-        result = poly_lcm(result, _krylov_relation(a, e_j))
-        if result.degree == d:
-            break
-    return result.monic()
-
-
-def poly_eval_at_matrix(f: RatPoly, a: IntMatrix) -> RatMatrix:
-    """Evaluate f at a square integer matrix by Horner's rule, exactly."""
-    acc = RatMatrix.zero(a.d)
-    ar = RatMatrix.from_int_matrix(a)
-    ident = RatMatrix.identity(a.d)
-    for c in reversed(f.coeffs):
-        acc = acc * ar + ident * c
-    return acc
+            if c:
+                p = rvec[pivot]
+                vec = [p * x - c * y for x, y in zip(vec, rvec)]
+                comb = [p * x - c * y for x, y in zip(comb, rcomb)]
+        if not any(vec):
+            lead = comb[k]
+            if any(c % lead for c in comb):
+                raise ArithmeticError(
+                    "dependency %s of the powers of %r is not a multiple of a "
+                    "monic integer polynomial" % (comb, a)
+                )
+            return RatPoly([c // lead for c in comb])
+        content = math.gcd(*vec, *comb)
+        vec = [x // content for x in vec]
+        comb = [x // content for x in comb]
+        rows.append((next(i for i, x in enumerate(vec) if x), vec, comb))
+        power = mat_mul(power, a)
+    raise ArithmeticError("no dependency among I, A, ..., A^d of %r" % (a,))

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DeterminantNotUnitError
@@ -237,29 +236,31 @@ def order_of_x_mod(g: RatPoly, s_max: int):
     """Least s <= s_max with x^s = 1 in Q[x]/(g), or None.
 
     g must be nonzero with nonzero constant term; it is normalized to be
-    monic. Works by repeated multiplication by x with reduction modulo g,
-    so the first s found is the least one.
+    monic. A monic divisor of x^s - 1 in Q[x] has integer coefficients
+    (Gauss's lemma), so a non-integral g has no order. Otherwise works by
+    repeated multiplication by x with reduction modulo g over the
+    integers, so the first s found is the least one.
     """
     if g.is_zero:
         raise ValueError("modulus polynomial must be nonzero")
     g = g.monic()
     if g.coeffs[0] == 0:
         raise ValueError("modulus polynomial must have nonzero constant term")
+    if not g.has_integer_coeffs():
+        return None
     deg = g.degree
     if deg == 0:
         # Quotient ring is trivial; every power of x equals 1 there.
         return 1
+    low = g.int_coeffs()[:-1]
     # residue[i] is the coefficient of x^i of x^s mod g
-    residue = [Fraction(0)] * deg
-    one = [Fraction(0)] * deg
-    one[0] = Fraction(1)
-    residue[0] = Fraction(1)
+    one = [1] + [0] * (deg - 1)
+    residue = one
     for s in range(1, s_max + 1):
         lead = residue[-1]
-        residue = [Fraction(0)] + residue[:-1]
-        if lead != 0:
-            for i in range(deg):
-                residue[i] -= lead * g.coeffs[i]
+        residue = [0] + residue[:-1]
+        if lead:
+            residue = [r - lead * c for r, c in zip(residue, low)]
         if residue == one:
             return s
     return None
@@ -328,10 +329,9 @@ def decide_cascade(a: IntMatrix) -> TamenessCertificate:
     and the cascade is undefined). TAME certificates carry the least
     m >= 1 with A^m = I.
     """
-    if abs(a.det()) != 1:
-        raise DeterminantNotUnitError(
-            "cascade undefined: |det A| = %d, need 1" % abs(a.det())
-        )
+    det = abs(a.det())
+    if det != 1:
+        raise DeterminantNotUnitError("cascade undefined: |det A| = %d, need 1" % det)
     semi = _semicascade_certificate(a)
     if semi.verdict == UNTAME:
         return TamenessCertificate(verdict=UNTAME, kind=CASCADE, witness=semi.witness)

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -96,6 +97,25 @@ class TestOrderOfXMod:
     def test_zero_poly_rejected(self):
         with pytest.raises(ValueError):
             order_of_x_mod(RatPoly.zero(), 6)
+
+    def test_non_integral_poly_has_no_order(self):
+        # x + 1/2 divides no x^s - 1: a monic divisor would be integral
+        assert order_of_x_mod(RatPoly([Fraction(1, 2), 1]), 6) is None
+
+    def test_equals_oracle_period_of_companion(self):
+        # every monic g of degree 1..4 with g(0) != 0 and coefficients in
+        # {-1, 0, 1}: C(g) is invertible with minimal polynomial g, so its
+        # powers repeat from A^0 with period exactly the order of x mod g
+        s_max = order_bound(4).s_max
+        for deg in range(1, 5):
+            for low in product((-1, 0, 1), repeat=deg):
+                if low[0] == 0:
+                    continue
+                g = RatPoly(low + (1,))
+                s = order_of_x_mod(g, s_max)
+                verdict, pair = oracle_semicascade(IntMatrix(_companion(g)))
+                expected = (TAME, (0, s)) if s is not None else (UNTAME, None)
+                assert (verdict, pair) == expected, g
 
 
 class TestDecideSemicascade:
@@ -417,6 +437,13 @@ def _cyclotomic(n):
     return f
 
 
+def _companion(g):
+    """Companion matrix of a monic integer polynomial of degree >= 1."""
+    c = g.int_coeffs()
+    m = len(c) - 1
+    return [[1 if i == j + 1 else 0 for j in range(m - 1)] + [-c[i]] for i in range(m)]
+
+
 def _block_diag(blocks):
     d = sum(len(b) for b in blocks)
     out = [[0] * d for _ in range(d)]
@@ -430,7 +457,8 @@ def _block_diag(blocks):
 
 def _tame_with_known_pair(rng, d):
     """U * diag(C(Phi_n) for distinct n, C(Phi_1) padding, J_k(0)) * U^-1,
-    whose minimal pair is (k, lcm n)."""
+    whose minimal pair is (k, lcm n) and whose minimal polynomial is
+    x^k * (Phi_1 if padded) * prod Phi_n; returns (A, k, lcm n, mu)."""
     k = rng.randint(0, min(2, d - 1))
     choices = [n for n in range(2, 31) if euler_phi(n) <= d - k]
     orders, budget = [], d - k
@@ -438,18 +466,16 @@ def _tame_with_known_pair(rng, d):
         if euler_phi(n) <= budget:
             orders.append(n)
             budget -= euler_phi(n)
-    blocks = []
-    for n in orders:
-        phi = [int(c) for c in _cyclotomic(n).int_coeffs()]
-        m = len(phi) - 1
-        blocks.append([[1 if i == j + 1 else 0 for j in range(m - 1)] + [-phi[i]]
-                       for i in range(m)])
+    blocks = [_companion(_cyclotomic(n)) for n in orders]
     blocks += [[[1]]] * budget
     if k:
         blocks.append([[1 if j == i + 1 else 0 for j in range(k)] for i in range(k)])
     u, u_inv = _random_unimodular(rng, d)
     a = mat_mul(mat_mul(u, IntMatrix(_block_diag(blocks))), u_inv)
-    return a, k, math.lcm(1, *orders)
+    mu = RatPoly.x_power(k)
+    for n in orders + ([1] if budget else []):
+        mu = mu * _cyclotomic(n)
+    return a, k, math.lcm(1, *orders), mu
 
 
 class TestCertificateCheckEquivalence:
@@ -475,7 +501,7 @@ class TestCertificateCheckEquivalence:
     def test_cyclotomic_blocks_with_nilpotent_part(self, d):
         rng = random.Random(4000 + d)
         for _ in range(4):
-            a, k, s = _tame_with_known_pair(rng, d)
+            a, k, s, _ = _tame_with_known_pair(rng, d)
             assert decide_semicascade(a).minimal_pair == (k, k + s)
             assert certificate_check(a, _pair_claim(k, k + s))
             wrong = [(k + 1, k + 1 + s), (k, k + 2 * s)]
@@ -503,3 +529,23 @@ class TestCertificateCheckEquivalence:
         assert certificate_check(a, claim) is False
         with pytest.raises(DeterminantNotUnitError):
             decide_cascade(a)
+
+
+class TestMinPolyKnownTame:
+    """min_poly at d >= 3 against the minimal polynomial known by construction."""
+
+    @pytest.mark.parametrize("d", range(3, 13))
+    def test_min_poly_of_cyclotomic_blocks(self, d):
+        rng = random.Random(5000 + d)
+        for _ in range(4):
+            a, _, _, mu = _tame_with_known_pair(rng, d)
+            assert min_poly(a) == mu
+
+    def test_min_poly_of_repeated_blocks(self):
+        # diag(C(Phi_3), C(Phi_3), C(Phi_4), 1, 1) is derogatory: mu has
+        # degree 5 in dimension 8
+        rng = random.Random(5100)
+        blocks = [_companion(_cyclotomic(n)) for n in (3, 3, 4)] + [[[1]]] * 2
+        u, u_inv = _random_unimodular(rng, 8)
+        a = mat_mul(mat_mul(u, IntMatrix(_block_diag(blocks))), u_inv)
+        assert min_poly(a) == _cyclotomic(1) * _cyclotomic(3) * _cyclotomic(4)
