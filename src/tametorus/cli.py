@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
@@ -131,7 +132,14 @@ def _parse_angle(value, context: str) -> float:
         return float(Fraction(value) % 1) * TWO_PI
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise MalformedInputError("%s: expected a number or 'p/q', got %r" % (context, value))
-    return float(value)
+    try:
+        angle = float(value)
+    except OverflowError:
+        angle = math.inf
+    if not math.isfinite(angle):
+        # JSON NaN, Infinity, -Infinity, 1e400 or an integer beyond double range
+        raise MalformedInputError("%s: angle must be finite" % context)
+    return angle
 
 
 def _parse_angles(values, d: int, context: str) -> np.ndarray:

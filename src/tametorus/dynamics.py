@@ -36,7 +36,8 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-# Grids larger than this total are clamped by shrinking the per-axis count.
+# Default grids shrink their per-axis count to stay within this total;
+# larger grids are refused.
 GRID_POINT_CAP = 32 ** 3
 
 MAX_INDEPENDENCE_FUNCTIONS = 12
@@ -60,7 +61,10 @@ def torus_grid(d: int, per_axis: int | None = None) -> np.ndarray:
     """Uniform grid on [0, 2*pi)^d, shape (per_axis**d, d).
 
     Defaults to 32 points per axis for d <= 3; for higher d the per-axis
-    count shrinks to keep the total at most GRID_POINT_CAP points.
+    count shrinks to keep the total at most GRID_POINT_CAP points. A grid
+    of more than GRID_POINT_CAP points (an explicit per_axis too large for
+    d, or d >= 16, where even 2 points per axis exceed it) raises
+    CapExceededError before anything is allocated.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
@@ -68,6 +72,10 @@ def torus_grid(d: int, per_axis: int | None = None) -> np.ndarray:
         per_axis = 32 if d <= 3 else max(2, int(GRID_POINT_CAP ** (1.0 / d)))
     if per_axis < 1:
         raise ValueError("per_axis must be >= 1")
+    if per_axis ** d > GRID_POINT_CAP:
+        raise CapExceededError(
+            "grid of %d^%d points exceeds the cap of %d" % (per_axis, d, GRID_POINT_CAP)
+        )
     axis = np.arange(per_axis) * (TWO_PI / per_axis)
     mesh = np.meshgrid(*([axis] * d), indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)

@@ -46,6 +46,14 @@ class IntMatrix:
         self.entries = rows
 
     @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """Wrap a nonempty square tuple of int tuples without validating it."""
+        m = object.__new__(cls)
+        m.d = len(rows)
+        m.entries = rows
+        return m
+
+    @classmethod
     def identity(cls, d: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(d)] for i in range(d)])
 
@@ -120,8 +128,8 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.d != b.d:
         raise DimensionMismatchError("cannot multiply %dx%d by %dx%d" % (a.d, a.d, b.d, b.d))
     cols = tuple(zip(*b.entries))
-    return IntMatrix(
-        [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.entries]
+    return IntMatrix._trusted(
+        tuple(tuple([sum(map(operator.mul, row, col)) for col in cols]) for row in a.entries)
     )
 
 

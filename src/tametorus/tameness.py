@@ -13,13 +13,13 @@ polynomial factorization:
      s_max(d), computed from the degrees of cyclotomic polynomials,
 
 which yields the least pair (k, k+s) respectively the least order m = s.
-An independent brute-force oracle (exact power enumeration) and a
-certificate re-checker make every verdict self-validating.
+A certificate re-checker makes every verdict self-validating; an
+independent brute-force oracle (exact power enumeration) backs sweep and
+the tests.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -76,7 +76,10 @@ class UntameWitness:
     repeated factor, which is impossible for a divisor of the squarefree
     x^s - 1. reason ORDER_BOUND_EXHAUSTED: x^s mod g != 1 for every
     1 <= s <= s_max, and no larger s can work because the order of x
-    modulo a degree-<=d divisor of x^s - 1 is at most s_max(d).
+    modulo a degree-<=d divisor of x^s - 1 is at most s_max(d). reason
+    ZERO_EIGENVALUE: x divides the minimal polynomial (only the cascade
+    decider emits it, defensively). certificate_check re-derives each
+    reason from the minimal polynomial alone, without matrix powers.
     """
 
     reason: str
@@ -207,29 +210,50 @@ def inverse_phi(m: int) -> set[int]:
 
 @lru_cache(maxsize=None)
 def order_bound(d: int) -> OrderBoundTable:
-    """Bound table for dimension d, by exhaustive subset enumeration.
+    """Bound table for dimension d; s_max by a knapsack over prime powers.
 
-    The depth-first walk below visits exactly the subsets of distinct
-    admissible orders whose phi values fit in the remaining budget, so it
-    is an exhaustive enumeration with infeasible branches skipped.
+    The cheapest set of distinct orders with lcm L = 2^e * prod p^f (p
+    odd) costs sum phi(p^f) + c(e), where c(0) = 0, c(e) = 2^(e-1) for
+    e >= 2, and c(1) = 0 when some odd p divides L (phi(2q) = phi(q))
+    but 1 otherwise: every prime power of L divides some chosen order,
+    and phi(ab) = phi(a) phi(b) >= phi(a) + phi(b) for coprime a, b
+    with phi(a), phi(b) >= 2, so splitting an order into its prime
+    powers never costs more, except that a factor 2 rides along with an
+    odd one for free. s_max is therefore the largest such L with cost
+    <= d: a knapsack over the odd primes p <= d + 1, taking at most one
+    exponent per prime, followed by the best power of 2 for the rest of
+    the budget.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    admissible = sorted(n for m in range(1, d + 1) for n in inverse_phi(m))
-    phis = [euler_phi(n) for n in admissible]
+    # phi(n) >= sqrt(n/2) (see inverse_phi), so phi(n) <= d forces n <= 2*d*d.
+    admissible = frozenset(n for n in range(1, 2 * d * d + 1) if euler_phi(n) <= d)
+
+    # odd[c]: largest odd L whose prime powers cost exactly c, 0 if none.
+    odd = [1] + [0] * d
+    for p in range(3, d + 2, 2):
+        if _prime_divisors(p) != [p]:
+            continue
+        options = []
+        power, cost = p, p - 1
+        while cost <= d:
+            options.append((power, cost))
+            power, cost = power * p, cost * p
+        odd = [
+            max([odd[c]] + [odd[c - w] * v for v, w in options if w <= c and odd[c - w]])
+            for c in range(d + 1)
+        ]
 
     best = 1
-
-    def walk(start: int, budget: int, acc_lcm: int) -> None:
-        nonlocal best
-        if acc_lcm > best:
-            best = acc_lcm
-        for i in range(start, len(admissible)):
-            if phis[i] <= budget:
-                walk(i + 1, budget - phis[i], math.lcm(acc_lcm, admissible[i]))
-
-    walk(0, d, 1)
-    return OrderBoundTable(d=d, admissible_orders=frozenset(admissible), s_max=best)
+    for c, value in enumerate(odd):
+        if value:
+            # A factor 2 is free next to an odd order and costs 1 <= d - c
+            # alone (c = 0); doubling 2^e >= 2 costs phi(2^(e+1)) = 2^e.
+            two = 2
+            while two <= d - c:
+                two *= 2
+            best = max(best, value * two)
+    return OrderBoundTable(d=d, admissible_orders=admissible, s_max=best)
 
 
 def order_of_x_mod(g: RatPoly, s_max: int):
@@ -408,13 +432,31 @@ def certificate_check(a: IntMatrix, cert: TamenessCertificate) -> bool:
     s_max(d), so a claim with q > d + s_max(d), or m > s_max(d), is
     rejected before any power is computed.
 
-    UNTAME verdicts are re-checked by the exhaustive power enumeration
-    oracle, and the witness data is re-derived from the minimal
-    polynomial. Every CASCADE claim needs |det A| = 1 (a TAME one implies
-    it through A^m = I). For such A a repetition A^p = A^q gives
-    A^{q-p} = I, so the oracle's first repetition is (0, m) with m <= s_max
-    exactly when some 1 <= m <= s_max has A^m = I; an UNTAME cascade claim
-    thus holds exactly when the oracle finds no repetition.
+    An UNTAME claim needs a witness and a known kind, and a CASCADE one
+    |det A| = 1 (a TAME one implies it through A^m = I). Beyond that it is
+    accepted exactly when the witness re-derives from mu = x^k * g (g(0)
+    != 0) and x has no order <= s_max(d) modulo g. This accepts exactly
+    the claims that the exhaustive check (oracle_semicascade reports
+    UNTAME and the witness re-derives) accepts:
+      1. The oracle reports UNTAME exactly when A^0..A^{d+s_max} hold no
+         repetition, exactly when A is untame: a finite power semigroup
+         has index at most d and period at most s_max(d), so its first
+         repetition lies within that range.
+      2. A is untame exactly when x has no order <= s_max modulo g. If
+         A^k' = A^{k'+s}, mu divides x^k' (x^s - 1), so g, being coprime
+         to x, divides x^s - 1 and x has order at most s modulo g; that
+         order is at most s_max(d), since a squarefree divisor of x^s - 1
+         of degree <= d is a product of distinct Phi_n with sum phi(n) <= d
+         (OrderBoundTable). Conversely, if g divides x^s - 1, mu divides
+         x^k (x^s - 1) and A^k = A^{k+s}.
+      3. So the two accept sets agree on every claim.
+    A re-derived NON_SQUAREFREE witness already rules out an order (any
+    divisor of the squarefree x^s - 1 is squarefree), and a re-derived
+    ORDER_BOUND_EXHAUSTED witness is the statement itself; only a
+    ZERO_EIGENVALUE witness (k > 0) needs the order search on top. For a
+    CASCADE claim the two kinds coincide: |det A| = 1 makes A^p = A^q
+    imply A^{q-p} = I, so the cascade is untame exactly when the
+    semicascade is. No power of A is computed for an UNTAME claim.
     """
     if cert.verdict == TAME and cert.kind == SEMICASCADE:
         if cert.minimal_pair is None or cert.witness is not None:
@@ -445,25 +487,26 @@ def certificate_check(a: IntMatrix, cert: TamenessCertificate) -> bool:
             return False
         if cert.kind == CASCADE and abs(a.det()) != 1:
             return False
-        verdict, _ = oracle_semicascade(a)
-        if verdict != UNTAME:
-            return False
-        return _witness_check(a, cert.witness)
+        return _untame_witness_check(a, cert.witness)
 
     return False
 
 
-def _witness_check(a: IntMatrix, witness: UntameWitness) -> bool:
+def _untame_witness_check(a: IntMatrix, witness: UntameWitness) -> bool:
+    """Whether the witness re-derives from mu and A is untame.
+
+    A is untame exactly when x has no order <= s_max modulo g (see
+    certificate_check). A NON_SQUAREFREE or ORDER_BOUND_EXHAUSTED witness
+    that re-derives implies that already; a ZERO_EIGENVALUE one does not.
+    """
     k, g = strip_x_factor(min_poly(a))
+    s_max = order_bound(a.d).s_max
     if witness.reason == ZERO_EIGENVALUE:
-        return k > 0
+        return k > 0 and order_of_x_mod(g, s_max) is None
     if witness.stripped_min_poly != g:
         return False
     if witness.reason == NON_SQUAREFREE:
         return poly_gcd(g, g.derivative()).degree != 0
     if witness.reason == ORDER_BOUND_EXHAUSTED:
-        table = order_bound(a.d)
-        if witness.s_max != table.s_max:
-            return False
-        return order_of_x_mod(g, table.s_max) is None
+        return witness.s_max == s_max and order_of_x_mod(g, s_max) is None
     return False

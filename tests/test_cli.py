@@ -59,6 +59,21 @@ class TestParseInput:
         job = parse_input('{"d":1,"A":[[2.0]]}')
         assert job.payload["a"].entries == ((2,),)
 
+    @pytest.mark.parametrize("field", ["b", "x0"])
+    @pytest.mark.parametrize(
+        "value",
+        ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+        ids=["nan", "inf", "-inf", "1e400", "10^400"],
+    )
+    def test_non_finite_angle_exit_2(self, capsys, tmp_path, field, value):
+        path = tmp_path / "job.json"
+        path.write_text('{"d":2,"A":[[1,0],[0,1]],"%s":[0.5,%s]}' % (field, value))
+        code, out = run_cli(
+            ["simulate", "--input", str(path), "--iters", "3", "--grid", "4"], capsys
+        )
+        assert code == 2
+        assert json.loads(out)["result"]["error"]["code"] == "MALFORMED"
+
     def test_bad_translation_string(self):
         with pytest.raises(MalformedInputError):
             parse_input('{"d":1,"A":[[1]],"b":["half"]}')
@@ -233,6 +248,21 @@ class TestCommands:
         assert exact["selected"][:3] == [[1, 1], [2, 4], [3, 9]]
         assert exact["quasi_independent"] is True
         assert report["result"]["floating"]["estimated_ratio"] > 0
+
+    def test_sidon_grid_within_cap_runs_at_d3(self, capsys, tmp_path):
+        path = tmp_path / "stream.txt"
+        path.write_text("".join("%d %d %d\n" % (k, k * k, 1) for k in range(1, 100)))
+        code, out = run_cli(["sidon", "--input", str(path), "--iters", "4"], capsys)
+        assert code == 0
+        assert json.loads(out)["result"]["floating"]["estimated_ratio"] > 0
+
+    def test_sidon_grid_beyond_cap_exit_4(self, capsys, tmp_path):
+        # the default --grid 32 on a d=5 stream is 32^5 points
+        path = tmp_path / "stream.txt"
+        path.write_text("".join("%d %d 0 0 1\n" % (k, k * k) for k in range(1, 100)))
+        code, out = run_cli(["sidon", "--input", str(path), "--iters", "4"], capsys)
+        assert code == 4
+        assert json.loads(out)["result"]["error"]["code"] == "CAP_EXCEEDED"
 
     def test_sweep_small(self, capsys):
         code, out = run_cli(["sweep", "--range=-1..1", "--format", "json"], capsys)

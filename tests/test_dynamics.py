@@ -252,3 +252,15 @@ class TestGridAverage:
         assert g.min() == 0.0 and g.max() < TWO_PI
         # default per-axis count shrinks for high dimension
         assert torus_grid(4).shape[0] <= 32 ** 3
+
+    @pytest.mark.parametrize("d,per_axis", [(5, 32), (4, 14), (5, 10 ** 6), (16, None)])
+    def test_torus_grid_beyond_cap_raises(self, d, per_axis):
+        # checked by arithmetic: a 10^30-point grid would never allocate
+        with pytest.raises(CapExceededError):
+            torus_grid(d, per_axis)
+
+    def test_torus_grid_at_cap_runs(self):
+        for d in (1, 2, 3):
+            assert torus_grid(d, 32).shape == (32 ** d, d)
+            assert torus_grid(d).shape == (32 ** d, d)
+        assert torus_grid(15).shape == (2 ** 15, 15)

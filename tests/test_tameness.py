@@ -15,6 +15,7 @@ from tametorus import (
     ZERO_EIGENVALUE,
     DeterminantNotUnitError,
     IntMatrix,
+    OrderBoundTable,
     RatPoly,
     TamenessCertificate,
     UntameWitness,
@@ -30,9 +31,9 @@ from tametorus import (
     order_bound,
     order_of_x_mod,
     poly_divmod,
+    poly_gcd,
     strip_x_factor,
 )
-from tametorus.tameness import _witness_check
 
 
 class TestInversePhi:
@@ -75,6 +76,33 @@ class TestOrderBound:
     def test_admissible_orders_by_phi(self):
         table = order_bound(2)
         assert table.admissible_orders == frozenset({1, 2, 3, 4, 6})
+
+    @pytest.mark.parametrize("d", range(1, 31))
+    def test_equals_exhaustive_subset_walk(self, d):
+        assert order_bound(d) == _walk_order_bound(d)
+
+    def test_large_dimension(self):
+        # lcm(5, 7, 8, 9) and lcm(5, 7, 8, 9, 11, 13), as in the subset walk
+        assert order_bound(20).s_max == 2520
+        assert order_bound(42).s_max == 360360
+
+
+def _walk_order_bound(d):
+    """Test-only reference for order_bound: a depth-first walk over every
+    subset of distinct admissible orders whose phi values fit in d."""
+    admissible = sorted(n for m in range(1, d + 1) for n in inverse_phi(m))
+    phis = [euler_phi(n) for n in admissible]
+    best = 1
+
+    def walk(start, budget, acc_lcm):
+        nonlocal best
+        best = max(best, acc_lcm)
+        for i in range(start, len(admissible)):
+            if phis[i] <= budget:
+                walk(i + 1, budget - phis[i], math.lcm(acc_lcm, admissible[i]))
+
+    walk(0, d, 1)
+    return OrderBoundTable(d=d, admissible_orders=frozenset(admissible), s_max=best)
 
 
 class TestOrderOfXMod:
@@ -339,8 +367,8 @@ def _exhaustive_certificate_check(a, cert):
 
     Builds A^0..A^q by sequential products and scans every smaller pair
     for minimality; an UNTAME cascade claim scans A^1..A^{s_max} for I.
-    CASCADE claims need |det A| = 1. The witness re-derivation is
-    certificate_check's own.
+    CASCADE claims need |det A| = 1. UNTAME claims are decided by the
+    power enumeration and _reference_witness_check.
     """
     if cert.kind == CASCADE and abs(a.det()) != 1:
         return False
@@ -392,8 +420,25 @@ def _exhaustive_certificate_check(a, cert):
             powers = powers_up_to(s_max)
             if any(powers[m] == powers[0] for m in range(1, s_max + 1)):
                 return False
-        return _witness_check(a, cert.witness)
+        return _reference_witness_check(a, cert.witness)
 
+    return False
+
+
+def _reference_witness_check(a, witness):
+    """The witness re-derivation that backed the oracle's UNTAME verdict:
+    ZERO_EIGENVALUE only needs x to divide mu; the other reasons need the
+    claimed g to be the x-stripped minimal polynomial."""
+    k, g = strip_x_factor(min_poly(a))
+    if witness.reason == ZERO_EIGENVALUE:
+        return k > 0
+    if witness.stripped_min_poly != g:
+        return False
+    if witness.reason == NON_SQUAREFREE:
+        return poly_gcd(g, g.derivative()).degree != 0
+    if witness.reason == ORDER_BOUND_EXHAUSTED:
+        s_max = order_bound(a.d).s_max
+        return witness.s_max == s_max and order_of_x_mod(g, s_max) is None
     return False
 
 
@@ -405,19 +450,29 @@ def _pair_claim(p, q):
 
 def _claims(a):
     """TAME pairs (p, q) with p < 4 and p < q < 16, TAME orders m < 16, and
-    UNTAME claims of both kinds for each witness reason."""
+    the UNTAME claims of _untame_claims."""
     for p in range(4):
         for q in range(p + 1, 16):
             yield _pair_claim(p, q)
     for m in range(16):
         yield TamenessCertificate(verdict=TAME, kind=CASCADE, period_s=m, minimal_order_m=m)
+    yield from _untame_claims(a)
+
+
+def _untame_claims(a):
+    """UNTAME claims of both kinds for each witness reason with the true
+    x-stripped minimal polynomial g, with g times (x - 1), and with a
+    wrong s_max."""
     g = strip_x_factor(min_poly(a))[1]
-    witnesses = (
-        UntameWitness(reason=NON_SQUAREFREE, stripped_min_poly=g),
-        UntameWitness(reason=ORDER_BOUND_EXHAUSTED, stripped_min_poly=g,
-                      s_max=order_bound(a.d).s_max),
-        UntameWitness(reason=ZERO_EIGENVALUE, stripped_min_poly=g),
-    )
+    s_max = order_bound(a.d).s_max
+    witnesses = [
+        UntameWitness(reason=reason, stripped_min_poly=poly,
+                      s_max=s_max if reason == ORDER_BOUND_EXHAUSTED else None)
+        for poly in (g, g * RatPoly([-1, 1]))
+        for reason in (NON_SQUAREFREE, ORDER_BOUND_EXHAUSTED, ZERO_EIGENVALUE)
+    ]
+    witnesses.append(UntameWitness(reason=ORDER_BOUND_EXHAUSTED, stripped_min_poly=g,
+                                   s_max=s_max + 1))
     for kind in (SEMICASCADE, CASCADE):
         for witness in witnesses:
             yield TamenessCertificate(verdict=UNTAME, kind=kind, witness=witness)
@@ -455,6 +510,16 @@ def _block_diag(blocks):
     return out
 
 
+def _conjugated(rng, blocks):
+    d = sum(len(b) for b in blocks)
+    u, u_inv = _random_unimodular(rng, d)
+    return mat_mul(mat_mul(u, IntMatrix(_block_diag(blocks))), u_inv)
+
+
+def _nilpotent_block(k):
+    return [[1 if j == i + 1 else 0 for j in range(k)] for i in range(k)]
+
+
 def _tame_with_known_pair(rng, d):
     """U * diag(C(Phi_n) for distinct n, C(Phi_1) padding, J_k(0)) * U^-1,
     whose minimal pair is (k, lcm n) and whose minimal polynomial is
@@ -469,9 +534,8 @@ def _tame_with_known_pair(rng, d):
     blocks = [_companion(_cyclotomic(n)) for n in orders]
     blocks += [[[1]]] * budget
     if k:
-        blocks.append([[1 if j == i + 1 else 0 for j in range(k)] for i in range(k)])
-    u, u_inv = _random_unimodular(rng, d)
-    a = mat_mul(mat_mul(u, IntMatrix(_block_diag(blocks))), u_inv)
+        blocks.append(_nilpotent_block(k))
+    a = _conjugated(rng, blocks)
     mu = RatPoly.x_power(k)
     for n in orders + ([1] if budget else []):
         mu = mu * _cyclotomic(n)
@@ -531,6 +595,102 @@ class TestCertificateCheckEquivalence:
             decide_cascade(a)
 
 
+_JORDAN_ONE = [[1, 1], [0, 1]]
+_JORDAN_MINUS_ONE = [[-1, 1], [0, -1]]
+
+
+def _non_squarefree(rng, d):
+    """U * diag(repeated-root block, filler) * U^-1 in dimension d >= 3."""
+    square = _companion(_cyclotomic(3) * _cyclotomic(3))
+    repeated = rng.choice([_JORDAN_ONE, _JORDAN_MINUS_ONE] + ([square] if d >= 4 else []))
+    filler = [_companion(RatPoly([-1] * (d - len(repeated)) + [1]))]
+    return _conjugated(rng, [repeated] + filler)
+
+
+def _hyperbolic(rng, d):
+    """Unimodular U * C(x^d - x - 1) * U^-1 (x^d - x - 1 has a real root
+    > 1), or U * diag(cat map, a random unimodular block) * U^-1."""
+    if rng.random() < 0.5:
+        return _conjugated(rng, [_companion(RatPoly([-1, -1] + [0] * (d - 2) + [1]))])
+    return _conjugated(rng, [[[2, 1], [1, 1]], _random_unimodular(rng, d - 2)[0].to_lists()])
+
+
+class TestUntameCertificateEquivalence:
+    """UNTAME claims proved from mu against the oracle-backed reference."""
+
+    def _assert_equal(self, a, claims):
+        accepted = 0
+        for cert in claims:
+            expected = _exhaustive_certificate_check(a, cert)
+            assert certificate_check(a, cert) is expected, (a, cert)
+            accepted += expected
+        return accepted
+
+    def test_all_two_by_two_matrices(self):
+        accepted = {}
+        for combo in product(range(-2, 3), repeat=4):
+            a = IntMatrix([combo[:2], combo[2:]])
+            untame = oracle_semicascade(a)[0] == UNTAME
+            accepted[untame] = accepted.get(untame, 0) + self._assert_equal(a, _untame_claims(a))
+        assert accepted[False] == 0 and accepted[True] > 625
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_non_squarefree_and_hyperbolic(self, d):
+        rng = random.Random(6000 + d)
+        for build in (_non_squarefree, _hyperbolic):
+            for _ in range(3):
+                a = build(rng, d)
+                assert oracle_semicascade(a)[0] == UNTAME, a
+                assert self._assert_equal(a, _untame_claims(a)) > 0, a
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_zero_eigenvalue_claims(self, d):
+        rng = random.Random(7000 + d)
+        tame = [_conjugated(rng, [_nilpotent_block(d)]),
+                _conjugated(rng, [_nilpotent_block(2), _nilpotent_block(d - 2)])]
+        while len(tame) < 4:
+            a, k, _, _ = _tame_with_known_pair(rng, d)
+            if k > 0:
+                tame.append(a)
+        untame = [_conjugated(rng, [_JORDAN_ONE, _nilpotent_block(d - 2)]),
+                  _conjugated(rng, [_companion(RatPoly([-1, -1] + [0] * (d - 3) + [1])),
+                                    _nilpotent_block(1)])]
+        for matrices, valid in ((tame, False), (untame, True)):
+            for a in matrices:
+                g = strip_x_factor(min_poly(a))[1]
+                claim = TamenessCertificate(
+                    verdict=UNTAME, kind=SEMICASCADE,
+                    witness=UntameWitness(reason=ZERO_EIGENVALUE, stripped_min_poly=g),
+                )
+                assert _exhaustive_certificate_check(a, claim) is valid, a
+                assert certificate_check(a, claim) is valid, a
+
+    def test_untame_claims_make_no_oracle_calls(self, monkeypatch, named):
+        import tametorus.tameness
+
+        calls = []
+        real_oracle = tametorus.tameness.oracle_semicascade
+
+        def counting_oracle(a):
+            calls.append(a)
+            return real_oracle(a)
+
+        monkeypatch.setattr(tametorus.tameness, "oracle_semicascade", counting_oracle)
+        zero = IntMatrix(_block_diag([[[2, 1], [1, 1]], [[0]]]))
+        claims = [
+            (named["catmap"], decide_semicascade(named["catmap"])),
+            (named["catmap"], decide_cascade(named["catmap"])),
+            (named["shear"], decide_semicascade(named["shear"])),
+            (zero, TamenessCertificate(
+                verdict=UNTAME, kind=SEMICASCADE,
+                witness=UntameWitness(reason=ZERO_EIGENVALUE,
+                                      stripped_min_poly=RatPoly([1, -3, 1])))),
+        ]
+        for a, cert in claims:
+            assert cert.verdict == UNTAME and certificate_check(a, cert), cert
+        assert calls == []
+
+
 class TestMinPolyKnownTame:
     """min_poly at d >= 3 against the minimal polynomial known by construction."""
 
@@ -546,6 +706,5 @@ class TestMinPolyKnownTame:
         # degree 5 in dimension 8
         rng = random.Random(5100)
         blocks = [_companion(_cyclotomic(n)) for n in (3, 3, 4)] + [[[1]]] * 2
-        u, u_inv = _random_unimodular(rng, 8)
-        a = mat_mul(mat_mul(u, IntMatrix(_block_diag(blocks))), u_inv)
+        a = _conjugated(rng, blocks)
         assert min_poly(a) == _cyclotomic(1) * _cyclotomic(3) * _cyclotomic(4)
