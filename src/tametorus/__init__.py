@@ -5,8 +5,9 @@ The package decides, with re-checkable certificates, whether the
 iteration semigroup (semicascade) or iteration group (cascade) of
 x -> Ax + b on the d-torus is tame: for the semigroup the criterion is
 an exact power coincidence A^p = A^q, for the group a finite order
-A^m = I. Exact integer matrix and polynomial algebra (including the
-minimal polynomial) lives in exactalg, the decision procedures in
+A^m = I. Exact integer matrix and integer polynomial algebra (including
+the minimal polynomial) lives in exactalg, the decision procedures,
+which need no rational arithmetic and no factorization, in
 tameness, floating-point orbit and independence probes in
 dynamics, greedy Sidon-subset extraction in sidon, and the batch
 interface in cli.
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .exactalg import (
     IntMatrix,
-    RatPoly,
+    IntPoly,
     mat_mul,
     mat_pow,
     min_poly,
@@ -50,8 +51,6 @@ from .tameness import (
     certificate_check,
     decide_cascade,
     decide_semicascade,
-    euler_phi,
-    inverse_phi,
     oracle_semicascade,
     order_bound,
     order_of_x_mod,
@@ -93,7 +92,7 @@ __all__ = [
     "DimensionMismatchError",
     # exactalg
     "IntMatrix",
-    "RatPoly",
+    "IntPoly",
     "mat_mul",
     "mat_pow",
     "min_poly",
@@ -111,8 +110,6 @@ __all__ = [
     "TamenessCertificate",
     "UntameWitness",
     "OrderBoundTable",
-    "euler_phi",
-    "inverse_phi",
     "order_bound",
     "order_of_x_mod",
     "decide_semicascade",

@@ -35,7 +35,7 @@ from .errors import (
     PreconditionError,
     TameTorusError,
 )
-from .exactalg import IntMatrix, RatPoly
+from .exactalg import IntMatrix, IntPoly
 from .sidon import estimate_sidon_ratio, extract_sidon, parse_stream, verify_quasi_independence
 from .tameness import (
     TAME,
@@ -161,7 +161,8 @@ def parse_input(text: str, command: str = "semicascade", options: dict | None = 
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer beyond CPython's int-string digit limit
         raise MalformedInputError("input is not valid JSON: %s" % exc) from exc
     if not isinstance(data, dict):
         raise MalformedInputError("input must be a JSON object")
@@ -385,7 +386,7 @@ def _format_certificate_text(cert: dict) -> list[str]:
             lines.append("certificate: A^%d = I (order %d)" % (m, m))
     else:
         witness = cert.get("witness", {})
-        g = RatPoly(witness.get("stripped_min_poly", []))
+        g = IntPoly(witness.get("stripped_min_poly", []))
         lines.append("witness: %s, g(x) = %s" % (witness.get("reason"), g))
         if witness.get("s_max") is not None:
             lines.append("order bound exhausted: s_max = %d" % witness["s_max"])

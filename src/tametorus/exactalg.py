@@ -1,7 +1,9 @@
-"""Exact integer matrix and rational polynomial algebra.
+"""Exact integer matrix and polynomial algebra.
 
-Matrices and the minimal polynomial are computed over Python ints;
-RatPoly and its divmod/gcd use fractions.Fraction. No operation ever
+Matrices, polynomials and the minimal polynomial all live over Python
+ints: IntPoly has integer coefficients, poly_gcd runs a primitive
+pseudo-remainder sequence and poly_divmod divides only by monic
+polynomials, so no quotient leaves the integers and no operation ever
 rounds. Arbitrary precision is mandatory, not a nicety: powers of
 expanding integer matrices grow geometrically (hyperbolic 2x2 matrices
 produce golden-ratio-like entry growth) and overflow fixed-width
@@ -12,13 +14,12 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 
 from .errors import DimensionMismatchError
 
 __all__ = [
     "IntMatrix",
-    "RatPoly",
+    "IntPoly",
     "mat_mul",
     "mat_pow",
     "min_poly",
@@ -64,9 +65,6 @@ class IntMatrix:
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.entries)))
 
-    def trace(self) -> int:
-        return sum(self.entries[i][i] for i in range(self.d))
-
     def det(self) -> int:
         """Determinant by fraction-free Bareiss elimination (exact)."""
         n = self.d
@@ -99,19 +97,8 @@ class IntMatrix:
             )
         return tuple(sum(row[j] * v[j] for j in range(self.d)) for row in self.entries)
 
-    def is_identity(self) -> bool:
-        return self == IntMatrix.identity(self.d)
-
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
-
-    def __mul__(self, other):
-        if isinstance(other, IntMatrix):
-            return mat_mul(self, other)
-        return NotImplemented
-
-    def __pow__(self, n):
-        return mat_pow(self, n)
 
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self.entries == other.entries
@@ -149,8 +136,8 @@ def mat_pow(a: IntMatrix, n: int) -> IntMatrix:
     return IntMatrix.identity(a.d) if result is None else result
 
 
-class RatPoly:
-    """Univariate polynomial with exact rational coefficients.
+class IntPoly:
+    """Univariate polynomial with integer coefficients.
 
     Coefficients are stored in ascending degree order with no trailing
     zeros. The zero polynomial has an empty coefficient tuple and its
@@ -160,22 +147,14 @@ class RatPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [operator.index(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
 
     @classmethod
-    def zero(cls) -> "RatPoly":
+    def zero(cls) -> "IntPoly":
         return cls([])
-
-    @classmethod
-    def one(cls) -> "RatPoly":
-        return cls([1])
-
-    @classmethod
-    def x_power(cls, k: int, coeff=1) -> "RatPoly":
-        return cls([0] * k + [coeff])
 
     @property
     def is_zero(self) -> bool:
@@ -187,83 +166,35 @@ class RatPoly:
         return len(self.coeffs) - 1 if self.coeffs else None
 
     @property
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def monic(self) -> "RatPoly":
-        if self.is_zero:
-            raise ValueError("cannot normalize the zero polynomial")
-        lead = self.coeffs[-1]
-        return RatPoly([c / lead for c in self.coeffs])
-
-    def derivative(self) -> "RatPoly":
-        return RatPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def has_integer_coeffs(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+    def derivative(self) -> "IntPoly":
+        return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def int_coeffs(self) -> tuple[int, ...]:
-        if not self.has_integer_coeffs():
-            raise ValueError("polynomial has non-integer coefficients: %r" % (self,))
-        return tuple(int(c) for c in self.coeffs)
-
-    def __call__(self, x):
-        """Evaluate by Horner's rule (exact for Fraction/int arguments)."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __add__(self, other):
-        if not isinstance(other, RatPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatPoly(out)
-
-    def __sub__(self, other):
-        if not isinstance(other, RatPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return RatPoly([-c for c in self.coeffs])
+        return self.coeffs
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatPoly([c * other for c in self.coeffs])
-        if not isinstance(other, RatPoly):
+        if not isinstance(other, IntPoly):
             return NotImplemented
         if self.is_zero or other.is_zero:
-            return RatPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            return IntPoly.zero()
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RatPoly(out)
-
-    __rmul__ = __mul__
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
+        return IntPoly(out)
 
     def __eq__(self, other):
-        return isinstance(other, RatPoly) and self.coeffs == other.coeffs
+        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
 
     def __repr__(self):
-        return "RatPoly(%s)" % (list(self.coeffs),)
+        return "IntPoly(%s)" % (list(self.coeffs),)
 
     def __str__(self):
         if self.is_zero:
@@ -287,48 +218,86 @@ class RatPoly:
         return " ".join(parts)
 
 
-def poly_divmod(f: RatPoly, g: RatPoly) -> tuple[RatPoly, RatPoly]:
-    """Exact division with remainder: f = q*g + r, deg r < deg g."""
+def poly_divmod(f: IntPoly, g: IntPoly) -> tuple[IntPoly, IntPoly]:
+    """Division with remainder by a monic g: f = q*g + r, deg r < deg g.
+
+    A monic divisor keeps q and r integral, so no rational arithmetic
+    is needed.
+    """
     if g.is_zero:
         raise ZeroDivisionError("polynomial division by the zero polynomial")
-    if f.is_zero or f.degree < g.degree:
-        return RatPoly.zero(), f
+    if not g.is_monic:
+        raise ValueError("divisor %s is not monic" % g)
     rem = list(f.coeffs)
     gcs = g.coeffs
     dg = len(gcs) - 1
-    lead = gcs[-1]
-    quot = [Fraction(0)] * (len(rem) - dg)
+    quot = [0] * max(len(rem) - dg, 0)
     for i in range(len(rem) - 1, dg - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        q = c / lead
-        quot[i - dg] = q
-        for j in range(dg + 1):
-            rem[i - dg + j] -= q * gcs[j]
-    return RatPoly(quot), RatPoly(rem)
+        q = rem[i]
+        if q:
+            quot[i - dg] = q
+            for j, c in enumerate(gcs):
+                rem[i - dg + j] -= q * c
+    return IntPoly(quot), IntPoly(rem)
 
 
-def poly_gcd(f: RatPoly, g: RatPoly) -> RatPoly:
-    """Monic greatest common divisor by the Euclidean algorithm."""
+def _primitive(cs) -> list[int]:
+    """The coefficients of a nonzero polynomial over their content, with
+    the sign that makes the leading one positive."""
+    content = math.gcd(*cs)
+    if cs[-1] < 0:
+        content = -content
+    return [c // content for c in cs]
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """lead(b)^e * a mod b for some e >= 0, without trailing zeros."""
+    r = list(a)
+    while len(r) >= len(b):
+        c, shift = r[-1], len(r) - len(b)
+        if c % b[-1]:
+            r = [b[-1] * x for x in r]
+        else:
+            c //= b[-1]
+        for j, y in enumerate(b):
+            r[shift + j] -= c * y
+        r.pop()
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
+    """Primitive greatest common divisor, with a positive leading coefficient.
+
+    The primitive pseudo-remainder sequence: each remainder is scaled to
+    stay integral, then divided by its content. Nonzero integer factors
+    change no common divisor over Q, so the result is the gcd over Q made
+    primitive, and it is 1 exactly when f and g are coprime over Q.
+    """
     if f.is_zero and g.is_zero:
         raise ValueError("gcd of two zero polynomials is undefined")
-    while not g.is_zero:
-        f, g = g, poly_divmod(f, g)[1]
-    return f.monic()
+    a, b = f.coeffs, g.coeffs
+    if len(a) < len(b):
+        a, b = b, a
+    a = _primitive(a)
+    while b:
+        b = _primitive(b)
+        a, b = b, _pseudo_remainder(a, b)
+    return IntPoly(a)
 
 
-def strip_x_factor(f: RatPoly) -> tuple[int, RatPoly]:
+def strip_x_factor(f: IntPoly) -> tuple[int, IntPoly]:
     """Write f = x^k * g with g(0) != 0 and k maximal; return (k, g)."""
     if f.is_zero:
         raise ValueError("cannot strip x factors from the zero polynomial")
     k = 0
     while f.coeffs[k] == 0:
         k += 1
-    return k, RatPoly(f.coeffs[k:])
+    return k, IntPoly(f.coeffs[k:])
 
 
-def min_poly(a: IntMatrix) -> RatPoly:
+def min_poly(a: IntMatrix) -> IntPoly:
     """Monic minimal polynomial of an integer matrix.
 
     mu is the first linear dependency among vec(A^0), vec(A^1), ..., which
@@ -363,7 +332,7 @@ def min_poly(a: IntMatrix) -> RatPoly:
                     "dependency %s of the powers of %r is not a multiple of a "
                     "monic integer polynomial" % (comb, a)
                 )
-            return RatPoly([c // lead for c in comb])
+            return IntPoly([c // lead for c in comb])
         content = math.gcd(*vec, *comb)
         vec = [x // content for x in vec]
         comb = [x // content for x in comb]

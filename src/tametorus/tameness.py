@@ -3,14 +3,15 @@
 A semicascade (iteration semigroup) of x -> Ax + b is tame exactly when
 the power semigroup {A^n} is finite, i.e. A^p = A^q for some p < q; a
 cascade (iteration group, requiring |det A| = 1) is tame exactly when
-A^m = I for some m >= 1. Both conditions are decided here without any
-polynomial factorization:
+A^m = I for some m >= 1. Both conditions are decided here on integer
+polynomials, without any polynomial factorization:
 
   1. compute the minimal polynomial mu of A and split mu = x^k * g,
   2. g must be squarefree (gcd(g, g') constant), otherwise untame,
   3. g must divide x^s - 1 for some s, i.e. x must have finite
-     multiplicative order modulo g; the order, if it exists, is at most
-     s_max(d), computed from the degrees of cyclotomic polynomials,
+     multiplicative order modulo g: by Kronecker, g is then a product of
+     distinct cyclotomic polynomials Phi_n, found by exact trial division,
+     and the order is their lcm, at most s_max(d),
 
 which yields the least pair (k, k+s) respectively the least order m = s.
 A certificate re-checker makes every verdict self-validating; an
@@ -20,11 +21,13 @@ the tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DeterminantNotUnitError
-from .exactalg import IntMatrix, RatPoly, mat_mul, mat_pow, min_poly, poly_gcd, strip_x_factor
+from .exactalg import (IntMatrix, IntPoly, mat_mul, mat_pow, min_poly, poly_divmod, poly_gcd,
+                       strip_x_factor)
 
 __all__ = [
     "TAME",
@@ -37,8 +40,6 @@ __all__ = [
     "UntameWitness",
     "TamenessCertificate",
     "OrderBoundTable",
-    "euler_phi",
-    "inverse_phi",
     "order_bound",
     "order_of_x_mod",
     "decide_semicascade",
@@ -83,14 +84,14 @@ class UntameWitness:
     """
 
     reason: str
-    stripped_min_poly: RatPoly
+    stripped_min_poly: IntPoly
     s_max: int | None = None
     detail: str = ""
 
     def to_dict(self) -> dict:
         out = {
             "reason": self.reason,
-            "stripped_min_poly": [int(c) for c in self.stripped_min_poly.int_coeffs()],
+            "stripped_min_poly": list(self.stripped_min_poly.int_coeffs()),
         }
         if self.s_max is not None:
             out["s_max"] = self.s_max
@@ -100,9 +101,14 @@ class UntameWitness:
 
     @classmethod
     def from_dict(cls, data: dict) -> "UntameWitness":
+        """Rebuild a witness; raises TypeError unless the polynomial is a
+        list of integers and s_max an integer or absent."""
+        coeffs = data["stripped_min_poly"]
+        if not isinstance(coeffs, list):
+            raise TypeError("stripped_min_poly must be a list of integers, got %r" % (coeffs,))
         return cls(
             reason=data["reason"],
-            stripped_min_poly=RatPoly(data["stripped_min_poly"]),
+            stripped_min_poly=IntPoly(_exact_int(c, "coefficient") for c in coeffs),
             s_max=_optional_int(data, "s_max"),
             detail=data.get("detail", ""),
         )
@@ -159,7 +165,7 @@ class TamenessCertificate:
 class OrderBoundTable:
     """Finite search bound for root-of-unity orders in dimension d.
 
-    admissible_orders holds every n with euler_phi(n) <= d; s_max is the
+    admissible_orders holds every n with phi(n) <= d; s_max is the
     largest lcm over subsets of distinct admissible orders whose phi
     values sum to at most d. Any squarefree monic integer divisor g of
     some x^s - 1 with deg g <= d is a product of distinct cyclotomic
@@ -187,27 +193,6 @@ def _prime_divisors(n: int) -> list[int]:
     return primes
 
 
-def euler_phi(n: int) -> int:
-    """Euler's totient by trial-division factorization."""
-    if n < 1:
-        raise ValueError("totient requires n >= 1")
-    result = n
-    for p in _prime_divisors(n):
-        result -= result // p
-    return result
-
-
-def inverse_phi(m: int) -> set[int]:
-    """All n with euler_phi(n) = m.
-
-    phi(n) >= sqrt(n/2) for every n >= 1, so phi(n) = m forces
-    n <= 2*m*m; an exhaustive scan of that range is complete.
-    """
-    if m < 1:
-        raise ValueError("totient values are positive")
-    return {n for n in range(1, 2 * m * m + 1) if euler_phi(n) == m}
-
-
 @lru_cache(maxsize=None)
 def order_bound(d: int) -> OrderBoundTable:
     """Bound table for dimension d; s_max by a knapsack over prime powers.
@@ -226,13 +211,19 @@ def order_bound(d: int) -> OrderBoundTable:
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    # phi(n) >= sqrt(n/2) (see inverse_phi), so phi(n) <= d forces n <= 2*d*d.
-    admissible = frozenset(n for n in range(1, 2 * d * d + 1) if euler_phi(n) <= d)
+    # phi(n) >= sqrt(n/2) for every n >= 1, so phi(n) <= d forces n <= 2*d*d.
+    limit = 2 * d * d
+    phi = list(range(limit + 1))
+    for p in range(2, limit + 1):
+        if phi[p] == p:
+            for n in range(p, limit + 1, p):
+                phi[n] -= phi[n] // p
+    admissible = frozenset(n for n in range(1, limit + 1) if phi[n] <= d)
 
     # odd[c]: largest odd L whose prime powers cost exactly c, 0 if none.
     odd = [1] + [0] * d
     for p in range(3, d + 2, 2):
-        if _prime_divisors(p) != [p]:
+        if phi[p] != p - 1:
             continue
         options = []
         power, cost = p, p - 1
@@ -256,37 +247,60 @@ def order_bound(d: int) -> OrderBoundTable:
     return OrderBoundTable(d=d, admissible_orders=admissible, s_max=best)
 
 
-def order_of_x_mod(g: RatPoly, s_max: int):
+@lru_cache(maxsize=None)
+def _cyclotomic(n: int) -> IntPoly:
+    """Phi_n: Phi_1 = x - 1, and for the least prime p of n = m*p,
+    Phi_n(x) = Phi_m(x^p) if p | m, else Phi_m(x^p) / Phi_m(x)."""
+    if n == 1:
+        return IntPoly([-1, 1])
+    p = _prime_divisors(n)[0]
+    base = _cyclotomic(n // p)
+    stretched = [0] * (p * base.degree + 1)
+    stretched[::p] = base.coeffs
+    if (n // p) % p == 0:
+        return IntPoly(stretched)
+    return poly_divmod(IntPoly(stretched), base)[0]
+
+
+def order_of_x_mod(g: IntPoly, s_max: int):
     """Least s <= s_max with x^s = 1 in Q[x]/(g), or None.
 
-    g must be nonzero with nonzero constant term; it is normalized to be
-    monic. A monic divisor of x^s - 1 in Q[x] has integer coefficients
-    (Gauss's lemma), so a non-integral g has no order. Otherwise works by
-    repeated multiplication by x with reduction modulo g over the
-    integers, so the first s found is the least one.
+    g must be nonzero with nonzero constant term. A monic divisor of
+    x^s - 1 in Q[x] is integral (Gauss's lemma), so g has no order unless
+    its leading coefficient divides the others. A monic g has an order
+    exactly when it is a product of distinct cyclotomic polynomials Phi_n
+    (Kronecker 1857; x^s - 1 is the product of the irreducible Phi_n over
+    n | s), and the order is the lcm of those n. All roots of such a
+    product have modulus 1, so |g(0)| = 1 and |g_i| <= C(deg g, i) filter
+    first. Then g is divided once by each Phi_n with phi(n) <= deg g, all
+    exact monic integer divisions, and it is such a product exactly when
+    the quotient ends at 1. This is trial division, not factorization.
     """
     if g.is_zero:
         raise ValueError("modulus polynomial must be nonzero")
-    g = g.monic()
-    if g.coeffs[0] == 0:
+    cs = g.coeffs
+    if cs[0] == 0:
         raise ValueError("modulus polynomial must have nonzero constant term")
-    if not g.has_integer_coeffs():
-        return None
     deg = g.degree
     if deg == 0:
         # Quotient ring is trivial; every power of x equals 1 there.
         return 1
-    low = g.int_coeffs()[:-1]
-    # residue[i] is the coefficient of x^i of x^s mod g
-    one = [1] + [0] * (deg - 1)
-    residue = one
-    for s in range(1, s_max + 1):
-        lead = residue[-1]
-        residue = [0] + residue[:-1]
-        if lead:
-            residue = [r - lead * c for r, c in zip(residue, low)]
-        if residue == one:
-            return s
+    lead = cs[-1]
+    if any(c % lead for c in cs):
+        return None
+    monic = [c // lead for c in cs]
+    if abs(monic[0]) != 1 or any(abs(c) > math.comb(deg, i) for i, c in enumerate(monic)):
+        return None
+    rest, order = IntPoly(monic), 1
+    for n in sorted(order_bound(deg).admissible_orders):
+        phi_n = _cyclotomic(n)
+        if phi_n.degree > rest.degree:
+            continue
+        quot, rem = poly_divmod(rest, phi_n)
+        if rem.is_zero:
+            rest, order = quot, math.lcm(order, n)
+            if rest.degree == 0:
+                return order if order <= s_max else None
     return None
 
 
@@ -338,10 +352,10 @@ def decide_semicascade(a: IntMatrix) -> TamenessCertificate:
     least pair (p, q) = (k, k+s) with A^p = A^q, where k is the
     multiplicity of x in the minimal polynomial and s the order of x
     modulo the x-stripped part; they are re-verified against exact matrix
-    powers before being returned.
+    powers (the power proof of certificate_check) before being returned.
     """
     cert = _semicascade_certificate(a)
-    if cert.verdict == TAME and not certificate_check(a, cert):
+    if cert.verdict == TAME and not _has_index_and_period(a, cert.index_k, cert.period_s):
         raise AssertionError("internal error: certificate failed self-check: %r" % (cert,))
     return cert
 
@@ -374,7 +388,7 @@ def decide_cascade(a: IntMatrix) -> TamenessCertificate:
         period_s=semi.period_s,
         minimal_order_m=semi.period_s,
     )
-    if not certificate_check(a, cert):
+    if not _has_index_and_period(a, 0, cert.minimal_order_m):
         raise AssertionError("internal error: certificate failed self-check: %r" % (cert,))
     return cert
 
@@ -430,7 +444,10 @@ def certificate_check(a: IntMatrix, cert: TamenessCertificate) -> bool:
 
     A finite power semigroup has index at most d and period at most
     s_max(d), so a claim with q > d + s_max(d), or m > s_max(d), is
-    rejected before any power is computed.
+    rejected before any power is computed. So is a claim on an untame A
+    (x has no order <= s_max(d) modulo g, step 2 below): the power proof
+    accepts only a tame A, so this changes no verdict, but it keeps a
+    false claim from raising an untame A to a power near s_max.
 
     An UNTAME claim needs a witness and a known kind, and a CASCADE one
     |det A| = 1 (a TAME one implies it through A^m = I). Beyond that it is
@@ -457,6 +474,13 @@ def certificate_check(a: IntMatrix, cert: TamenessCertificate) -> bool:
     CASCADE claim the two kinds coincide: |det A| = 1 makes A^p = A^q
     imply A^{q-p} = I, so the cascade is untame exactly when the
     semicascade is. No power of A is computed for an UNTAME claim.
+
+    An ORDER_BOUND_EXHAUSTED witness states x^s mod g != 1 for every
+    1 <= s <= s_max, and it holds exactly when order_of_x_mod, which uses
+    Kronecker's criterion instead of the residues, returns None: g divides
+    x^s - 1 = prod_{n | s} Phi_n (distinct irreducibles) exactly when g is
+    prod_{n in S} Phi_n for some set S of divisors of s, so the least such
+    s is lcm S, which order_of_x_mod returns when it is at most s_max.
     """
     if cert.verdict == TAME and cert.kind == SEMICASCADE:
         if cert.minimal_pair is None or cert.witness is not None:
@@ -470,7 +494,7 @@ def certificate_check(a: IntMatrix, cert: TamenessCertificate) -> bool:
             return False
         if q > a.d + order_bound(a.d).s_max:
             return False
-        return _has_index_and_period(a, p, q - p)
+        return _is_tame(a) and _has_index_and_period(a, p, q - p)
 
     if cert.verdict == TAME and cert.kind == CASCADE:
         m = cert.minimal_order_m
@@ -480,7 +504,7 @@ def certificate_check(a: IntMatrix, cert: TamenessCertificate) -> bool:
             return False
         if m > order_bound(a.d).s_max:
             return False
-        return _has_index_and_period(a, 0, m)
+        return _is_tame(a) and _has_index_and_period(a, 0, m)
 
     if cert.verdict == UNTAME:
         if cert.witness is None or cert.kind not in (SEMICASCADE, CASCADE):
@@ -490,6 +514,13 @@ def certificate_check(a: IntMatrix, cert: TamenessCertificate) -> bool:
         return _untame_witness_check(a, cert.witness)
 
     return False
+
+
+def _is_tame(a: IntMatrix) -> bool:
+    """Whether x has an order <= s_max(d) modulo the x-stripped minimal
+    polynomial g, i.e. whether A is tame (see certificate_check)."""
+    g = strip_x_factor(min_poly(a))[1]
+    return order_of_x_mod(g, order_bound(a.d).s_max) is not None
 
 
 def _untame_witness_check(a: IntMatrix, witness: UntameWitness) -> bool:

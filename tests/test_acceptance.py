@@ -20,7 +20,7 @@ from tametorus import (
     AffineMap,
     IndependenceQuery,
     IntMatrix,
-    RatPoly,
+    IntPoly,
     certificate_check,
     convergence_probe,
     decide_cascade,
@@ -111,7 +111,7 @@ def test_criterion_3_named_cases():
         cert = decide_semicascade(shear)
         assert cert.verdict == UNTAME
         assert cert.witness.reason == NON_SQUAREFREE
-        assert cert.witness.stripped_min_poly == RatPoly([1, -2, 1])
+        assert cert.witness.stripped_min_poly == IntPoly([1, -2, 1])
         assert certificate_check(shear, cert)
 
         catmap = IntMatrix([[2, 1], [1, 1]])

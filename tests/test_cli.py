@@ -74,6 +74,14 @@ class TestParseInput:
         assert code == 2
         assert json.loads(out)["result"]["error"]["code"] == "MALFORMED"
 
+    def test_integer_beyond_digit_limit_exit_2(self, capsys, tmp_path):
+        # CPython refuses to parse integers of more than 4300 digits
+        path = tmp_path / "job.json"
+        path.write_text('{"d":1,"A":[[%s]]}' % ("1" * 5000))
+        code, out = run_cli(["semicascade", "--input", str(path)], capsys)
+        assert code == 2
+        assert json.loads(out)["result"]["error"]["code"] == "MALFORMED"
+
     def test_bad_translation_string(self):
         with pytest.raises(MalformedInputError):
             parse_input('{"d":1,"A":[[1]],"b":["half"]}')
@@ -345,8 +353,18 @@ class TestCommands:
             {"verdict": "TAME", "kind": "CASCADE", "period_s": 4, "minimal_order_m": 4.0},
             {"verdict": "UNTAME", "kind": "SEMICASCADE",
              "witness": {"reason": "NON_SQUAREFREE", "stripped_min_poly": [1e400]}},
+            {"verdict": "UNTAME", "kind": "SEMICASCADE",
+             "witness": {"reason": "NON_SQUAREFREE", "stripped_min_poly": [1.0, 0, 1]}},
+            {"verdict": "UNTAME", "kind": "SEMICASCADE",
+             "witness": {"reason": "NON_SQUAREFREE", "stripped_min_poly": [1, "0", 1]}},
+            {"verdict": "UNTAME", "kind": "SEMICASCADE",
+             "witness": {"reason": "NON_SQUAREFREE", "stripped_min_poly": [1, False, 1]}},
+            {"verdict": "UNTAME", "kind": "SEMICASCADE",
+             "witness": {"reason": "NON_SQUAREFREE", "stripped_min_poly": "x^2 + 1"}},
         ],
-        ids=["pair_of_three", "string_exponent", "float_order", "infinite_coefficient"],
+        ids=["pair_of_three", "string_exponent", "float_order", "infinite_coefficient",
+             "float_coefficient", "string_coefficient", "bool_coefficient",
+             "polynomial_not_a_list"],
     )
     def test_certify_malformed_certificate_exit_2(self, capsys, tmp_path, certificate):
         path = tmp_path / "claim.json"
@@ -355,6 +373,50 @@ class TestCommands:
         code, out = run_cli(["certify", "--input", str(path)], capsys)
         assert code == 2
         assert json.loads(out)["result"]["error"]["code"] == "MALFORMED"
+
+    def test_certify_strips_trailing_zero_coefficients(self, capsys, tmp_path):
+        witness = {"reason": "ORDER_BOUND_EXHAUSTED", "stripped_min_poly": [1, -3, 1, 0, 0],
+                   "s_max": 6}
+        path = tmp_path / "claim.json"
+        path.write_text(json.dumps({"d": 2, "A": [[2, 1], [1, 1]], "certificate": {
+            "verdict": "UNTAME", "kind": "SEMICASCADE", "witness": witness}}))
+        code, out = run_cli(["certify", "--input", str(path)], capsys)
+        assert code == 0 and json.loads(out)["result"]["exact"]["valid"] is True
+
+    @pytest.mark.parametrize("kind", ["SEMICASCADE", "CASCADE"])
+    def test_certify_false_tame_claim_on_untame_matrix_builds_no_power(
+        self, capsys, tmp_path, monkeypatch, kind
+    ):
+        # a false claim (0, s_max) used to raise A to powers near s_max
+        import random
+
+        import tametorus.tameness
+
+        calls = []
+        real_pow = tametorus.tameness.mat_pow
+
+        def counting_pow(a, n):
+            calls.append(n)
+            return real_pow(a, n)
+
+        monkeypatch.setattr(tametorus.tameness, "mat_pow", counting_pow)
+        rng = random.Random(16)
+        d = 16
+        a = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+        s_max = tametorus.tameness.order_bound(d).s_max
+        if kind == "SEMICASCADE":
+            claim = {"verdict": "TAME", "kind": kind, "index_k": 0, "period_s": s_max,
+                     "minimal_pair": [0, s_max]}
+        else:
+            claim = {"verdict": "TAME", "kind": kind, "period_s": s_max, "minimal_order_m": s_max}
+        path = tmp_path / "claim.json"
+        path.write_text(json.dumps({"d": d, "A": a, "certificate": claim}))
+        code, out = run_cli(["certify", "--input", str(path)], capsys)
+        assert code == 0 and json.loads(out)["result"]["exact"]["valid"] is False
+        assert calls == []
+        from tametorus import IntMatrix, decide_semicascade
+
+        assert decide_semicascade(IntMatrix(a)).verdict == "UNTAME"
 
     def test_stdin_input(self, capsys, monkeypatch):
         import io

@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -15,15 +14,13 @@ from tametorus import (
     ZERO_EIGENVALUE,
     DeterminantNotUnitError,
     IntMatrix,
+    IntPoly,
     OrderBoundTable,
-    RatPoly,
     TamenessCertificate,
     UntameWitness,
     certificate_check,
     decide_cascade,
     decide_semicascade,
-    euler_phi,
-    inverse_phi,
     mat_mul,
     mat_pow,
     min_poly,
@@ -34,6 +31,51 @@ from tametorus import (
     poly_gcd,
     strip_x_factor,
 )
+
+
+def euler_phi(n):
+    """Euler's totient by trial-division factorization."""
+    result, rest, p = n, n, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            result -= result // p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        result -= result // rest
+    return result
+
+
+def inverse_phi(m):
+    """All n with euler_phi(n) = m.
+
+    phi(n) >= sqrt(n/2) for every n >= 1, so phi(n) = m forces
+    n <= 2*m*m; an exhaustive scan of that range is complete.
+    """
+    if m < 1:
+        raise ValueError("totient values are positive")
+    return {n for n in range(1, 2 * m * m + 1) if euler_phi(n) == m}
+
+
+def _residue_order(g, s_max):
+    """Test-only reference for order_of_x_mod on a monic g with g(0) != 0:
+    steps x^s mod g for s = 1..s_max over the integers."""
+    deg = g.degree
+    if deg == 0:
+        return 1
+    low = g.int_coeffs()[:-1]
+    # residue[i] is the coefficient of x^i of x^s mod g
+    one = [1] + [0] * (deg - 1)
+    residue = one
+    for s in range(1, s_max + 1):
+        lead = residue[-1]
+        residue = [0] + residue[:-1]
+        if lead:
+            residue = [r - lead * c for r, c in zip(residue, low)]
+        if residue == one:
+            return s
+    return None
 
 
 class TestInversePhi:
@@ -77,6 +119,13 @@ class TestOrderBound:
         table = order_bound(2)
         assert table.admissible_orders == frozenset({1, 2, 3, 4, 6})
 
+    def test_admissible_orders_equal_totient_scan(self):
+        # the per-n scan with euler_phi by trial division, up to 2 d^2
+        phis = [0] + [euler_phi(n) for n in range(1, 2 * 40 * 40 + 1)]
+        for d in range(1, 41):
+            scan = frozenset(n for n in range(1, 2 * d * d + 1) if phis[n] <= d)
+            assert order_bound(d).admissible_orders == scan, d
+
     @pytest.mark.parametrize("d", range(1, 31))
     def test_equals_exhaustive_subset_walk(self, d):
         assert order_bound(d) == _walk_order_bound(d)
@@ -107,28 +156,30 @@ def _walk_order_bound(d):
 
 class TestOrderOfXMod:
     def test_x_minus_one(self):
-        assert order_of_x_mod(RatPoly([-1, 1]), 6) == 1
+        assert order_of_x_mod(IntPoly([-1, 1]), 6) == 1
 
     def test_x_squared_plus_one(self):
-        assert order_of_x_mod(RatPoly([1, 0, 1]), 6) == 4
+        assert order_of_x_mod(IntPoly([1, 0, 1]), 6) == 4
 
     def test_catmap_poly_has_no_order(self):
-        assert order_of_x_mod(RatPoly([1, -3, 1]), 6) is None
+        assert order_of_x_mod(IntPoly([1, -3, 1]), 6) is None
 
     def test_sixth_cyclotomic(self):
-        assert order_of_x_mod(RatPoly([1, -1, 1]), 6) == 6
+        assert order_of_x_mod(IntPoly([1, -1, 1]), 6) == 6
 
     def test_zero_constant_term_rejected(self):
         with pytest.raises(ValueError):
-            order_of_x_mod(RatPoly([0, 1]), 6)
+            order_of_x_mod(IntPoly([0, 1]), 6)
 
     def test_zero_poly_rejected(self):
         with pytest.raises(ValueError):
-            order_of_x_mod(RatPoly.zero(), 6)
+            order_of_x_mod(IntPoly.zero(), 6)
 
     def test_non_integral_poly_has_no_order(self):
-        # x + 1/2 divides no x^s - 1: a monic divisor would be integral
-        assert order_of_x_mod(RatPoly([Fraction(1, 2), 1]), 6) is None
+        # 2x + 1 ~ x + 1/2 divides no x^s - 1: a monic divisor would be
+        # integral; 2x - 2 ~ x - 1 does
+        assert order_of_x_mod(IntPoly([1, 2]), 6) is None
+        assert order_of_x_mod(IntPoly([-2, 2]), 6) == 1
 
     def test_equals_oracle_period_of_companion(self):
         # every monic g of degree 1..4 with g(0) != 0 and coefficients in
@@ -139,11 +190,71 @@ class TestOrderOfXMod:
             for low in product((-1, 0, 1), repeat=deg):
                 if low[0] == 0:
                     continue
-                g = RatPoly(low + (1,))
+                g = IntPoly(low + (1,))
                 s = order_of_x_mod(g, s_max)
                 verdict, pair = oracle_semicascade(IntMatrix(_companion(g)))
                 expected = (TAME, (0, s)) if s is not None else (UNTAME, None)
                 assert (verdict, pair) == expected, g
+
+    def test_equals_residue_loop_on_small_squarefree(self):
+        # every squarefree monic g of degree 1..6 with coefficients in
+        # {-1, 0, 1} and g(0) != 0
+        count = 0
+        for deg in range(1, 7):
+            s_max = order_bound(deg).s_max
+            for low in product((-1, 0, 1), repeat=deg):
+                g = IntPoly(low + (1,))
+                if low[0] == 0 or poly_gcd(g, g.derivative()).degree != 0:
+                    continue
+                count += 1
+                assert order_of_x_mod(g, s_max) == _residue_order(g, s_max), g
+        assert count == 708
+
+    def test_equals_residue_loop_on_random_polynomials(self):
+        # products of cyclotomic polynomials (repeats allowed), times a
+        # random factor half of the time, up to degree 12, with the full
+        # bound and with a small one
+        rng = random.Random(8100)
+        found = 0
+        for _ in range(400):
+            g = _random_cyclotomic_product(rng, rng.randint(1, 12))
+            if rng.random() < 0.5:
+                extra = rng.randint(1, 12 - g.degree) if g.degree < 12 else 0
+                if extra:
+                    g = g * IntPoly([rng.choice((-1, 1))]
+                                    + [rng.randint(-2, 2) for _ in range(extra - 1)] + [1])
+            for s_max in (order_bound(g.degree).s_max, rng.randint(1, 12)):
+                s = order_of_x_mod(g, s_max)
+                assert s == _residue_order(g, s_max), (g, s_max)
+                found += s is not None
+        assert found > 100
+
+    def test_agrees_with_sympy_factorization(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        cyclotomic = {sympy.Poly(sympy.cyclotomic_poly(n, x), x): n
+                      for n in range(1, 2 * 10 * 10 + 1) if euler_phi(n) <= 10}
+        rng = random.Random(8200)
+        for _ in range(120):
+            g = _random_cyclotomic_product(rng, rng.randint(1, 10))
+            if rng.random() < 0.3 and g.degree < 10:
+                g = g * IntPoly([rng.randint(-3, 3) or 1, 1])
+            poly = sympy.Poly(list(reversed(g.coeffs)), x)
+            assert (poly_gcd(g, g.derivative()).degree == 0) == (sympy.discriminant(poly) != 0), g
+            _, factors = sympy.factor_list(poly)
+            orders = [cyclotomic.get(f) if m == 1 else None for f, m in factors]
+            expected = None if None in orders else math.lcm(*orders)
+            assert order_of_x_mod(g, order_bound(g.degree).s_max) == expected, g
+
+
+def _random_cyclotomic_product(rng, degree):
+    """A product of Phi_n (repeats allowed) of degree exactly `degree`."""
+    g = IntPoly([1])
+    while g.degree < degree:
+        left = degree - g.degree
+        g = g * _cyclotomic(rng.choice([n for n in range(1, 2 * left * left + 1)
+                                        if euler_phi(n) <= left]))
+    return g
 
 
 class TestDecideSemicascade:
@@ -157,7 +268,7 @@ class TestDecideSemicascade:
         cert = decide_semicascade(named["shear"])
         assert cert.verdict == UNTAME
         assert cert.witness.reason == NON_SQUAREFREE
-        assert cert.witness.stripped_min_poly == RatPoly([1, -2, 1])
+        assert cert.witness.stripped_min_poly == IntPoly([1, -2, 1])
 
     def test_nilpotent(self, named):
         cert = decide_semicascade(named["nilpotent"])
@@ -255,6 +366,17 @@ class TestOracle:
 
     def test_catmap(self, named):
         assert oracle_semicascade(named["catmap"]) == (UNTAME, None)
+
+    def test_exhaustive_agreement_d3(self):
+        # all 19,683 3x3 matrices with entries in {-1, 0, 1}
+        tame = 0
+        for combo in product((-1, 0, 1), repeat=9):
+            a = IntMatrix([combo[:3], combo[3:6], combo[6:]])
+            cert = decide_semicascade(a)
+            verdict, pair = oracle_semicascade(a)
+            assert (cert.verdict, cert.minimal_pair) == (verdict, pair), a
+            tame += verdict == TAME
+        assert tame == 5383
 
     def test_exhaustive_agreement_small_range(self):
         for combo in product((-1, 0, 1), repeat=4):
@@ -438,7 +560,7 @@ def _reference_witness_check(a, witness):
         return poly_gcd(g, g.derivative()).degree != 0
     if witness.reason == ORDER_BOUND_EXHAUSTED:
         s_max = order_bound(a.d).s_max
-        return witness.s_max == s_max and order_of_x_mod(g, s_max) is None
+        return witness.s_max == s_max and _residue_order(g, s_max) is None
     return False
 
 
@@ -468,7 +590,7 @@ def _untame_claims(a):
     witnesses = [
         UntameWitness(reason=reason, stripped_min_poly=poly,
                       s_max=s_max if reason == ORDER_BOUND_EXHAUSTED else None)
-        for poly in (g, g * RatPoly([-1, 1]))
+        for poly in (g, g * IntPoly([-1, 1]))
         for reason in (NON_SQUAREFREE, ORDER_BOUND_EXHAUSTED, ZERO_EIGENVALUE)
     ]
     witnesses.append(UntameWitness(reason=ORDER_BOUND_EXHAUSTED, stripped_min_poly=g,
@@ -483,8 +605,8 @@ def _primes_dividing(n):
 
 
 def _cyclotomic(n):
-    """Phi_n as a RatPoly, by dividing x^n - 1 by Phi_m for m | n, m < n."""
-    f = RatPoly([-1] + [0] * (n - 1) + [1])
+    """Phi_n as a IntPoly, by dividing x^n - 1 by Phi_m for m | n, m < n."""
+    f = IntPoly([-1] + [0] * (n - 1) + [1])
     for m in range(1, n):
         if n % m == 0:
             f, rem = poly_divmod(f, _cyclotomic(m))
@@ -536,7 +658,7 @@ def _tame_with_known_pair(rng, d):
     if k:
         blocks.append(_nilpotent_block(k))
     a = _conjugated(rng, blocks)
-    mu = RatPoly.x_power(k)
+    mu = IntPoly([0] * k + [1])
     for n in orders + ([1] if budget else []):
         mu = mu * _cyclotomic(n)
     return a, k, math.lcm(1, *orders), mu
@@ -603,7 +725,7 @@ def _non_squarefree(rng, d):
     """U * diag(repeated-root block, filler) * U^-1 in dimension d >= 3."""
     square = _companion(_cyclotomic(3) * _cyclotomic(3))
     repeated = rng.choice([_JORDAN_ONE, _JORDAN_MINUS_ONE] + ([square] if d >= 4 else []))
-    filler = [_companion(RatPoly([-1] * (d - len(repeated)) + [1]))]
+    filler = [_companion(IntPoly([-1] * (d - len(repeated)) + [1]))]
     return _conjugated(rng, [repeated] + filler)
 
 
@@ -611,7 +733,7 @@ def _hyperbolic(rng, d):
     """Unimodular U * C(x^d - x - 1) * U^-1 (x^d - x - 1 has a real root
     > 1), or U * diag(cat map, a random unimodular block) * U^-1."""
     if rng.random() < 0.5:
-        return _conjugated(rng, [_companion(RatPoly([-1, -1] + [0] * (d - 2) + [1]))])
+        return _conjugated(rng, [_companion(IntPoly([-1, -1] + [0] * (d - 2) + [1]))])
     return _conjugated(rng, [[[2, 1], [1, 1]], _random_unimodular(rng, d - 2)[0].to_lists()])
 
 
@@ -653,7 +775,7 @@ class TestUntameCertificateEquivalence:
             if k > 0:
                 tame.append(a)
         untame = [_conjugated(rng, [_JORDAN_ONE, _nilpotent_block(d - 2)]),
-                  _conjugated(rng, [_companion(RatPoly([-1, -1] + [0] * (d - 3) + [1])),
+                  _conjugated(rng, [_companion(IntPoly([-1, -1] + [0] * (d - 3) + [1])),
                                     _nilpotent_block(1)])]
         for matrices, valid in ((tame, False), (untame, True)):
             for a in matrices:
@@ -664,6 +786,25 @@ class TestUntameCertificateEquivalence:
                 )
                 assert _exhaustive_certificate_check(a, claim) is valid, a
                 assert certificate_check(a, claim) is valid, a
+
+    def test_deciders_compute_min_poly_once(self, monkeypatch, named, tame_examples):
+        import tametorus.tameness
+
+        calls = []
+        real_min_poly = tametorus.tameness.min_poly
+
+        def counting_min_poly(a):
+            calls.append(a)
+            return real_min_poly(a)
+
+        monkeypatch.setattr(tametorus.tameness, "min_poly", counting_min_poly)
+        for a in tame_examples + [named["rot4"], named["catmap"]]:
+            for decide in (decide_semicascade, decide_cascade):
+                if decide is decide_cascade and abs(a.det()) != 1:
+                    continue
+                calls.clear()
+                decide(a)
+                assert calls == [a]
 
     def test_untame_claims_make_no_oracle_calls(self, monkeypatch, named):
         import tametorus.tameness
@@ -684,7 +825,7 @@ class TestUntameCertificateEquivalence:
             (zero, TamenessCertificate(
                 verdict=UNTAME, kind=SEMICASCADE,
                 witness=UntameWitness(reason=ZERO_EIGENVALUE,
-                                      stripped_min_poly=RatPoly([1, -3, 1])))),
+                                      stripped_min_poly=IntPoly([1, -3, 1])))),
         ]
         for a, cert in claims:
             assert cert.verdict == UNTAME and certificate_check(a, cert), cert
