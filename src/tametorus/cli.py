@@ -2,8 +2,12 @@
 emit machine-readable reports.
 
 Commands: semicascade, cascade, certify, simulate, frequencies, sidon,
-sweep. Exit codes: 0 success, 2 input error, 3 precondition error,
-4 documented cap exceeded. Verdicts are report data, never exit codes.
+sweep. Each is one entry of the _COMMANDS table: its help text, its
+flags, the function that runs a job into a result and the function that
+renders that result as text. Exit codes: 0 success, 2 input error,
+3 precondition error, 4 documented cap exceeded, which includes a
+report integer beyond CPython's int-to-str digit limit. Verdicts are
+report data, never exit codes.
 Matrix jobs are described by JSON: {"d": int, "A": [[int]], "b": [...]}
 where translation entries are either decimal angles or rational
 multiples of 2*pi written "p/q". Sidon jobs read the line-based stream
@@ -18,9 +22,10 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import product
+from typing import Callable
 
 import numpy as np
 
@@ -29,10 +34,8 @@ from .dynamics import TWO_PI, AffineMap, convergence_probe, escape_probe, freque
 from .errors import (
     CapExceededError,
     DimensionInputError,
-    InputError,
     MalformedInputError,
     NonIntegerInputError,
-    PreconditionError,
     TameTorusError,
 )
 from .exactalg import IntMatrix, IntPoly
@@ -49,9 +52,6 @@ from .tameness import (
 __all__ = ["JobSpec", "Report", "parse_input", "run", "emit", "parse_report", "main"]
 
 TOOL_NAME = "tametorus"
-
-COMMANDS = ("semicascade", "cascade", "certify", "simulate", "frequencies", "sidon", "sweep")
-MATRIX_COMMANDS = ("semicascade", "cascade", "certify", "simulate", "frequencies")
 
 MAX_SWEEP_ENTRIES = 1_000_000
 
@@ -88,28 +88,15 @@ class Report:
     options: dict
     result: dict
     timing_ms: float
-    tool: dict
+    tool: dict = field(default_factory=lambda: {"name": TOOL_NAME, "version": __version__})
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "input": self.input,
-            "options": self.options,
-            "result": self.result,
-            "timing_ms": self.timing_ms,
-            "tool": self.tool,
-        }
+        # Shallow on purpose: dataclasses.asdict would deep-copy the result.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Report":
-        return cls(
-            command=data["command"],
-            input=data["input"],
-            options=data["options"],
-            result=data["result"],
-            timing_ms=data["timing_ms"],
-            tool=data["tool"],
-        )
+        return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
 def _require_int(value, context: str) -> int:
@@ -166,22 +153,18 @@ def parse_input(text: str, command: str = "semicascade", options: dict | None = 
         raise MalformedInputError("input is not valid JSON: %s" % exc) from exc
     if not isinstance(data, dict):
         raise MalformedInputError("input must be a JSON object")
-    if command not in COMMANDS:
+    if command not in _COMMANDS:
         raise MalformedInputError("unknown command %r" % command)
 
-    payload: dict = {}
-    if command == "sweep":
-        d = _require_int(data.get("d", 2), "d")
-        if d < 1:
-            raise MalformedInputError("d must be >= 1")
-        payload["d"] = d
-        return JobSpec(command=command, input=data, options=dict(options or {}), payload=payload)
-
-    if "d" not in data:
+    if command != "sweep" and "d" not in data:
         raise MalformedInputError("missing required field 'd'")
-    d = _require_int(data["d"], "d")
+    d = _require_int(data.get("d", 2), "d")
     if d < 1:
         raise MalformedInputError("d must be >= 1")
+    payload: dict = {"d": d}
+    if command == "sweep":
+        return JobSpec(command=command, input=data, options=dict(options or {}), payload=payload)
+
     if "A" not in data:
         raise MalformedInputError("missing required field 'A'")
     a_rows = data["A"]
@@ -223,19 +206,50 @@ def parse_input(text: str, command: str = "semicascade", options: dict | None = 
     return JobSpec(command=command, input=data, options=dict(options or {}), payload=payload)
 
 
-def _result_semicascade(job: JobSpec) -> dict:
-    cert = decide_semicascade(job.payload["a"])
+# Result functions turn a job into a report's result dict; text functions
+# render that dict as the lines of a text report. Result functions look
+# the product functions up in this module's globals at call time, never
+# through the table, so a wrapper installed on a module attribute (as
+# perfbench's tracer does) sees every call.
+
+
+def _result_decide(job: JobSpec) -> dict:
+    decide = decide_cascade if job.command == "cascade" else decide_semicascade
+    cert = decide(job.payload["a"])
     return {"exact": {"verdict": cert.verdict, "certificate": cert.to_dict()}}
 
 
-def _result_cascade(job: JobSpec) -> dict:
-    cert = decide_cascade(job.payload["a"])
-    return {"exact": {"verdict": cert.verdict, "certificate": cert.to_dict()}}
+def _text_decide(result: dict) -> list[str]:
+    cert = result["exact"]["certificate"]
+    lines = ["verdict: %s (%s)" % (cert["verdict"], cert["kind"])]
+    if cert["verdict"] == TAME:
+        if cert.get("minimal_pair") is not None:
+            p, q = cert["minimal_pair"]
+            lines.append(
+                "certificate: A^%d = A^%d (index %d, period %d)"
+                % (p, q, cert["index_k"], cert["period_s"])
+            )
+        else:
+            m = cert["minimal_order_m"]
+            lines.append("certificate: A^%d = I (order %d)" % (m, m))
+    else:
+        witness = cert.get("witness", {})
+        g = IntPoly(witness.get("stripped_min_poly", []))
+        lines.append("witness: %s, g(x) = %s" % (witness.get("reason"), g))
+        if witness.get("s_max") is not None:
+            lines.append("order bound exhausted: s_max = %d" % witness["s_max"])
+        if witness.get("detail"):
+            lines.append("detail: %s" % witness["detail"])
+    return lines
 
 
 def _result_certify(job: JobSpec) -> dict:
     ok = certificate_check(job.payload["a"], job.payload["certificate"])
     return {"exact": {"valid": ok}}
+
+
+def _text_certify(result: dict) -> list[str]:
+    return ["certificate valid: %s" % result["exact"]["valid"]]
 
 
 def _result_simulate(job: JobSpec) -> dict:
@@ -254,6 +268,14 @@ def _result_simulate(job: JobSpec) -> dict:
     }
 
 
+def _text_simulate(result: dict) -> list[str]:
+    sub = result["exact"]["subsequence"]
+    return [
+        "convergent-looking subsequence (%d indices): %s" % (len(sub), sub),
+        "max deviation: %.3e" % result["floating"]["max_deviation"],
+    ]
+
+
 def _result_frequencies(job: JobSpec) -> dict:
     opts = job.options
     fo = frequency_orbit(job.payload["a"], job.payload["u"], opts["iters"])
@@ -266,6 +288,16 @@ def _result_frequencies(job: JobSpec) -> dict:
             "first_escape_index": first,
         }
     }
+
+
+def _text_frequencies(result: dict) -> list[str]:
+    exact = result["exact"]
+    at = " at index %d" % exact["first_escape_index"] if exact["escaped"] else ""
+    return [
+        "start frequency: %s" % exact["u"],
+        "escaped: %s%s" % (exact["escaped"], at),
+        "last term: %s" % exact["terms"][-1],
+    ]
 
 
 def _result_sidon(job: JobSpec) -> dict:
@@ -287,12 +319,21 @@ def _result_sidon(job: JobSpec) -> dict:
     }
 
 
+def _text_sidon(result: dict) -> list[str]:
+    exact = result["exact"]
+    return [
+        "selected %d vectors: %s" % (len(exact["selected"]), exact["selected"]),
+        "quasi-independent: %s (checked up to %d)"
+        % (exact["quasi_independent"], exact["quasi_independence_checked_up_to"]),
+        "estimated ratio: %.4f" % result["floating"]["estimated_ratio"],
+    ]
+
+
 def _result_sweep(job: JobSpec) -> dict:
     opts = job.options
     d = job.payload["d"]
     lo, hi = opts["range"]
-    width = hi - lo + 1
-    total = width ** (d * d)
+    total = (hi - lo + 1) ** (d * d)
     if total > MAX_SWEEP_ENTRIES:
         raise CapExceededError(
             "sweep of %d matrices exceeds the cap of %d" % (total, MAX_SWEEP_ENTRIES)
@@ -332,21 +373,79 @@ def _result_sweep(job: JobSpec) -> dict:
     }
 
 
-_HANDLERS = {
-    "semicascade": _result_semicascade,
-    "cascade": _result_cascade,
-    "certify": _result_certify,
-    "simulate": _result_simulate,
-    "frequencies": _result_frequencies,
-    "sidon": _result_sidon,
-    "sweep": _result_sweep,
+def _text_sweep(result: dict) -> list[str]:
+    exact = result["exact"]
+    return [
+        "swept %d matrices (d=%d, entries %d..%d): %d tame, %d untame"
+        % (exact["total"], exact["d"], *exact["range"], exact["tame_count"], exact["untame_count"]),
+        "decider/oracle agree: %s" % exact["all_agree"],
+    ]
+
+
+@dataclass(frozen=True)
+class _Command:
+    """One CLI command. A flag is (flag, option key, type, default, help);
+    the option key names the flag's value in JobSpec.options."""
+
+    help: str
+    result: Callable[[JobSpec], dict]
+    text: Callable[[dict], list[str]]
+    flags: tuple = ()
+    input_required: bool = True
+
+
+_COMMANDS: dict[str, _Command] = {
+    "semicascade": _Command(
+        "decide tameness of the iteration semigroup", _result_decide, _text_decide
+    ),
+    "cascade": _Command(
+        "decide tameness of the iteration group (|det A| = 1)", _result_decide, _text_decide
+    ),
+    "certify": _Command("re-verify a claimed certificate", _result_certify, _text_certify),
+    "simulate": _Command(
+        "torus orbit plus convergence probe",
+        _result_simulate,
+        _text_simulate,
+        (
+            ("--iters", "iters", int, 50, "iterate indices 0..N"),
+            ("--grid", "grid", int, None, "grid points per axis"),
+            ("--tol", "tol", float, 1e-9, "chain tolerance"),
+        ),
+    ),
+    "frequencies": _Command(
+        "frequency orbit plus escape probe",
+        _result_frequencies,
+        _text_frequencies,
+        (
+            ("--iters", "iters", int, 50, "orbit length"),
+            ("--bound", "bound", int, 10 ** 6, "escape sup-norm bound"),
+        ),
+    ),
+    "sidon": _Command(
+        "extract a Sidon subset from a vector stream",
+        _result_sidon,
+        _text_sidon,
+        (
+            ("--iters", "count", int, 12, "number of vectors to select"),
+            ("--bound", "max_scan", int, 100_000, "max candidates scanned"),
+            ("--grid", "grid", int, 32, "estimation grid per axis"),
+            ("--seed", "seed", int, 0, "estimation seed"),
+        ),
+    ),
+    "sweep": _Command(
+        "exhaustive decider-vs-oracle sweep",
+        _result_sweep,
+        _text_sweep,
+        (("--range", "range", str, "-1..1", "entry range LO..HI (use --range=LO..HI)"),),
+        input_required=False,
+    ),
 }
 
 
 def run(job: JobSpec) -> Report:
     """Dispatch a validated job to its module and wrap the result."""
     start = time.perf_counter()
-    result = _HANDLERS[job.command](job)
+    result = _COMMANDS[job.command].result(job)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return Report(
         command=job.command,
@@ -354,97 +453,37 @@ def run(job: JobSpec) -> Report:
         options=job.options,
         result=result,
         timing_ms=elapsed_ms,
-        tool={"name": TOOL_NAME, "version": __version__},
     )
 
 
 def emit(report: Report, fmt: str = "json") -> str:
-    """Serialize a report; json is stable and diff-friendly."""
-    if fmt == "json":
-        return json.dumps(report.to_dict(), sort_keys=True, indent=2)
-    if fmt == "text":
-        return _emit_text(report)
+    """Serialize a report; json is stable and diff-friendly.
+
+    Raises CapExceededError when the report holds an integer beyond
+    CPython's int-to-str digit limit.
+    """
+    result = report.result
+    try:
+        if fmt == "json":
+            return json.dumps(report.to_dict(), sort_keys=True, indent=2)
+        if fmt == "text":
+            if "error" in result:
+                body = ["error: %s" % result["error"]["code"], result["error"]["message"]]
+            else:
+                body = _COMMANDS[report.command].text(result)
+            header = "%s %s - %s" % (TOOL_NAME, report.tool["version"], report.command)
+            return "\n".join([header, *body, "timing: %.1f ms" % report.timing_ms])
+    except ValueError as exc:
+        raise CapExceededError(
+            "report holds an integer beyond the %d-digit limit of int-to-str conversion"
+            % sys.get_int_max_str_digits()
+        ) from exc
     raise ValueError("unknown format %r" % fmt)
 
 
 def parse_report(text: str) -> Report:
     """Inverse of emit(..., 'json')."""
     return Report.from_dict(json.loads(text))
-
-
-def _format_certificate_text(cert: dict) -> list[str]:
-    lines = ["verdict: %s (%s)" % (cert["verdict"], cert["kind"])]
-    if cert["verdict"] == TAME:
-        if cert.get("minimal_pair") is not None:
-            p, q = cert["minimal_pair"]
-            lines.append(
-                "certificate: A^%d = A^%d (index %d, period %d)"
-                % (p, q, cert["index_k"], cert["period_s"])
-            )
-        else:
-            m = cert["minimal_order_m"]
-            lines.append("certificate: A^%d = I (order %d)" % (m, m))
-    else:
-        witness = cert.get("witness", {})
-        g = IntPoly(witness.get("stripped_min_poly", []))
-        lines.append("witness: %s, g(x) = %s" % (witness.get("reason"), g))
-        if witness.get("s_max") is not None:
-            lines.append("order bound exhausted: s_max = %d" % witness["s_max"])
-        if witness.get("detail"):
-            lines.append("detail: %s" % witness["detail"])
-    return lines
-
-
-def _emit_text(report: Report) -> str:
-    lines = ["%s %s - %s" % (TOOL_NAME, report.tool["version"], report.command)]
-    result = report.result
-    if "error" in result:
-        err = result["error"]
-        lines.append("error: %s" % err["code"])
-        lines.append(err["message"])
-    elif report.command in ("semicascade", "cascade"):
-        lines.extend(_format_certificate_text(result["exact"]["certificate"]))
-    elif report.command == "certify":
-        lines.append("certificate valid: %s" % result["exact"]["valid"])
-    elif report.command == "simulate":
-        sub = result["exact"]["subsequence"]
-        lines.append("convergent-looking subsequence (%d indices): %s" % (len(sub), sub))
-        lines.append("max deviation: %.3e" % result["floating"]["max_deviation"])
-    elif report.command == "frequencies":
-        exact = result["exact"]
-        lines.append("start frequency: %s" % exact["u"])
-        lines.append(
-            "escaped: %s%s"
-            % (
-                exact["escaped"],
-                " at index %d" % exact["first_escape_index"] if exact["escaped"] else "",
-            )
-        )
-        lines.append("last term: %s" % exact["terms"][-1])
-    elif report.command == "sidon":
-        exact = result["exact"]
-        lines.append("selected %d vectors: %s" % (len(exact["selected"]), exact["selected"]))
-        lines.append(
-            "quasi-independent: %s (checked up to %d)"
-            % (exact["quasi_independent"], exact["quasi_independence_checked_up_to"])
-        )
-        lines.append("estimated ratio: %.4f" % result["floating"]["estimated_ratio"])
-    elif report.command == "sweep":
-        exact = result["exact"]
-        lines.append(
-            "swept %d matrices (d=%d, entries %d..%d): %d tame, %d untame"
-            % (
-                exact["total"],
-                exact["d"],
-                exact["range"][0],
-                exact["range"][1],
-                exact["tame_count"],
-                exact["untame_count"],
-            )
-        )
-        lines.append("decider/oracle agree: %s" % exact["all_agree"])
-    lines.append("timing: %.1f ms" % report.timing_ms)
-    return "\n".join(lines)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -473,99 +512,44 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Tameness deciders and orbit probes for affine torus maps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, input_required=True):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--input", required=input_required, help="job file, or - for stdin")
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--input", required=command.input_required, help="job file, or - for stdin")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        return p
-
-    add("semicascade", "decide tameness of the iteration semigroup")
-    add("cascade", "decide tameness of the iteration group (|det A| = 1)")
-    add("certify", "re-verify a claimed certificate")
-
-    p = add("simulate", "torus orbit plus convergence probe")
-    p.add_argument("--iters", type=int, default=50, help="iterate indices 0..N")
-    p.add_argument("--grid", type=int, default=None, help="grid points per axis")
-    p.add_argument("--tol", type=float, default=1e-9, help="chain tolerance")
-
-    p = add("frequencies", "frequency orbit plus escape probe")
-    p.add_argument("--iters", type=int, default=50, help="orbit length")
-    p.add_argument("--bound", type=int, default=10 ** 6, help="escape sup-norm bound")
-
-    p = add("sidon", "extract a Sidon subset from a vector stream")
-    p.add_argument("--iters", type=int, default=12, help="number of vectors to select")
-    p.add_argument("--bound", type=int, default=100_000, help="max candidates scanned")
-    p.add_argument("--grid", type=int, default=32, help="estimation grid per axis")
-    p.add_argument("--seed", type=int, default=0, help="estimation seed")
-
-    p = add("sweep", "exhaustive decider-vs-oracle sweep", input_required=False)
-    p.add_argument("--range", default="-1..1", help="entry range LO..HI (use --range=LO..HI)")
-
+        for flag, key, kind, default, help_text in command.flags:
+            p.add_argument(
+                flag, dest=key, metavar=flag[2:].upper(), type=kind, default=default, help=help_text
+            )
     return parser
 
 
 def _job_from_args(args) -> JobSpec:
-    command = args.command
-    if command == "sidon":
-        text = _read_input(args.input)
+    command = _COMMANDS[args.command]
+    text = _read_input(args.input) if args.input or command.input_required else "{}"
+    options = {key: getattr(args, key) for _, key, *_ in command.flags}
+    if args.command == "sidon":
         stream = list(parse_stream(text.splitlines()))
-        options = {
-            "count": args.iters,
-            "max_scan": args.bound,
-            "grid": args.grid,
-            "seed": args.seed,
-            # The flag vocabulary has no --trials; 200 is the documented default.
-            "trials": 200,
-        }
-        job = JobSpec(
-            command=command,
+        # The flag vocabulary has no --trials; 200 is the documented default.
+        options["trials"] = 200
+        return JobSpec(
+            command=args.command,
             input={"stream_source": args.input, "vectors_supplied": len(stream)},
             options=options,
             payload={"stream": stream},
         )
-        return job
-    if command == "sweep":
-        text = _read_input(args.input) if args.input else "{}"
-        options = {"range": list(_parse_range(args.range))}
-        return parse_input(text, command=command, options=options)
-    text = _read_input(args.input)
-    options = {}
-    if command == "simulate":
-        options = {"iters": args.iters, "grid": args.grid, "tol": args.tol}
-    elif command == "frequencies":
-        options = {"iters": args.iters, "bound": args.bound}
-    return parse_input(text, command=command, options=options)
-
-
-def _exit_code(exc: TameTorusError) -> int:
-    if isinstance(exc, InputError):
-        return 2
-    if isinstance(exc, PreconditionError):
-        return 3
-    if isinstance(exc, CapExceededError):
-        return 4
-    return 2
-
-
-def _error_report(command: str, exc: TameTorusError) -> Report:
-    return Report(
-        command=command,
-        input={},
-        options={},
-        result={"error": {"code": exc.code, "message": str(exc)}},
-        timing_ms=0.0,
-        tool={"name": TOOL_NAME, "version": __version__},
-    )
+    if args.command == "sweep":
+        options["range"] = list(_parse_range(options["range"]))
+    return parse_input(text, command=args.command, options=options)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        job = _job_from_args(args)
-        report = run(job)
+        text = emit(run(_job_from_args(args)), args.format)
     except TameTorusError as exc:
-        print(emit(_error_report(args.command, exc), args.format))
-        return _exit_code(exc)
-    print(emit(report, args.format))
+        error = {"error": {"code": exc.code, "message": str(exc)}}
+        report = Report(command=args.command, input={}, options={}, result=error, timing_ms=0.0)
+        print(emit(report, args.format))
+        return exc.exit_code
+    print(text)
     return 0

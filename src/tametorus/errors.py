@@ -1,7 +1,8 @@
 """Exception classes shared across the package.
 
-Each class carries a stable ``code`` string; the CLI maps codes to exit
-codes (input errors -> 2, precondition errors -> 3, cap/limit errors -> 4).
+Each class carries a stable ``code`` string and the CLI ``exit_code``
+it maps to (input errors -> 2, precondition errors -> 3, cap/limit
+errors -> 4).
 """
 
 
@@ -9,6 +10,7 @@ class TameTorusError(Exception):
     """Base class for all package-specific errors."""
 
     code = "ERROR"
+    exit_code = 2
 
 
 class InputError(TameTorusError, ValueError):
@@ -33,6 +35,7 @@ class PreconditionError(TameTorusError, ValueError):
     """Operation undefined for this input (CLI exit code 3)."""
 
     code = "PRECONDITION"
+    exit_code = 3
 
 
 class DeterminantNotUnitError(PreconditionError):
@@ -51,6 +54,7 @@ class CapExceededError(TameTorusError, ValueError):
     """A documented cap or bound was exceeded (CLI exit code 4)."""
 
     code = "CAP_EXCEEDED"
+    exit_code = 4
 
 
 class DimensionMismatchError(TameTorusError, ValueError):

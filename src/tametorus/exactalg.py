@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 
-from .errors import DimensionMismatchError
+from .errors import CapExceededError, DimensionMismatchError
 
 __all__ = [
     "IntMatrix",
@@ -197,6 +198,8 @@ class IntPoly:
         return "IntPoly(%s)" % (list(self.coeffs),)
 
     def __str__(self):
+        """Render as "x^2 - 2*x + 1"; a coefficient beyond CPython's
+        int-to-str digit limit raises CapExceededError."""
         if self.is_zero:
             return "0"
         parts = []
@@ -205,12 +208,18 @@ class IntPoly:
             if c == 0:
                 continue
             sign = "-" if c < 0 else "+"
-            mag = abs(c)
+            try:
+                mag = str(abs(c))
+            except ValueError as exc:
+                raise CapExceededError(
+                    "polynomial coefficient beyond the %d-digit limit of int-to-str conversion"
+                    % sys.get_int_max_str_digits()
+                ) from exc
             if power == 0:
-                term = str(mag)
+                term = mag
             else:
                 xpart = "x" if power == 1 else "x^%d" % power
-                term = xpart if mag == 1 else "%s*%s" % (mag, xpart)
+                term = xpart if mag == "1" else "%s*%s" % (mag, xpart)
             if not parts:
                 parts.append(term if sign == "+" else "-" + term)
             else:

@@ -38,20 +38,11 @@ DEFAULT_MAX_SCAN = 100_000
 
 @dataclass
 class SidonReport:
-    """Extraction result plus verification and estimation metadata."""
+    """Extraction result: the selected vectors and how many of them were
+    checked for quasi-independence."""
 
     selected: list[tuple[int, ...]]
     quasi_independence_checked_up_to: int
-    estimated_ratio: float | None = None
-    trials: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "selected": [list(v) for v in self.selected],
-            "quasi_independence_checked_up_to": self.quasi_independence_checked_up_to,
-            "estimated_ratio": self.estimated_ratio,
-            "trials": self.trials,
-        }
 
 
 def _l1(v: tuple[int, ...]) -> int:

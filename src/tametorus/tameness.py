@@ -78,9 +78,10 @@ class UntameWitness:
     x^s - 1. reason ORDER_BOUND_EXHAUSTED: x^s mod g != 1 for every
     1 <= s <= s_max, and no larger s can work because the order of x
     modulo a degree-<=d divisor of x^s - 1 is at most s_max(d). reason
-    ZERO_EIGENVALUE: x divides the minimal polynomial (only the cascade
-    decider emits it, defensively). certificate_check re-derives each
-    reason from the minimal polynomial alone, without matrix powers.
+    ZERO_EIGENVALUE: x divides the minimal polynomial; no decider emits
+    it, and certificate_check accepts it only when A is also untame.
+    certificate_check re-derives each reason from the minimal polynomial
+    alone, without matrix powers.
     """
 
     reason: str
@@ -373,15 +374,8 @@ def decide_cascade(a: IntMatrix) -> TamenessCertificate:
     semi = _semicascade_certificate(a)
     if semi.verdict == UNTAME:
         return TamenessCertificate(verdict=UNTAME, kind=CASCADE, witness=semi.witness)
-    if semi.index_k != 0:
-        # Unreachable when |det A| = 1 (0 cannot be an eigenvalue); kept
-        # as a defensive check on the pipeline above.
-        witness = UntameWitness(
-            reason=ZERO_EIGENVALUE,
-            stripped_min_poly=strip_x_factor(min_poly(a))[1],
-            detail="minimal polynomial is divisible by x",
-        )
-        return TamenessCertificate(verdict=UNTAME, kind=CASCADE, witness=witness)
+    # |det A| = 1, so x does not divide the minimal polynomial and the
+    # index is 0; the self-check below would catch a violation.
     cert = TamenessCertificate(
         verdict=TAME,
         kind=CASCADE,

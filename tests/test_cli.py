@@ -1,14 +1,20 @@
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
-from tametorus.cli import JobSpec, emit, main, parse_input, parse_report, run
+from tametorus import __version__
+from tametorus.cli import JobSpec, Report, emit, main, parse_input, parse_report, run
 from tametorus.errors import (
+    CapExceededError,
     DimensionInputError,
+    DimensionMismatchError,
     MalformedInputError,
     NonIntegerInputError,
+    StreamExhaustedError,
+    TameTorusError,
 )
 
 
@@ -175,6 +181,41 @@ class TestMainExitCodes:
         )
         assert code == 4
         assert json.loads(out)["result"]["error"]["code"] == "CAP_EXCEEDED"
+
+    def test_exit_code_per_error_class(self):
+        assert TameTorusError.exit_code == 2
+        assert DimensionMismatchError.exit_code == 2
+        assert MalformedInputError.exit_code == 2
+        assert StreamExhaustedError.exit_code == 3
+        assert CapExceededError.exit_code == 4
+
+    def test_frequency_term_beyond_digit_limit_is_4(self, capsys, tmp_path):
+        # the cat map's terms pass CPython's 4300-digit int-to-str limit
+        # near index 10,300; the text report prints the last term
+        path = tmp_path / "job.json"
+        path.write_text('{"d":2,"A":[[2,1],[1,1]]}')
+        code, out = run_cli(
+            ["frequencies", "--input", str(path), "--iters", "20000", "--format", "text"],
+            capsys,
+        )
+        assert code == 4
+        assert out.splitlines()[1] == "error: CAP_EXCEEDED"
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_witness_coefficient_beyond_digit_limit_is_4(self, capsys, tmp_path, fmt):
+        # entries of 2,501 digits parse; g = x^2 - 2*10^2500*x + 10^5000 - 1
+        # has a 5,000-digit coefficient, which the witness detail prints
+        path = tmp_path / "job.json"
+        path.write_text('{"d":2,"A":[[%d,1],[1,%d]]}' % (10 ** 2500, 10 ** 2500))
+        code, out = run_cli(["semicascade", "--input", str(path), "--format", fmt], capsys)
+        assert code == 4
+        assert "CAP_EXCEEDED" in out
+
+    def test_emit_json_integer_beyond_digit_limit(self):
+        report = Report(command="frequencies", input={}, options={},
+                        result={"exact": {"terms": [[10 ** 5000]]}}, timing_ms=0.0)
+        with pytest.raises(CapExceededError):
+            emit(report, "json")
 
     def test_missing_file_is_2(self, capsys):
         code, out = run_cli(["semicascade", "--input", "/does/not/exist.json"], capsys)
@@ -431,6 +472,17 @@ class TestCommands:
         with pytest.raises(ValueError):
             emit(run(job), "xml")
 
+    def test_to_dict_is_shallow(self):
+        report = run(parse_input('{"d":1,"A":[[1]]}'))
+        assert report.to_dict()["result"] is report.result
+
+    def test_help_keeps_flag_names(self, capsys):
+        # sidon stores --iters and --bound under the option keys count and max_scan
+        with pytest.raises(SystemExit):
+            main(["sidon", "--help"])
+        out = capsys.readouterr().out
+        assert "--iters ITERS" in out and "--bound BOUND" in out
+
     def test_jobspec_echo_matches_input(self):
         raw = {"d": 2, "A": [[1, 0], [0, 1]], "b": [0.25, "1/2"]}
         job = parse_input(json.dumps(raw))
@@ -438,3 +490,84 @@ class TestCommands:
         report = run(JobSpec(command="semicascade", input=job.input,
                              options={}, payload=job.payload))
         assert report.input == raw
+
+
+class TestTextReports:
+    """Exact --format text output, with the timing line masked."""
+
+    CASES = {
+        "certify-valid": (
+            ["certify"],
+            '{"d":2,"A":[[0,-1],[1,0]],"certificate":{"verdict":"TAME","kind":"CASCADE",'
+            '"period_s":4,"minimal_order_m":4}}',
+            0,
+            ["certificate valid: True"],
+        ),
+        "certify-invalid": (
+            ["certify"],
+            '{"d":2,"A":[[0,-1],[1,0]],"certificate":{"verdict":"TAME","kind":"CASCADE",'
+            '"period_s":2,"minimal_order_m":2}}',
+            0,
+            ["certificate valid: False"],
+        ),
+        "simulate": (
+            ["simulate", "--iters", "20", "--grid", "8"],
+            '{"d":2,"A":[[0,-1],[1,0]],"b":["1/4","0/1"]}',
+            0,
+            [
+                "convergent-looking subsequence (6 indices): [0, 4, 8, 12, 16, 20]",
+                "max deviation: 0.000e+00",
+            ],
+        ),
+        "frequencies-escaped": (
+            ["frequencies", "--iters", "30", "--bound", "10"],
+            '{"d":2,"A":[[1,1],[0,1]],"u":[1,0]}',
+            0,
+            ["start frequency: [1, 0]", "escaped: True at index 11", "last term: [1, 30]"],
+        ),
+        "frequencies-bounded": (
+            ["frequencies", "--iters", "5", "--bound", "100"],
+            '{"d":2,"A":[[2,1],[1,1]]}',
+            0,
+            ["start frequency: [1, 0]", "escaped: False", "last term: [89, 55]"],
+        ),
+        "sidon": (
+            ["sidon", "--iters", "6", "--seed", "9"],
+            "".join("%d %d\n" % (k, k * k) for k in range(1, 100)),
+            0,
+            [
+                "selected 6 vectors: [[1, 1], [2, 4], [3, 9], [5, 25], [7, 49], [10, 100]]",
+                "quasi-independent: True (checked up to 6)",
+                "estimated ratio: 1.2396",
+            ],
+        ),
+        "error-exit-2": (
+            ["semicascade"],
+            '{"d":2,"A":[[1,1]]}',
+            2,
+            ["error: DIMENSION", "'A' must be 2x2, got rows of lengths [2]"],
+        ),
+        "error-exit-3": (
+            ["cascade"],
+            '{"d":2,"A":[[1,0],[0,0]]}',
+            3,
+            ["error: DETERMINANT_NOT_UNIT", "cascade undefined: |det A| = 0, need 1"],
+        ),
+        "error-exit-4": (
+            ["sweep", "--range=-2..2"],
+            '{"d":3}',
+            4,
+            ["error: CAP_EXCEEDED", "sweep of 1953125 matrices exceeds the cap of 1000000"],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_exact_text(self, capsys, tmp_path, name):
+        argv, job, expected_code, body = self.CASES[name]
+        path = tmp_path / "job"
+        path.write_text(job)
+        code, out = run_cli(argv + ["--input", str(path), "--format", "text"], capsys)
+        assert code == expected_code
+        masked = re.sub(r"^timing: \d+\.\d ms$", "timing: T ms", out, flags=re.M)
+        header = "tametorus %s - %s" % (__version__, argv[0])
+        assert masked == "\n".join([header, *body, "timing: T ms"]) + "\n"
