@@ -382,10 +382,19 @@ def _text_sweep(result: dict) -> list[str]:
     ]
 
 
+# Conditions a flag value must meet before a job does any work.
+_REQUIREMENTS: dict[str, Callable] = {
+    ">= 0": lambda value: value >= 0,
+    ">= 1": lambda value: value >= 1,
+    "finite and > 0": lambda value: math.isfinite(value) and value > 0,
+}
+
+
 @dataclass(frozen=True)
 class _Command:
-    """One CLI command. A flag is (flag, option key, type, default, help);
-    the option key names the flag's value in JobSpec.options."""
+    """One CLI command. A flag is (flag, option key, type, default, help,
+    requirement); the option key names the flag's value in JobSpec.options,
+    and the requirement is a key of _REQUIREMENTS or None."""
 
     help: str
     result: Callable[[JobSpec], dict]
@@ -407,9 +416,9 @@ _COMMANDS: dict[str, _Command] = {
         _result_simulate,
         _text_simulate,
         (
-            ("--iters", "iters", int, 50, "iterate indices 0..N"),
-            ("--grid", "grid", int, None, "grid points per axis"),
-            ("--tol", "tol", float, 1e-9, "chain tolerance"),
+            ("--iters", "iters", int, 50, "iterate indices 0..N", ">= 1"),
+            ("--grid", "grid", int, None, "grid points per axis", ">= 1"),
+            ("--tol", "tol", float, 1e-9, "chain tolerance", "finite and > 0"),
         ),
     ),
     "frequencies": _Command(
@@ -417,8 +426,8 @@ _COMMANDS: dict[str, _Command] = {
         _result_frequencies,
         _text_frequencies,
         (
-            ("--iters", "iters", int, 50, "orbit length"),
-            ("--bound", "bound", int, 10 ** 6, "escape sup-norm bound"),
+            ("--iters", "iters", int, 50, "orbit length", ">= 1"),
+            ("--bound", "bound", int, 10 ** 6, "escape sup-norm bound", ">= 1"),
         ),
     ),
     "sidon": _Command(
@@ -426,17 +435,17 @@ _COMMANDS: dict[str, _Command] = {
         _result_sidon,
         _text_sidon,
         (
-            ("--iters", "count", int, 12, "number of vectors to select"),
-            ("--bound", "max_scan", int, 100_000, "max candidates scanned"),
-            ("--grid", "grid", int, 32, "estimation grid per axis"),
-            ("--seed", "seed", int, 0, "estimation seed"),
+            ("--iters", "count", int, 12, "number of vectors to select", ">= 1"),
+            ("--bound", "max_scan", int, 100_000, "max candidates scanned", None),
+            ("--grid", "grid", int, 32, "estimation grid per axis", ">= 1"),
+            ("--seed", "seed", int, 0, "estimation seed", ">= 0"),
         ),
     ),
     "sweep": _Command(
         "exhaustive decider-vs-oracle sweep",
         _result_sweep,
         _text_sweep,
-        (("--range", "range", str, "-1..1", "entry range LO..HI (use --range=LO..HI)"),),
+        (("--range", "range", str, "-1..1", "entry range LO..HI (use --range=LO..HI)", None),),
         input_required=False,
     ),
 }
@@ -516,7 +525,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=command.help)
         p.add_argument("--input", required=command.input_required, help="job file, or - for stdin")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        for flag, key, kind, default, help_text in command.flags:
+        for flag, key, kind, default, help_text, _ in command.flags:
             p.add_argument(
                 flag, dest=key, metavar=flag[2:].upper(), type=kind, default=default, help=help_text
             )
@@ -525,8 +534,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _job_from_args(args) -> JobSpec:
     command = _COMMANDS[args.command]
-    text = _read_input(args.input) if args.input or command.input_required else "{}"
     options = {key: getattr(args, key) for _, key, *_ in command.flags}
+    for flag, key, *_, requirement in command.flags:
+        value = options[key]
+        if requirement and value is not None and not _REQUIREMENTS[requirement](value):
+            raise MalformedInputError("%s must be %s, got %r" % (flag, requirement, value))
+    text = _read_input(args.input) if args.input or command.input_required else "{}"
     if args.command == "sidon":
         stream = list(parse_stream(text.splitlines()))
         # The flag vocabulary has no --trials; 200 is the documented default.

@@ -6,14 +6,15 @@ norm-growth rule: keep a vector only if its l1-norm strictly exceeds the
 sum of the l1-norms of everything kept so far. The largest vector in any
 {-1,0,+1}-combination of kept vectors then dominates the rest, so no
 nontrivial combination vanishes (quasi-independence), the standard
-sufficient condition for being Sidon.
+sufficient condition for being Sidon. verify_quasi_independence proves
+it for up to 12 vectors by an exact meet-in-the-middle count.
 """
 
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -63,7 +64,7 @@ def extract_sidon(
     max_scan candidates have been examined, before count vectors are
     found; a bounded stream can never satisfy the rule count times.
     The selected prefix (up to verify_cap vectors) is re-checked for
-    quasi-independence by exhaustive enumeration.
+    quasi-independence by verify_quasi_independence.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -99,15 +100,27 @@ def extract_sidon(
     return SidonReport(selected=selected, quasi_independence_checked_up_to=checked)
 
 
+def _signed_sums(vectors: Sequence[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]:
+    """Every sum of e_k * v_k over e in {-1, 0, 1}^len(vectors), with multiplicity."""
+    sums = [(0,) * dim]
+    for v in vectors:
+        sums += [tuple(a + e * b for a, b in zip(s, v)) for e in (1, -1) for s in sums]
+    return sums
+
+
 def verify_quasi_independence(
     vectors: Sequence[Sequence[int]], cap: int = MAX_QUASI_INDEPENDENCE_VECTORS
 ) -> bool:
-    """Exhaustively check that no nontrivial {-1,0,+1}-combination vanishes.
+    """Exactly check that no nontrivial {-1,0,+1}-combination vanishes.
 
-    Enumerates all 3^n coefficient patterns. The fast path evaluates the
-    combinations as one integer matrix product; it is only taken when the
-    worst-case partial sum provably fits in int64, otherwise an exact
-    big-integer loop runs.
+    Meet in the middle (Horowitz and Sahni 1974): split the n vectors into
+    halves of sizes h = n // 2 and n - h and build every signed sum S1(e)
+    of the first half and S2(f) of the second: 3^h + 3^(n-h) integer
+    tuples, at most 2 * 3^6 under the default cap. A full pattern (e, f)
+    vanishes iff S1(e) = -S2(f), so the number of colliding pairs is the
+    number of vanishing patterns, and the vectors are quasi-independent
+    iff it is exactly 1, the all-zero pattern. Python integers throughout
+    make the answer exact for entries of any size.
     """
     vs = [tuple(operator.index(c) for c in v) for v in vectors]
     n = len(vs)
@@ -120,25 +133,11 @@ def verify_quasi_independence(
     if len({len(v) for v in vs}) != 1:
         raise MalformedInputError("vectors must share one dimension")
 
-    max_abs = max((abs(c) for v in vs for c in v), default=0)
-    if n * max_abs < 2 ** 62:
-        powers = 3 ** np.arange(n, dtype=np.int64)
-        mat = np.array(vs, dtype=np.int64)
-        n_zero = 0
-        total = 3 ** n
-        chunk = 3 ** 9
-        for start in range(0, total, chunk):
-            codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            digits = (codes[:, None] // powers) % 3 - 1
-            sums = digits @ mat
-            n_zero += int(np.all(sums == 0, axis=1).sum())
-        return n_zero == 1  # the all-zero pattern only
-    for coeffs in product((-1, 0, 1), repeat=n):
-        if all(c == 0 for c in coeffs):
-            continue
-        if all(sum(c * v[i] for c, v in zip(coeffs, vs)) == 0 for i in range(len(vs[0]))):
-            return False
-    return True
+    dim = len(vs[0])
+    h = n // 2
+    first = Counter(_signed_sums(vs[:h], dim))
+    vanishing = sum(first[tuple(-c for c in s)] for s in _signed_sums(vs[h:], dim))
+    return vanishing == 1  # the all-zero pattern only
 
 
 def estimate_sidon_ratio(

@@ -182,7 +182,7 @@ def test_criterion_7_sidon_extraction():
         report = extract_sidon(stream, 12)
         assert len(report.selected) == 12
         assert report.quasi_independence_checked_up_to == 12
-        assert verify_quasi_independence(report.selected)  # 3^12 exhaustive
+        assert verify_quasi_independence(report.selected)  # exact, 2 * 3^6 sums
         ratio = estimate_sidon_ratio(report.selected, trials=200, grid_per_axis=32, seed=604)
         again = estimate_sidon_ratio(report.selected, trials=200, grid_per_axis=32, seed=604)
         assert ratio == again  # bit-reproducible

@@ -182,6 +182,36 @@ class TestMainExitCodes:
         assert code == 4
         assert json.loads(out)["result"]["error"]["code"] == "CAP_EXCEEDED"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--iters", "0"],
+            ["simulate", "--iters", "-3"],
+            ["simulate", "--grid", "0"],
+            ["simulate", "--tol", "0"],
+            ["simulate", "--tol", "-1"],
+            ["simulate", "--tol", "nan"],
+            ["simulate", "--tol", "inf"],
+            ["frequencies", "--iters", "0"],
+            ["frequencies", "--bound", "0"],
+            ["sidon", "--iters", "0"],
+            ["sidon", "--grid", "0"],
+            ["sidon", "--seed", "-1"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_numeric_flag_is_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "job"
+        if argv[0] == "sidon":
+            path.write_text("".join("%d %d\n" % (k, k * k) for k in range(1, 100)))
+        else:
+            path.write_text('{"d":2,"A":[[2,1],[1,1]]}')
+        code, out = run_cli(argv + ["--input", str(path)], capsys)
+        assert code == 2
+        error = json.loads(out)["result"]["error"]
+        assert error["code"] == "MALFORMED"
+        assert error["message"].startswith(argv[1] + " must be ")
+
     def test_exit_code_per_error_class(self):
         assert TameTorusError.exit_code == 2
         assert DimensionMismatchError.exit_code == 2

@@ -290,6 +290,62 @@ class TestMinPoly:
             flattened.append([Fraction(e) for row in power.entries for e in row])
         assert _rectangular_rank(flattened) == mu.degree
 
+    def test_agrees_with_sympy(self):
+        # sympy has no minimal polynomial of a matrix; check the defining
+        # properties instead: monic, divides charpoly, annihilates A, and no
+        # proper divisor mu/f (f an irreducible factor) annihilates A
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(8400)
+        derogatory = 0
+        for case in range(100):
+            a = _random_test_matrix(rng, derogatory=case % 3 == 0)
+            mu = min_poly(a)
+            assert mu.is_monic
+            derogatory += mu.degree < a.d
+            m = sympy.Matrix(a.entries)
+            mu_poly = sympy.Poly(list(reversed(mu.coeffs)), x)
+            assert sympy.rem(m.charpoly(x).as_expr(), mu_poly.as_expr(), x) == 0, a
+            assert _sympy_eval(mu_poly, m).is_zero_matrix, a
+            for f, _ in sympy.factor_list(mu_poly)[1]:
+                assert not _sympy_eval(sympy.quo(mu_poly, f), m).is_zero_matrix, (a, f)
+        assert derogatory >= 30
+
+
+def _sympy_eval(poly, m):
+    """poly(M) by Horner's rule on sympy matrices."""
+    total = m.zeros(m.rows)
+    for c in poly.all_coeffs():
+        total = total * m + c * m.eye(m.rows)
+    return total
+
+
+def _random_test_matrix(rng, derogatory):
+    """A random integer matrix of size 1..8. A derogatory one repeats a
+    diagonal block, so deg mu < d, and hides the blocks by conjugating with
+    a unimodular matrix U made of elementary row operations."""
+    d = rng.randint(1, 8)
+    if not derogatory:
+        return IntMatrix([[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)])
+    d = max(d, 2)
+    k = rng.randint(1, d // 2)
+    block = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
+    rest = d - 2 * k
+    tail = [[rng.randint(-2, 2) for _ in range(rest)] for _ in range(rest)]
+    entries = [[0] * d for _ in range(d)]
+    for offset, b in ((0, block), (k, block), (2 * k, tail)):
+        for i, row in enumerate(b):
+            entries[offset + i][offset:offset + len(row)] = row
+    a = IntMatrix(entries)
+    for _ in range(3):
+        i, j = rng.sample(range(d), 2)
+        c = rng.choice((-1, 1))
+        # U = I + c E_ij, U^-1 = I - c E_ij
+        u = [[int(r == s) + (c if (r, s) == (i, j) else 0) for s in range(d)] for r in range(d)]
+        u_inv = [[int(r == s) - (c if (r, s) == (i, j) else 0) for s in range(d)] for r in range(d)]
+        a = mat_mul(mat_mul(IntMatrix(u), a), IntMatrix(u_inv))
+    return a
+
 
 def _divides(g, f):
     """Whether g divides f over Q, by long division over Fractions."""

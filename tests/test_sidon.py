@@ -1,4 +1,6 @@
 import itertools
+import operator
+import random
 
 import pytest
 
@@ -10,6 +12,7 @@ from tametorus import (
     extract_sidon,
     frequency_orbit,
     parse_stream,
+    sidon,
     verify_quasi_independence,
 )
 
@@ -17,6 +20,22 @@ from tametorus import (
 def squares_stream():
     for k in itertools.count(1):
         yield (k, k * k)
+
+
+def _reference_quasi_independence(vectors):
+    """Reference: try all 3^n {-1,0,+1} patterns."""
+    columns = list(zip(*vectors))
+    for coeffs in itertools.product((-1, 0, 1), repeat=len(vectors)):
+        if any(coeffs) and not any(sum(map(operator.mul, coeffs, col)) for col in columns):
+            return False
+    return True
+
+
+def _random_sidon_selection(rng, d, count):
+    """extract_sidon's selection from a seeded stream of random vectors
+    whose entries grow with their index."""
+    stream = (tuple(rng.randint(-k, k) for _ in range(d)) for k in itertools.count(1))
+    return extract_sidon(stream, count).selected
 
 
 class TestExtract:
@@ -112,6 +131,87 @@ class TestQuasiIndependence:
                     expected = False
                     break
             assert verify_quasi_independence(vs) == expected, vs
+
+
+class TestMeetInTheMiddle:
+    def test_agrees_with_reference_on_random_sets(self):
+        # small entries make dependent sets common: both answers are covered
+        rng = random.Random(8080)
+        outcomes = set()
+        for _ in range(2000):
+            n, d = rng.randint(0, 9), rng.randint(1, 3)
+            vs = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(n)]
+            expected = _reference_quasi_independence(vs)
+            assert verify_quasi_independence(vs) == expected, vs
+            outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [
+            [(0, 0)],
+            [(1, 2), (0, 0), (5, 7)],
+            [(1, 2), (3, 4), (1, 2)],
+            [(1, 2), (3, 4), (-1, -2)],
+            [(1,), (2,), (4,), (-4,)],
+            [(7, -1, 2), (7, -1, 2)],
+        ],
+    )
+    def test_zero_and_repeated_vectors(self, vectors):
+        assert _reference_quasi_independence(vectors) is False
+        assert verify_quasi_independence(vectors) is False
+
+    def test_planted_relation_in_either_half(self):
+        # a zero vector, a duplicate or a negated duplicate, inserted into an
+        # independent set at every position, so it lands in either half
+        rng = random.Random(8181)
+        for _ in range(40):
+            base = _random_sidon_selection(rng, rng.randint(1, 3), rng.randint(2, 7))
+            planted = [
+                tuple(0 for _ in base[0]),
+                rng.choice(base),
+                tuple(-c for c in rng.choice(base)),
+            ]
+            for extra in planted:
+                for at in range(len(base) + 1):
+                    vs = base[:at] + [extra] + base[at:]
+                    assert verify_quasi_independence(vs) is False, vs
+
+    def test_entries_beyond_2_to_the_70(self):
+        rng = random.Random(8282)
+        big = 2 ** 70
+        outcomes = set()
+        for _ in range(200):
+            n, d = rng.randint(1, 7), rng.randint(1, 3)
+            vs = [
+                tuple(big * rng.randint(-2, 2) + rng.randint(-1, 1) for _ in range(d))
+                for _ in range(n)
+            ]
+            expected = _reference_quasi_independence(vs)
+            assert verify_quasi_independence(vs) == expected, vs
+            outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_twelve_vector_selection(self, d):
+        selected = _random_sidon_selection(random.Random(8300 + d), d, 12)
+        assert _reference_quasi_independence(selected) is True
+        assert verify_quasi_independence(selected) is True
+
+    @pytest.mark.parametrize("n, sizes", [(1, [1, 3]), (7, [27, 81]), (12, [729, 729])])
+    def test_builds_two_half_tables(self, monkeypatch, n, sizes):
+        # 3^(n // 2) and 3^(n - n // 2) signed sums, never the 3^n full patterns
+        built = []
+        real = sidon._signed_sums
+
+        def recording(vectors, dim):
+            sums = real(vectors, dim)
+            built.append(len(sums))
+            return sums
+
+        monkeypatch.setattr(sidon, "_signed_sums", recording)
+        assert verify_quasi_independence([(2 ** k,) for k in range(n)]) is True
+        assert sorted(built) == sizes
 
 
 class TestEstimateRatio:
