@@ -55,6 +55,13 @@ TOOL_NAME = "tametorus"
 
 MAX_SWEEP_ENTRIES = 1_000_000
 
+# Largest d that semicascade, cascade and certify accept. At d = 32 the
+# slowest measured family, a dense matrix whose min_poly start vector is an
+# eigenvector (the full vec(A^k) search), takes ~4 s of CLI wall time per
+# job; at d = 36 it takes ~10 s and at d = 40 ~27 s (BENCH_9.json).
+MAX_DECIDE_DIMENSION = 32
+_DIMENSION_CAPPED = ("semicascade", "cascade", "certify")
+
 _RATIONAL_RE = re.compile(r"^[+-]?\d+/[1-9]\d*$")
 _RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 
@@ -144,7 +151,9 @@ def parse_input(text: str, command: str = "semicascade", options: dict | None = 
 
     Raises MalformedInputError for syntax/shape problems,
     DimensionInputError when A is not d x d or vectors have the wrong
-    length, NonIntegerInputError when matrix entries are not integers.
+    length, NonIntegerInputError when matrix entries are not integers,
+    and CapExceededError when a semicascade, cascade or certify job has
+    d > MAX_DECIDE_DIMENSION.
     """
     try:
         data = json.loads(text)
@@ -161,6 +170,10 @@ def parse_input(text: str, command: str = "semicascade", options: dict | None = 
     d = _require_int(data.get("d", 2), "d")
     if d < 1:
         raise MalformedInputError("d must be >= 1")
+    if command in _DIMENSION_CAPPED and d > MAX_DECIDE_DIMENSION:
+        raise CapExceededError(
+            "d = %d exceeds the cap of %d for %s" % (d, MAX_DECIDE_DIMENSION, command)
+        )
     payload: dict = {"d": d}
     if command == "sweep":
         return JobSpec(command=command, input=data, options=dict(options or {}), payload=payload)
@@ -436,7 +449,7 @@ _COMMANDS: dict[str, _Command] = {
         _text_sidon,
         (
             ("--iters", "count", int, 12, "number of vectors to select", ">= 1"),
-            ("--bound", "max_scan", int, 100_000, "max candidates scanned", None),
+            ("--bound", "max_scan", int, 100_000, "max candidates scanned", ">= 1"),
             ("--grid", "grid", int, 32, "estimation grid per axis", ">= 1"),
             ("--seed", "seed", int, 0, "estimation seed", ">= 0"),
         ),

@@ -5,8 +5,18 @@ import sys
 
 import pytest
 
-from tametorus import __version__
-from tametorus.cli import JobSpec, Report, emit, main, parse_input, parse_report, run
+import tametorus.tameness
+from tametorus import __version__, order_bound
+from tametorus.cli import (
+    MAX_DECIDE_DIMENSION,
+    JobSpec,
+    Report,
+    emit,
+    main,
+    parse_input,
+    parse_report,
+    run,
+)
 from tametorus.errors import (
     CapExceededError,
     DimensionInputError,
@@ -182,6 +192,36 @@ class TestMainExitCodes:
         assert code == 4
         assert json.loads(out)["result"]["error"]["code"] == "CAP_EXCEEDED"
 
+    @pytest.mark.parametrize("command", ["semicascade", "cascade", "certify"])
+    def test_dimension_beyond_cap_is_4_before_any_algebra(self, capsys, tmp_path, monkeypatch,
+                                                           command):
+        def no_algebra(a):
+            raise AssertionError("min_poly ran on a job beyond the dimension cap")
+
+        monkeypatch.setattr(tametorus.tameness, "min_poly", no_algebra)
+        d = MAX_DECIDE_DIMENSION + 1
+        job = {"d": d, "A": [[int(i == j) for j in range(d)] for i in range(d)],
+               "certificate": {"verdict": "TAME", "kind": "SEMICASCADE", "index_k": 0,
+                               "period_s": 1, "minimal_pair": [0, 1]}}
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(job))
+        code, out = run_cli([command, "--input", str(path)], capsys)
+        assert code == 4
+        error = json.loads(out)["result"]["error"]
+        assert error["code"] == "CAP_EXCEEDED"
+        assert error["message"] == "d = %d exceeds the cap of %d for %s" % (
+            d, MAX_DECIDE_DIMENSION, command)
+
+    def test_dimension_cap_is_inclusive_and_only_for_deciders(self):
+        d = MAX_DECIDE_DIMENSION
+        identity = [[int(i == j) for j in range(d)] for i in range(d)]
+        assert parse_input(json.dumps({"d": d, "A": identity})).payload["d"] == d
+        d += 1
+        identity = [[int(i == j) for j in range(d)] for i in range(d)]
+        job = parse_input(json.dumps({"d": d, "A": identity}), command="frequencies")
+        assert job.payload["d"] == d
+        assert order_bound(d).s_max > 0
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -197,6 +237,8 @@ class TestMainExitCodes:
             ["sidon", "--iters", "0"],
             ["sidon", "--grid", "0"],
             ["sidon", "--seed", "-1"],
+            ["sidon", "--bound", "0"],
+            ["sidon", "--bound", "-1"],
         ],
         ids=" ".join,
     )

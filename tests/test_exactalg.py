@@ -17,6 +17,7 @@ from tametorus import (
     poly_gcd,
     strip_x_factor,
 )
+from tametorus.exactalg import _first_dependency, _krylov_vectors, _power_vectors
 
 
 def square_matrices(max_d=4, lo=-3, hi=3):
@@ -310,6 +311,72 @@ class TestMinPoly:
             for f, _ in sympy.factor_list(mu_poly)[1]:
                 assert not _sympy_eval(sympy.quo(mu_poly, f), m).is_zero_matrix, (a, f)
         assert derogatory >= 30
+
+
+def _power_search(a):
+    """The full vec(A^k) dependency search, called directly."""
+    return _first_dependency(_power_vectors(a), a.d + 1)
+
+
+def _krylov_search(a):
+    """mu_v for min_poly's start vector v = (1, 2, ..., d)."""
+    return _first_dependency(_krylov_vectors(a), a.d + 1)
+
+
+def _eigenvector_start(d, seed):
+    """A random matrix with its first column changed so that A v = v for
+    v = (1, ..., d): A = R - (R v - v) e_1^T."""
+    rng = random.Random(seed)
+    a = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
+    for i, row in enumerate(a):
+        row[0] -= sum(x * (j + 1) for j, x in enumerate(row)) - (i + 1)
+    return IntMatrix(a)
+
+
+class TestMinPolyPaths:
+    """min_poly's two paths: mu_v of one Krylov sequence, proved equal to mu
+    when its degree is d, and the full vec(A^k) search otherwise."""
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_eigenvector_start_falls_back_to_char_poly(self, d):
+        # non-derogatory, but v is an eigenvector: mu_v = x - 1, so the
+        # fallback must still find mu = chi
+        a = _eigenvector_start(d, seed=d)
+        assert a.apply(range(1, d + 1)) == tuple(range(1, d + 1))
+        assert _krylov_search(a) == IntPoly([-1, 1])
+        assert min_poly(a) == _char_poly(a)
+        assert min_poly(a).degree == d
+
+    @pytest.mark.parametrize(
+        "entries, mu, krylov_degree",
+        [
+            ([[5, 0, 0, 0], [0, 5, 0, 0], [0, 0, 5, 0], [0, 0, 0, 5]], [-5, 1], 1),
+            ([[0] * 3] * 3, [0, 1], 1),
+            ([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]], [0, 0, 0, 0, 1], 4),
+            ([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]], [0, 0, 1], 2),
+            ([[2, 1, 0], [0, 2, 0], [0, 0, 2]], [4, -4, 1], 2),
+            ([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], [1, 0, 1], 2),
+        ],
+        ids=["scalar", "zero", "nilpotent-jordan", "nilpotent-derogatory",
+             "derogatory-jordan", "derogatory-rotations"],
+    )
+    def test_scalar_nilpotent_derogatory(self, entries, mu, krylov_degree):
+        a = IntMatrix(entries)
+        assert _krylov_search(a).degree == krylov_degree
+        assert min_poly(a) == IntPoly(mu)
+        assert _power_search(a) == IntPoly(mu)
+
+    @settings(max_examples=60)
+    @given(st.randoms(use_true_random=False), st.integers(0, 2))
+    def test_equals_power_search(self, rng, kind):
+        a = _random_test_matrix(rng, derogatory=kind == 0)
+        assert min_poly(a) == _power_search(a)
+
+    @pytest.mark.parametrize("d, lo, hi", [(2, -2, 2), (3, 0, 1), (3, -1, 0)])
+    def test_equals_power_search_on_box(self, d, lo, hi):
+        for combo in product(range(lo, hi + 1), repeat=d * d):
+            a = IntMatrix([combo[i * d:(i + 1) * d] for i in range(d)])
+            assert min_poly(a) == _power_search(a), a
 
 
 def _sympy_eval(poly, m):
