@@ -52,6 +52,7 @@ from .tameness import (
     decide_cascade,
     decide_semicascade,
     oracle_semicascade,
+    oracle_semicascade_batch,
     order_bound,
     order_of_x_mod,
 )
@@ -115,6 +116,7 @@ __all__ = [
     "decide_semicascade",
     "decide_cascade",
     "oracle_semicascade",
+    "oracle_semicascade_batch",
     "certificate_check",
     # dynamics
     "AffineMap",

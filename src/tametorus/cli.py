@@ -19,12 +19,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from typing import Callable
 
 import numpy as np
@@ -46,7 +47,8 @@ from .tameness import (
     certificate_check,
     decide_cascade,
     decide_semicascade,
-    oracle_semicascade,
+    oracle_semicascade,  # noqa: F401  (perfbench's tracer wraps cli.oracle_semicascade)
+    oracle_semicascade_batch,
 )
 
 __all__ = ["JobSpec", "Report", "parse_input", "run", "emit", "parse_report", "main"]
@@ -55,12 +57,25 @@ TOOL_NAME = "tametorus"
 
 MAX_SWEEP_ENTRIES = 1_000_000
 
+# Matrices per batched oracle call in sweep; at d = 4 their int64 powers
+# take (4 + s_max(4) + 1) * 1024 * 16 * 8 bytes, about 2.2 MB.
+_SWEEP_CHUNK = 1024
+
 # Largest d that semicascade, cascade and certify accept. At d = 32 the
 # slowest measured family, a dense matrix whose min_poly start vector is an
 # eigenvector (the full vec(A^k) search), takes ~4 s of CLI wall time per
 # job; at d = 36 it takes ~10 s and at d = 40 ~27 s (BENCH_9.json).
 MAX_DECIDE_DIMENSION = 32
-_DIMENSION_CAPPED = ("semicascade", "cascade", "certify")
+# Largest d for which a sweep box of two values per entry, 2^(d*d)
+# matrices, fits MAX_SWEEP_ENTRIES. Beyond it only a one-value box fits,
+# and semicascade answers that single matrix.
+MAX_SWEEP_DIMENSION = math.isqrt(MAX_SWEEP_ENTRIES.bit_length() - 1)
+_DIMENSION_CAPS = {
+    "semicascade": MAX_DECIDE_DIMENSION,
+    "cascade": MAX_DECIDE_DIMENSION,
+    "certify": MAX_DECIDE_DIMENSION,
+    "sweep": MAX_SWEEP_DIMENSION,
+}
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+/[1-9]\d*$")
 _RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
@@ -153,7 +168,7 @@ def parse_input(text: str, command: str = "semicascade", options: dict | None = 
     DimensionInputError when A is not d x d or vectors have the wrong
     length, NonIntegerInputError when matrix entries are not integers,
     and CapExceededError when a semicascade, cascade or certify job has
-    d > MAX_DECIDE_DIMENSION.
+    d > MAX_DECIDE_DIMENSION or a sweep job d > MAX_SWEEP_DIMENSION.
     """
     try:
         data = json.loads(text)
@@ -170,10 +185,9 @@ def parse_input(text: str, command: str = "semicascade", options: dict | None = 
     d = _require_int(data.get("d", 2), "d")
     if d < 1:
         raise MalformedInputError("d must be >= 1")
-    if command in _DIMENSION_CAPPED and d > MAX_DECIDE_DIMENSION:
-        raise CapExceededError(
-            "d = %d exceeds the cap of %d for %s" % (d, MAX_DECIDE_DIMENSION, command)
-        )
+    cap = _DIMENSION_CAPS.get(command)
+    if cap is not None and d > cap:
+        raise CapExceededError("d = %d exceeds the cap of %d for %s" % (d, cap, command))
     payload: dict = {"d": d}
     if command == "sweep":
         return JobSpec(command=command, input=data, options=dict(options or {}), payload=payload)
@@ -354,25 +368,26 @@ def _result_sweep(job: JobSpec) -> dict:
     entries = []
     tame = 0
     all_agree = True
-    for combo in product(range(lo, hi + 1), repeat=d * d):
-        a = IntMatrix([combo[i * d : (i + 1) * d] for i in range(d)])
-        cert = decide_semicascade(a)
-        verdict, pair = oracle_semicascade(a)
-        agree = cert.verdict == verdict and (
-            cert.verdict != TAME or cert.minimal_pair == pair
-        )
-        all_agree = all_agree and agree
-        tame += cert.verdict == TAME
-        entries.append(
-            {
-                "A": a.to_lists(),
-                "verdict": cert.verdict,
-                "minimal_pair": list(cert.minimal_pair) if cert.minimal_pair else None,
-                "oracle_verdict": verdict,
-                "oracle_pair": list(pair) if pair else None,
-                "agree": agree,
-            }
-        )
+    combos = product(range(lo, hi + 1), repeat=d * d)
+    while chunk := [IntMatrix([combo[i * d : (i + 1) * d] for i in range(d)])
+                    for combo in islice(combos, _SWEEP_CHUNK)]:
+        for a, (verdict, pair) in zip(chunk, oracle_semicascade_batch(chunk)):
+            cert = decide_semicascade(a)
+            agree = cert.verdict == verdict and (
+                cert.verdict != TAME or cert.minimal_pair == pair
+            )
+            all_agree = all_agree and agree
+            tame += cert.verdict == TAME
+            entries.append(
+                {
+                    "A": a.to_lists(),
+                    "verdict": cert.verdict,
+                    "minimal_pair": list(cert.minimal_pair) if cert.minimal_pair else None,
+                    "oracle_verdict": verdict,
+                    "oracle_pair": list(pair) if pair else None,
+                    "agree": agree,
+                }
+            )
     return {
         "exact": {
             "d": d,
@@ -571,11 +586,19 @@ def _job_from_args(args) -> JobSpec:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        text = emit(run(_job_from_args(args)), args.format)
+        text, code = emit(run(_job_from_args(args)), args.format), 0
     except TameTorusError as exc:
         error = {"error": {"code": exc.code, "message": str(exc)}}
         report = Report(command=args.command, input={}, options={}, result=error, timing_ms=0.0)
-        print(emit(report, args.format))
-        return exc.exit_code
-    print(text)
-    return 0
+        text, code = emit(report, args.format), exc.exit_code
+    try:
+        print(text)
+    except BrokenPipeError:
+        # The reader closed stdout (as `tametorus sweep | head -2` does).
+        # Point stdout at devnull so the interpreter's final flush of what
+        # is still buffered stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code

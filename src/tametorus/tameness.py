@@ -15,13 +15,14 @@ polynomials, without any polynomial factorization:
 
 which yields the least pair (k, k+s) respectively the least order m = s.
 A certificate re-checker makes every verdict self-validating; an
-independent brute-force oracle (exact power enumeration) backs sweep and
-the tests.
+independent brute-force oracle (exact power enumeration, batched in int64
+under a proven overflow bound for sweep) backs sweep and the tests.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,6 +46,7 @@ __all__ = [
     "decide_semicascade",
     "decide_cascade",
     "oracle_semicascade",
+    "oracle_semicascade_batch",
     "certificate_check",
 ]
 
@@ -406,6 +408,72 @@ def oracle_semicascade(a: IntMatrix):
         seen[key] = n
         power = mat_mul(power, a)
     return UNTAME, None
+
+
+_INT64_MAX = 2 ** 63 - 1
+
+
+def oracle_semicascade_batch(matrices: Sequence[IntMatrix]) -> list:
+    """oracle_semicascade for each of a chunk of d x d matrices, in order.
+
+    Let Q = d + s_max(d) and ||A|| the maximum absolute row sum. A matrix
+    with ||A||^Q <= 2^63 - 1 (checked on Python ints, before any numpy
+    conversion) has A^0..A^Q enumerated in int64 numpy products, and no
+    value formed on the way overflows:
+      1. No entry of a matrix exceeds its norm, and ||.|| is
+         submultiplicative, so every entry of A^k is bounded by
+         ||A^k|| <= ||A||^k (and A^0 = I by 1).
+      2. Every partial sum of (A^k A)_ij = sum_l (A^k)_il a_lj is bounded
+         by the sum of the absolute values of its terms, which is at most
+         ||A^k|| * max |a_lj| <= ||A||^k * ||A|| = ||A||^(k+1).
+      3. So for k + 1 <= Q every value, in whatever order numpy
+         accumulates, is at most max(1, ||A||)^Q <= 2^63 - 1 in absolute
+         value: int64 computes the same powers as bigints.
+    Every other matrix goes through oracle_semicascade unchanged.
+
+    The int64 powers are stacked as (Q + 1, n, d*d); for each matrix the
+    first power index q equal to an earlier index p gives the pair (p, q).
+    The powers before the first repetition are distinct, so p is unique.
+    """
+    results: list = [None] * len(matrices)
+    if not matrices:
+        return results
+    d = matrices[0].d
+    if any(a.d != d for a in matrices):
+        raise ValueError("a batch needs matrices of one dimension")
+    limit = d + order_bound(d).s_max
+    fast = []
+    for i, a in enumerate(matrices):
+        norm = max(sum(map(abs, row)) for row in a.entries)
+        if norm ** limit <= _INT64_MAX:
+            fast.append(i)
+        else:
+            results[i] = oracle_semicascade(a)
+    if not fast:
+        return results
+
+    import numpy as np
+
+    n = len(fast)
+    a = np.array([matrices[i].entries for i in fast], dtype=np.int64)
+    powers = np.empty((limit + 1, n, d * d), dtype=np.int64)
+    powers[0] = np.eye(d, dtype=np.int64).reshape(d * d)
+    power = a
+    powers[1] = power.reshape(n, d * d)
+    for q in range(2, limit + 1):
+        power = power @ a
+        powers[q] = power.reshape(n, d * d)
+
+    first_p = np.full(n, -1)
+    first_q = np.full(n, -1)
+    for q in range(1, limit + 1):
+        equal = (powers[:q] == powers[q]).all(axis=2)
+        hit = (first_q < 0) & equal.any(axis=0)
+        first_p[hit] = equal.argmax(axis=0)[hit]
+        first_q[hit] = q
+    for i, p, q in zip(fast, first_p.tolist(), first_q.tolist()):
+        results[i] = (TAME, (p, q)) if q >= 0 else (UNTAME, None)
+    return results
 
 
 def _has_index_and_period(a: IntMatrix, k: int, s: int) -> bool:

@@ -1,14 +1,20 @@
+import errno
+import io
 import json
+import os
 import re
 import subprocess
 import sys
 
 import pytest
 
+import tametorus.cli
 import tametorus.tameness
 from tametorus import __version__, order_bound
 from tametorus.cli import (
     MAX_DECIDE_DIMENSION,
+    MAX_SWEEP_DIMENSION,
+    MAX_SWEEP_ENTRIES,
     JobSpec,
     Report,
     emit,
@@ -211,6 +217,78 @@ class TestMainExitCodes:
         assert error["code"] == "CAP_EXCEEDED"
         assert error["message"] == "d = %d exceeds the cap of %d for %s" % (
             d, MAX_DECIDE_DIMENSION, command)
+
+    def test_sweep_dimension_beyond_cap_is_4_before_any_work(self, capsys, tmp_path,
+                                                               monkeypatch):
+        def no_work(a):
+            raise AssertionError("a sweep beyond the dimension cap did work")
+
+        monkeypatch.setattr(tametorus.tameness, "min_poly", no_work)
+        monkeypatch.setattr(tametorus.cli, "oracle_semicascade_batch", no_work)
+        assert MAX_SWEEP_DIMENSION == 4
+        assert 2 ** (MAX_SWEEP_DIMENSION ** 2) <= MAX_SWEEP_ENTRIES
+        assert 2 ** ((MAX_SWEEP_DIMENSION + 1) ** 2) > MAX_SWEEP_ENTRIES
+        path = tmp_path / "job.json"
+        for d in (MAX_SWEEP_DIMENSION + 1, 20):
+            path.write_text(json.dumps({"d": d}))
+            code, out = run_cli(["sweep", "--range=1..1", "--input", str(path)], capsys)
+            assert code == 4
+            error = json.loads(out)["result"]["error"]
+            assert error == {"code": "CAP_EXCEEDED",
+                             "message": "d = %d exceeds the cap of 4 for sweep" % d}
+
+    def test_sweep_dimension_cap_is_inclusive(self, capsys, tmp_path):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"d": MAX_SWEEP_DIMENSION}))
+        code, out = run_cli(["sweep", "--range=1..1", "--input", str(path)], capsys)
+        assert code == 0
+        exact = json.loads(out)["result"]["exact"]
+        assert exact["total"] == 1 and exact["all_agree"] is True
+
+    def test_sweep_beyond_int64_guard_is_untame(self, capsys, tmp_path):
+        # 2^32 fails the int64 guard at d = 1 and goes to the bigint oracle
+        path = tmp_path / "job.json"
+        path.write_text('{"d":1}')
+        code, out = run_cli(
+            ["sweep", "--range=4294967296..4294967296", "--input", str(path)], capsys)
+        assert code == 0
+        exact = json.loads(out)["result"]["exact"]
+        assert exact["untame_count"] == 1 and exact["all_agree"] is True
+        assert exact["entries"][0]["oracle_verdict"] == "UNTAME"
+
+    def test_closed_stdout_exits_1(self, capsys, monkeypatch):
+        read_end, write_end = os.pipe()
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+            def fileno(self):
+                return write_end
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        try:
+            assert main(["sweep", "--range=0..1"]) == 1
+            # stdout's descriptor now points at devnull: a final flush is quiet
+            assert os.write(write_end, b"rest") == 4
+            os.close(write_end)
+            assert os.read(read_end, 16) == b""
+        finally:
+            os.close(read_end)
+
+    def test_process_closed_stdout_has_no_traceback(self, tmp_path):
+        # a d=3 box prints ~230 KB, more than a pipe buffers
+        path = tmp_path / "job.json"
+        path.write_text('{"d":3}')
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tametorus", "sweep", "--range=0..1", "--input", str(path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert err == b""
 
     def test_dimension_cap_is_inclusive_and_only_for_deciders(self):
         d = MAX_DECIDE_DIMENSION

@@ -2,8 +2,10 @@ import math
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
+import tametorus.tameness
 from tametorus import (
     CASCADE,
     NON_SQUAREFREE,
@@ -25,6 +27,7 @@ from tametorus import (
     mat_pow,
     min_poly,
     oracle_semicascade,
+    oracle_semicascade_batch,
     order_bound,
     order_of_x_mod,
     poly_divmod,
@@ -369,14 +372,72 @@ class TestOracle:
 
     def test_exhaustive_agreement_d3(self):
         # all 19,683 3x3 matrices with entries in {-1, 0, 1}
+        matrices = [IntMatrix([c[:3], c[3:6], c[6:]]) for c in product((-1, 0, 1), repeat=9)]
+        batched = [result for i in range(0, len(matrices), 2048)
+                   for result in oracle_semicascade_batch(matrices[i : i + 2048])]
         tame = 0
-        for combo in product((-1, 0, 1), repeat=9):
-            a = IntMatrix([combo[:3], combo[3:6], combo[6:]])
+        for a, batch_result in zip(matrices, batched, strict=True):
             cert = decide_semicascade(a)
             verdict, pair = oracle_semicascade(a)
             assert (cert.verdict, cert.minimal_pair) == (verdict, pair), a
+            assert batch_result == (verdict, pair), a
             tame += verdict == TAME
         assert tame == 5383
+
+    def test_batch_equals_bigint_oracle_d4_sample(self):
+        rng = random.Random(4)
+        matrices = [IntMatrix([[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)])
+                    for _ in range(2000)]
+        assert oracle_semicascade_batch(matrices) == [oracle_semicascade(a) for a in matrices]
+        assert oracle_semicascade_batch([]) == []
+
+    @staticmethod
+    def _record_fallback(monkeypatch):
+        calls = []
+
+        def recording(a):
+            calls.append(a)
+            return oracle_semicascade(a)
+
+        monkeypatch.setattr(tametorus.tameness, "oracle_semicascade", recording)
+        return calls
+
+    def test_batch_guard_boundary_d1(self, monkeypatch):
+        # d = 1: Q = 1 + s_max(1) = 3, so the int64 path needs |a|^3 <= 2^63 - 1
+        assert 1 + order_bound(1).s_max == 3
+        calls = self._record_fallback(monkeypatch)
+        inside, outside = IntMatrix([[2 ** 21 - 1]]), IntMatrix([[2 ** 21]])
+        assert oracle_semicascade_batch([inside]) == [oracle_semicascade(inside)]
+        assert calls == []
+        assert oracle_semicascade_batch([outside]) == [oracle_semicascade(outside)]
+        assert calls == [outside]
+
+    def test_batch_guard_keeps_wrapping_values_out_of_int64(self):
+        # Unguarded, int64 wraps (2^32)^2 to 0 and A^2 = A^3 would read as TAME (2, 3).
+        wide = np.array([[2 ** 32]], dtype=np.int64)
+        assert (wide @ wide)[0, 0] == 0
+        assert oracle_semicascade_batch([IntMatrix([[2 ** 32]])]) == [(UNTAME, None)]
+
+    def test_batch_mixed_guard_keeps_input_order(self, monkeypatch):
+        big = 2 ** 40
+        wide = [IntMatrix([[1, big], [0, 0]]),    # idempotent: TAME (1, 2)
+                IntMatrix([[0, big], [0, 0]]),    # nilpotent: TAME (2, 3)
+                IntMatrix([[1, big], [0, 1]]),    # shear: UNTAME
+                IntMatrix([[0, -big], [1, 0]])]   # A^2 = -big I: UNTAME
+        small = [IntMatrix([c[:2], c[2:]]) for c in product((-1, 0, 1), repeat=4)]
+        rng = random.Random(5)
+        matrices = small + wide * 3
+        rng.shuffle(matrices)
+        expected = [oracle_semicascade(a) for a in matrices]
+        calls = self._record_fallback(monkeypatch)
+        assert oracle_semicascade_batch(matrices) == expected
+        assert calls == [a for a in matrices if a in wide]
+        assert {result for a, result in zip(matrices, expected) if a in wide} == {
+            (TAME, (1, 2)), (TAME, (2, 3)), (UNTAME, None)}
+
+    def test_batch_rejects_mixed_dimensions(self):
+        with pytest.raises(ValueError):
+            oracle_semicascade_batch([IntMatrix([[1]]), IntMatrix([[1, 0], [0, 1]])])
 
     def test_exhaustive_agreement_small_range(self):
         for combo in product((-1, 0, 1), repeat=4):
