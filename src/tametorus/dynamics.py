@@ -32,6 +32,7 @@ __all__ = [
     "convergence_probe",
     "independence_check",
     "exp_grid_average",
+    "float_array",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -41,6 +42,15 @@ TWO_PI = 2.0 * math.pi
 GRID_POINT_CAP = 32 ** 3
 
 MAX_INDEPENDENCE_FUNCTIONS = 12
+
+
+def float_array(values, what: str) -> np.ndarray:
+    """Integer entries as a float64 array; CapExceededError when one is
+    beyond double range (about 1.8e308), where float() overflows."""
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError as exc:
+        raise CapExceededError("%s has an entry beyond double range" % what) from exc
 
 
 def reduce_angles(x) -> np.ndarray:
@@ -85,7 +95,8 @@ class AffineMap:
     """Affine self-map x -> Ax + b of the d-torus.
 
     A is an exact integer matrix; b is a translation vector of angles,
-    reduced into [0, 2*pi). Applications run in double precision.
+    reduced into [0, 2*pi). Applications run in double precision, so an
+    entry of A beyond double range raises CapExceededError.
     """
 
     def __init__(self, a: IntMatrix, b=None):
@@ -98,7 +109,7 @@ class AffineMap:
                 "translation of shape %s does not match dimension %d" % (b.shape, a.d)
             )
         self.b = reduce_angles(b)
-        self._a_float = np.array(a.entries, dtype=float)
+        self._a_float = float_array(a.entries, "A")
 
     @property
     def d(self) -> int:
@@ -184,7 +195,9 @@ def convergence_probe(phi: AffineMap, indices: Sequence[int], grid: np.ndarray, 
     emit the longest run whose consecutive translations are within tol in
     the torus sup-metric (ties: earliest run). Returns the run's indices
     in ascending order together with the worst observed deviation between
-    consecutive images over the whole grid.
+    consecutive images over the whole grid. The chain's A^n is applied in
+    double precision, so an entry of it beyond double range raises
+    CapExceededError.
 
     When the linear part generates a finite power semigroup, a group of
     size >= 2 exists by pigeonhole once enough indices are supplied, so
@@ -233,7 +246,7 @@ def convergence_probe(phi: AffineMap, indices: Sequence[int], grid: np.ndarray, 
     chain = [n for _, n in keyed[best_start : best_start + best_len]]
 
     max_dev = 0.0
-    mat = np.array(powers[chain[0]].entries, dtype=float)
+    mat = float_array(powers[chain[0]].entries, "A^%d" % chain[0])
     images = [reduce_angles(grid @ mat.T + translations[n]) for n in chain]
     for prev, cur in zip(images, images[1:]):
         delta = np.mod(prev - cur, TWO_PI)

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .dynamics import torus_grid
+from .dynamics import float_array, torus_grid
 from .errors import CapExceededError, MalformedInputError, StreamExhaustedError
 
 __all__ = [
@@ -154,7 +154,8 @@ def estimate_sidon_ratio(
     grid max understates the true sup-norm, so individual ratios can
     overestimate; this is a diagnostic, not a certified constant.
     Per-trial generators are seeded with (seed, trial), making the result
-    bit-reproducible and the trial set extendable.
+    bit-reproducible and the trial set extendable. A component beyond
+    double range raises CapExceededError before the grid is built.
     """
     vs = [tuple(operator.index(c) for c in v) for v in vectors]
     if not vs:
@@ -165,9 +166,9 @@ def estimate_sidon_ratio(
         raise ValueError("trials must be >= 1")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    d = len(vs[0])
-    grid = torus_grid(d, grid_per_axis)
-    basis = np.exp(1j * (grid @ np.array(vs, dtype=float).T))  # (npoints, k)
+    freqs = float_array(vs, "frequency vector")
+    grid = torus_grid(len(vs[0]), grid_per_axis)
+    basis = np.exp(1j * (grid @ freqs.T))  # (npoints, k)
     k = len(vs)
     best = 0.0
     for t in range(trials):

@@ -7,13 +7,15 @@ A^m = I for some m >= 1. Both conditions are decided here on integer
 polynomials, without any polynomial factorization:
 
   1. compute the minimal polynomial mu of A and split mu = x^k * g,
-  2. g must be squarefree (gcd(g, g') constant), otherwise untame,
-  3. g must divide x^s - 1 for some s, i.e. x must have finite
-     multiplicative order modulo g: by Kronecker, g is then a product of
-     distinct cyclotomic polynomials Phi_n, found by exact trial division,
-     and the order is their lcm, at most s_max(d),
+  2. A is tame exactly when g divides x^s - 1 for some s, i.e. x has
+     finite multiplicative order modulo g: by Kronecker, g is then a
+     product of distinct cyclotomic polynomials Phi_n, found by exact
+     trial division, and the order is their lcm, at most s_max(d),
 
 which yields the least pair (k, k+s) respectively the least order m = s.
+This one derivation, _index_and_order, backs the deciders and every
+certificate check. For an untame A, a gcd(g, g') test only names the
+witness: a repeated factor of g, or else the exhausted order bound.
 A certificate re-checker makes every verdict self-validating; an
 independent brute-force oracle (exact power enumeration, batched in int64
 under a proven overflow bound for sweep) backs sweep and the tests.
@@ -307,44 +309,41 @@ def order_of_x_mod(g: IntPoly, s_max: int):
     return None
 
 
-def _semicascade_certificate(a: IntMatrix) -> TamenessCertificate:
-    mu = min_poly(a)
-    k, g = strip_x_factor(mu)
-    table = order_bound(a.d)
-    if g.degree == 0:
-        # Nilpotent linear part: A^k = A^{k+1} = 0; period 1 by convention.
-        return TamenessCertificate(
-            verdict=TAME,
-            kind=SEMICASCADE,
-            index_k=k,
-            period_s=1,
-            minimal_pair=(k, k + 1),
-        )
+def _index_and_order(a: IntMatrix) -> tuple[int, IntPoly, int | None]:
+    """The decision: mu = x^k * g with g(0) != 0, and the order s of x
+    modulo g, the least s <= s_max(d) with g | x^s - 1.
+
+    s is None exactly when A is untame (see certificate_check); g = 1, a
+    nilpotent A, gives s = 1. For a tame A, (k, k + s) is the least pair.
+    """
+    k, g = strip_x_factor(min_poly(a))
+    return k, g, order_of_x_mod(g, order_bound(a.d).s_max)
+
+
+def _untame_witness(g: IntPoly, d: int) -> UntameWitness:
+    """Name why x has no order modulo g. Only a product of distinct Phi_n
+    has one, so a squarefree g has exhausted the order bound."""
     if poly_gcd(g, g.derivative()).degree != 0:
-        witness = UntameWitness(
+        return UntameWitness(
             reason=NON_SQUAREFREE,
             stripped_min_poly=g,
             detail="x-stripped minimal polynomial %s has a repeated factor; "
             "a divisor of the squarefree x^s - 1 cannot" % g,
         )
-        return TamenessCertificate(verdict=UNTAME, kind=SEMICASCADE, witness=witness)
-    s = order_of_x_mod(g, table.s_max)
-    if s is None:
-        witness = UntameWitness(
-            reason=ORDER_BOUND_EXHAUSTED,
-            stripped_min_poly=g,
-            s_max=table.s_max,
-            detail="x^s mod %s != 1 for all 1 <= s <= %d, the complete order "
-            "bound for dimension %d" % (g, table.s_max, a.d),
-        )
-        return TamenessCertificate(verdict=UNTAME, kind=SEMICASCADE, witness=witness)
-    return TamenessCertificate(
-        verdict=TAME,
-        kind=SEMICASCADE,
-        index_k=k,
-        period_s=s,
-        minimal_pair=(k, k + s),
+    s_max = order_bound(d).s_max
+    return UntameWitness(
+        reason=ORDER_BOUND_EXHAUSTED,
+        stripped_min_poly=g,
+        s_max=s_max,
+        detail="x^s mod %s != 1 for all 1 <= s <= %d, the complete order "
+        "bound for dimension %d" % (g, s_max, d),
     )
+
+
+def _self_checked(a: IntMatrix, cert: TamenessCertificate, k: int, s: int) -> TamenessCertificate:
+    if not _has_index_and_period(a, k, s):
+        raise AssertionError("internal error: certificate failed self-check: %r" % (cert,))
+    return cert
 
 
 def decide_semicascade(a: IntMatrix) -> TamenessCertificate:
@@ -357,10 +356,14 @@ def decide_semicascade(a: IntMatrix) -> TamenessCertificate:
     modulo the x-stripped part; they are re-verified against exact matrix
     powers (the power proof of certificate_check) before being returned.
     """
-    cert = _semicascade_certificate(a)
-    if cert.verdict == TAME and not _has_index_and_period(a, cert.index_k, cert.period_s):
-        raise AssertionError("internal error: certificate failed self-check: %r" % (cert,))
-    return cert
+    k, g, s = _index_and_order(a)
+    if s is None:
+        witness = _untame_witness(g, a.d)
+        return TamenessCertificate(verdict=UNTAME, kind=SEMICASCADE, witness=witness)
+    cert = TamenessCertificate(
+        verdict=TAME, kind=SEMICASCADE, index_k=k, period_s=s, minimal_pair=(k, k + s)
+    )
+    return _self_checked(a, cert, k, s)
 
 
 def decide_cascade(a: IntMatrix) -> TamenessCertificate:
@@ -373,20 +376,14 @@ def decide_cascade(a: IntMatrix) -> TamenessCertificate:
     det = abs(a.det())
     if det != 1:
         raise DeterminantNotUnitError("cascade undefined: |det A| = %d, need 1" % det)
-    semi = _semicascade_certificate(a)
-    if semi.verdict == UNTAME:
-        return TamenessCertificate(verdict=UNTAME, kind=CASCADE, witness=semi.witness)
+    _, g, s = _index_and_order(a)
+    if s is None:
+        witness = _untame_witness(g, a.d)
+        return TamenessCertificate(verdict=UNTAME, kind=CASCADE, witness=witness)
     # |det A| = 1, so x does not divide the minimal polynomial and the
     # index is 0; the self-check below would catch a violation.
-    cert = TamenessCertificate(
-        verdict=TAME,
-        kind=CASCADE,
-        period_s=semi.period_s,
-        minimal_order_m=semi.period_s,
-    )
-    if not _has_index_and_period(a, 0, cert.minimal_order_m):
-        raise AssertionError("internal error: certificate failed self-check: %r" % (cert,))
-    return cert
+    cert = TamenessCertificate(verdict=TAME, kind=CASCADE, period_s=s, minimal_order_m=s)
+    return _self_checked(a, cert, 0, s)
 
 
 def oracle_semicascade(a: IntMatrix):
@@ -494,112 +491,103 @@ def _has_index_and_period(a: IntMatrix, k: int, s: int) -> bool:
 def certificate_check(a: IntMatrix, cert: TamenessCertificate) -> bool:
     """Re-verify every claim in a certificate by exact computation.
 
-    A TAME claim is proved by the cyclic-monoid argument: the powers of A
-    have a unique index k and period s (A^i = A^j for i < j exactly when
-    i >= k and s | j - i), and the least pair (p, q) with A^p = A^q is
-    (k, k + s). A semicascade pair (k, k + s) therefore holds and is
-    minimal exactly when A^k = A^{k+s}, A^{k-1} != A^{k-1+s} if k > 0, and
-    A^{k+s/r} != A^k for every prime r | s; a cascade order m exactly when
-    A^m = I and A^{m/r} != I for every prime r | m. Each power comes from
-    binary exponentiation, so a claim costs O(log q) matrix products per
-    prime of s instead of q products and a quadratic scan.
+    Every claim is compared with one derivation, _index_and_order: the
+    minimal polynomial mu = x^k * g (g(0) != 0) and the order s of x
+    modulo g, the least s <= s_max(d) with g | x^s - 1, or None.
+      1. For i < j, A^i = A^j exactly when mu divides x^i (x^(j-i) - 1),
+         exactly when i >= k and g divides x^(j-i) - 1 (g and x^t - 1 are
+         coprime to x), exactly when i >= k and x has an order modulo g
+         dividing j - i. So the powers of A repeat exactly when x has an
+         order modulo g, and the least pair with A^p = A^q is then
+         (k, k + order): the powers have the unique index k and period
+         the order (the cyclic-monoid argument).
+      2. That order is at most s_max(d): g then divides x^t - 1 =
+         prod_{n | t} Phi_n (distinct irreducibles), so g is a product of
+         distinct Phi_n whose degrees phi(n) sum to deg g <= d, and the
+         order is their lcm (OrderBoundTable). So s is None exactly when A
+         is untame, and otherwise (k, k + s) is the least pair, with
+         k <= d and s <= s_max(d).
 
-    A finite power semigroup has index at most d and period at most
-    s_max(d), so a claim with q > d + s_max(d), or m > s_max(d), is
-    rejected before any power is computed. So is a claim on an untame A
-    (x has no order <= s_max(d) modulo g, step 2 below): the power proof
-    accepts only a tame A, so this changes no verdict, but it keeps a
-    false claim from raising an untame A to a power near s_max.
+    A TAME claim states a pair (p, q): a SEMICASCADE one its minimal_pair,
+    with index_k = p and period_s = q - p, and a CASCADE one of order m the
+    pair (0, m), with period_s = m, since A^m = I is A^0 = A^m. The claim
+    is accepted exactly when 0 <= p < q <= d + s_max(d), (p, q) = (k, k + s)
+    and the power proof passes: A^k = A^{k+s}, A^{k-1} != A^{k-1+s} if
+    k > 0, and A^{k+s/r} != A^k for every prime r | s. By 1 the power
+    proof alone accepts exactly the least pair of a tame A, which by 2 is
+    the derived pair and lies within the bound; so the bound, checked
+    before mu, and the comparison, made before any power, change no
+    verdict. They keep a false claim from raising A, perhaps untame, to a
+    power near s_max. Each power comes from binary exponentiation, so a
+    claim costs O(log q) matrix products per prime of s instead of q
+    products and a quadratic scan.
 
     An UNTAME claim needs a witness and a known kind, and a CASCADE one
     |det A| = 1 (a TAME one implies it through A^m = I). Beyond that it is
-    accepted exactly when the witness re-derives from mu = x^k * g (g(0)
-    != 0) and x has no order <= s_max(d) modulo g. This accepts exactly
-    the claims that the exhaustive check (oracle_semicascade reports
-    UNTAME and the witness re-derives) accepts:
-      1. The oracle reports UNTAME exactly when A^0..A^{d+s_max} hold no
-         repetition, exactly when A is untame: a finite power semigroup
-         has index at most d and period at most s_max(d), so its first
-         repetition lies within that range.
-      2. A is untame exactly when x has no order <= s_max modulo g. If
-         A^k' = A^{k'+s}, mu divides x^k' (x^s - 1), so g, being coprime
-         to x, divides x^s - 1 and x has order at most s modulo g; that
-         order is at most s_max(d), since a squarefree divisor of x^s - 1
-         of degree <= d is a product of distinct Phi_n with sum phi(n) <= d
-         (OrderBoundTable). Conversely, if g divides x^s - 1, mu divides
-         x^k (x^s - 1) and A^k = A^{k+s}.
-      3. So the two accept sets agree on every claim.
-    A re-derived NON_SQUAREFREE witness already rules out an order (any
-    divisor of the squarefree x^s - 1 is squarefree), and a re-derived
-    ORDER_BOUND_EXHAUSTED witness is the statement itself; only a
-    ZERO_EIGENVALUE witness (k > 0) needs the order search on top. For a
-    CASCADE claim the two kinds coincide: |det A| = 1 makes A^p = A^q
-    imply A^{q-p} = I, so the cascade is untame exactly when the
+    accepted exactly when s is None and the witness re-derives from mu:
+    ZERO_EIGENVALUE when k > 0, NON_SQUAREFREE when the claimed g is the
+    x-stripped part and has a repeated factor, ORDER_BOUND_EXHAUSTED when
+    it is and the claimed s_max is s_max(d). This accepts exactly the
+    claims that the exhaustive check (oracle_semicascade reports UNTAME and
+    the witness re-derives) accepts: the oracle enumerates A^0..A^{d+s_max}
+    and reports UNTAME exactly when they hold no repetition, which by 2 is
+    exactly when A is untame, that is when s is None. A re-derived
+    NON_SQUAREFREE witness already implies s is None (any divisor of the
+    squarefree x^s - 1 is squarefree), and an ORDER_BOUND_EXHAUSTED one
+    is the statement itself; only a ZERO_EIGENVALUE one needs s on top.
+    For a CASCADE claim the two kinds coincide: |det A| = 1 makes
+    A^p = A^q imply A^{q-p} = I, so the cascade is untame exactly when the
     semicascade is. No power of A is computed for an UNTAME claim.
 
     An ORDER_BOUND_EXHAUSTED witness states x^s mod g != 1 for every
     1 <= s <= s_max, and it holds exactly when order_of_x_mod, which uses
     Kronecker's criterion instead of the residues, returns None: g divides
-    x^s - 1 = prod_{n | s} Phi_n (distinct irreducibles) exactly when g is
-    prod_{n in S} Phi_n for some set S of divisors of s, so the least such
-    s is lcm S, which order_of_x_mod returns when it is at most s_max.
+    x^s - 1 = prod_{n | s} Phi_n exactly when g is prod_{n in S} Phi_n for
+    some set S of divisors of s, so the least such s is lcm S, which
+    order_of_x_mod returns when it is at most s_max.
     """
-    if cert.verdict == TAME and cert.kind == SEMICASCADE:
-        if cert.minimal_pair is None or cert.witness is not None:
+    if cert.verdict == TAME:
+        pair = _claimed_pair(cert)
+        if pair is None or not 0 <= pair[0] < pair[1] <= a.d + order_bound(a.d).s_max:
             return False
-        if cert.minimal_order_m is not None:
-            return False
-        p, q = cert.minimal_pair
-        if not (0 <= p < q):
-            return False
-        if cert.index_k != p or cert.period_s != q - p:
-            return False
-        if q > a.d + order_bound(a.d).s_max:
-            return False
-        return _is_tame(a) and _has_index_and_period(a, p, q - p)
-
-    if cert.verdict == TAME and cert.kind == CASCADE:
-        m = cert.minimal_order_m
-        if m is None or m < 1 or cert.period_s != m:
-            return False
-        if cert.minimal_pair is not None or cert.index_k not in (None, 0):
-            return False
-        if m > order_bound(a.d).s_max:
-            return False
-        return _is_tame(a) and _has_index_and_period(a, 0, m)
+        k, _, s = _index_and_order(a)
+        return s is not None and pair == (k, k + s) and _has_index_and_period(a, k, s)
 
     if cert.verdict == UNTAME:
         if cert.witness is None or cert.kind not in (SEMICASCADE, CASCADE):
             return False
         if cert.kind == CASCADE and abs(a.det()) != 1:
             return False
-        return _untame_witness_check(a, cert.witness)
+        k, g, s = _index_and_order(a)
+        if s is not None:
+            return False
+        witness = cert.witness
+        if witness.reason == ZERO_EIGENVALUE:
+            return k > 0
+        if witness.stripped_min_poly != g:
+            return False
+        if witness.reason == NON_SQUAREFREE:
+            return poly_gcd(g, g.derivative()).degree != 0
+        return witness.reason == ORDER_BOUND_EXHAUSTED and witness.s_max == order_bound(a.d).s_max
 
     return False
 
 
-def _is_tame(a: IntMatrix) -> bool:
-    """Whether x has an order <= s_max(d) modulo the x-stripped minimal
-    polynomial g, i.e. whether A is tame (see certificate_check)."""
-    g = strip_x_factor(min_poly(a))[1]
-    return order_of_x_mod(g, order_bound(a.d).s_max) is not None
-
-
-def _untame_witness_check(a: IntMatrix, witness: UntameWitness) -> bool:
-    """Whether the witness re-derives from mu and A is untame.
-
-    A is untame exactly when x has no order <= s_max modulo g (see
-    certificate_check). A NON_SQUAREFREE or ORDER_BOUND_EXHAUSTED witness
-    that re-derives implies that already; a ZERO_EIGENVALUE one does not.
-    """
-    k, g = strip_x_factor(min_poly(a))
-    s_max = order_bound(a.d).s_max
-    if witness.reason == ZERO_EIGENVALUE:
-        return k > 0 and order_of_x_mod(g, s_max) is None
-    if witness.stripped_min_poly != g:
-        return False
-    if witness.reason == NON_SQUAREFREE:
-        return poly_gcd(g, g.derivative()).degree != 0
-    if witness.reason == ORDER_BOUND_EXHAUSTED:
-        return witness.s_max == s_max and order_of_x_mod(g, s_max) is None
-    return False
+def _claimed_pair(cert: TamenessCertificate) -> tuple[int, int] | None:
+    """The pair (p, q) a TAME claim states, (0, m) for a cascade order m;
+    None when its fields disagree or its kind is unknown."""
+    if cert.kind == SEMICASCADE:
+        if cert.minimal_pair is None or cert.witness is not None:
+            return None
+        p, q = cert.minimal_pair
+        if cert.minimal_order_m is not None or cert.index_k != p or cert.period_s != q - p:
+            return None
+        return p, q
+    if cert.kind == CASCADE:
+        m = cert.minimal_order_m
+        if m is None or cert.period_s != m:
+            return None
+        if cert.minimal_pair is not None or cert.index_k not in (None, 0):
+            return None
+        return 0, m
+    return None

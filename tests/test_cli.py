@@ -361,6 +361,40 @@ class TestMainExitCodes:
         assert code == 4
         assert "CAP_EXCEEDED" in out
 
+    @pytest.mark.parametrize(
+        "a",
+        [[[10 ** 400]], [[1, 2 ** 600, 0], [0, 0, 2 ** 600], [0, 0, 0]]],
+        ids=["entry_of_A", "entry_of_A_squared"],
+    )
+    def test_simulate_entry_beyond_double_range_is_4(self, capsys, tmp_path, a):
+        # A itself, or the A^2 = A^3 that the convergence probe applies
+        # (2^1200), has no float64 value
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"d": len(a), "A": a}))
+        code, out = run_cli(["simulate", "--input", str(path), "--iters", "5"], capsys)
+        assert code == 4
+        assert json.loads(out)["result"]["error"]["code"] == "CAP_EXCEEDED"
+
+    def test_sidon_entry_beyond_double_range_is_4_before_the_grid(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import tametorus.sidon
+
+        grids = []
+        real_grid = tametorus.sidon.torus_grid
+
+        def counting_grid(*args):
+            grids.append(args)
+            return real_grid(*args)
+
+        monkeypatch.setattr(tametorus.sidon, "torus_grid", counting_grid)
+        path = tmp_path / "stream.txt"
+        path.write_text("1\n%d\n" % 10 ** 400)
+        code, out = run_cli(["sidon", "--input", str(path), "--iters", "2"], capsys)
+        assert code == 4
+        assert json.loads(out)["result"]["error"]["code"] == "CAP_EXCEEDED"
+        assert grids == []
+
     def test_emit_json_integer_beyond_digit_limit(self):
         report = Report(command="frequencies", input={}, options={},
                         result={"exact": {"terms": [[10 ** 5000]]}}, timing_ms=0.0)

@@ -768,6 +768,31 @@ class TestCertificateCheckEquivalence:
                     )
                     assert certificate_check(a, claim) is valid, (a, m)
 
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_claim_other_than_derived_pair_builds_no_power(self, monkeypatch, d):
+        import tametorus.tameness
+
+        powers = []
+        real_pow = tametorus.tameness.mat_pow
+
+        def counting_pow(a, n):
+            powers.append(n)
+            return real_pow(a, n)
+
+        monkeypatch.setattr(tametorus.tameness, "mat_pow", counting_pow)
+        rng = random.Random(4100 + d)
+        cascades = 0
+        while cascades < 2:
+            a, k, s, _ = _tame_with_known_pair(rng, d)
+            claims = [_pair_claim(k + 1, k + 1 + s), _pair_claim(k, k + 2 * s)]
+            if k == 0:
+                claims.append(TamenessCertificate(
+                    verdict=TAME, kind=CASCADE, period_s=2 * s, minimal_order_m=2 * s))
+                cascades += 1
+            for claim in claims:
+                assert certificate_check(a, claim) is False, (a, claim)
+        assert powers == []
+
     def test_rejects_cascade_claim_without_unit_determinant(self):
         a = IntMatrix([[2, 0], [0, 1]])
         semi = decide_semicascade(a)
