@@ -51,6 +51,7 @@ from .tameness import (
     certificate_check,
     decide_cascade,
     decide_semicascade,
+    decide_semicascade_batch,
     oracle_semicascade,
     oracle_semicascade_batch,
     order_bound,
@@ -114,6 +115,7 @@ __all__ = [
     "order_bound",
     "order_of_x_mod",
     "decide_semicascade",
+    "decide_semicascade_batch",
     "decide_cascade",
     "oracle_semicascade",
     "oracle_semicascade_batch",

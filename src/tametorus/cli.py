@@ -7,8 +7,8 @@ flags, the function that runs a job into a result and the function that
 renders that result as text. Exit codes: 0 success, 2 input error,
 3 precondition error, 4 documented cap exceeded, which includes a
 report integer beyond CPython's int-to-str digit limit and a simulate or
-sidon entry beyond double range. Verdicts are report data, never exit
-codes.
+sidon entry, orbit point, probe image or phase beyond double range.
+Verdicts are report data, never exit codes.
 Matrix jobs are described by JSON: {"d": int, "A": [[int]], "b": [...]}
 where translation entries are either decimal angles or rational
 multiples of 2*pi written "p/q". Sidon jobs read the line-based stream
@@ -53,6 +53,7 @@ from .tameness import (
     certificate_check,
     decide_cascade,
     decide_semicascade,
+    decide_semicascade_batch,
     oracle_semicascade,  # noqa: F401  (perfbench's tracer wraps cli.oracle_semicascade)
     oracle_semicascade_batch,
 )
@@ -375,8 +376,9 @@ def _result_sweep(job: JobSpec) -> dict:
     combos = product(range(lo, hi + 1), repeat=d * d)
     while chunk := [IntMatrix([combo[i * d : (i + 1) * d] for i in range(d)])
                     for combo in islice(combos, _SWEEP_CHUNK)]:
-        for a, (verdict, pair) in zip(chunk, oracle_semicascade_batch(chunk)):
-            cert = decide_semicascade(a)
+        for a, cert, (verdict, pair) in zip(
+            chunk, decide_semicascade_batch(chunk), oracle_semicascade_batch(chunk)
+        ):
             agree = cert.verdict == verdict and (
                 cert.verdict != TAME or cert.minimal_pair == pair
             )

@@ -33,6 +33,7 @@ __all__ = [
     "independence_check",
     "exp_grid_average",
     "float_array",
+    "finite_array",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -51,6 +52,14 @@ def float_array(values, what: str) -> np.ndarray:
         return np.array(values, dtype=float)
     except OverflowError as exc:
         raise CapExceededError("%s has an entry beyond double range" % what) from exc
+
+
+def finite_array(values: np.ndarray, what: str) -> np.ndarray:
+    """values unchanged; CapExceededError when an entry overflowed double
+    range (inf) or was formed from such an entry (nan)."""
+    if not np.isfinite(values).all():
+        raise CapExceededError("%s is beyond double range" % what)
+    return values
 
 
 def reduce_angles(x) -> np.ndarray:
@@ -96,7 +105,8 @@ class AffineMap:
 
     A is an exact integer matrix; b is a translation vector of angles,
     reduced into [0, 2*pi). Applications run in double precision, so an
-    entry of A beyond double range raises CapExceededError.
+    entry of A, or an applied point, beyond double range raises
+    CapExceededError.
     """
 
     def __init__(self, a: IntMatrix, b=None):
@@ -116,23 +126,31 @@ class AffineMap:
         return self.a.d
 
     def apply(self, x) -> np.ndarray:
-        """One application, reduced mod 2*pi."""
+        """One application, reduced mod 2*pi; CapExceededError when A x + b
+        is beyond double range."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (self.d,):
             raise DimensionMismatchError(
                 "point of shape %s does not match dimension %d" % (x.shape, self.d)
             )
-        return reduce_angles(self._a_float @ x + self.b)
+        with np.errstate(over="ignore"):
+            image = self._a_float @ x + self.b
+        return reduce_angles(finite_array(image, "an orbit point"))
 
     def orbit(self, x0, n: int) -> np.ndarray:
-        """[x0, phi(x0), ..., phi^n(x0)] as an (n+1, d) array."""
+        """[x0, phi(x0), ..., phi^n(x0)] as an (n+1, d) array;
+        CapExceededError when a point is beyond double range."""
         if n < 1:
             raise ValueError("orbit length must be >= 1")
         out = np.empty((n + 1, self.d))
         out[0] = reduce_angles(np.atleast_1d(np.asarray(x0, dtype=float)))
-        for i in range(n):
-            out[i + 1] = self.apply(out[i])
-        return out
+        a, b = self._a_float, self.b
+        # An overflow gives inf, reduced to nan, and every later point
+        # inherits the nan, so one check of the whole orbit covers each step.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(n):
+                out[i + 1] = reduce_angles(a @ out[i] + b)
+        return finite_array(out, "an orbit point")
 
     def iterate_translations(self, n: int) -> np.ndarray:
         """Translation parts of phi^0 .. phi^n, i.e. the orbit of 0."""
@@ -196,8 +214,8 @@ def convergence_probe(phi: AffineMap, indices: Sequence[int], grid: np.ndarray, 
     the torus sup-metric (ties: earliest run). Returns the run's indices
     in ascending order together with the worst observed deviation between
     consecutive images over the whole grid. The chain's A^n is applied in
-    double precision, so an entry of it beyond double range raises
-    CapExceededError.
+    double precision, so an entry of it, or an image of a grid point,
+    beyond double range raises CapExceededError.
 
     When the linear part generates a finite power semigroup, a group of
     size >= 2 exists by pigeonhole once enough indices are supplied, so
@@ -247,7 +265,10 @@ def convergence_probe(phi: AffineMap, indices: Sequence[int], grid: np.ndarray, 
 
     max_dev = 0.0
     mat = float_array(powers[chain[0]].entries, "A^%d" % chain[0])
-    images = [reduce_angles(grid @ mat.T + translations[n]) for n in chain]
+    with np.errstate(over="ignore"):
+        moved = finite_array(grid @ mat.T, "the image of a grid point")
+    # moved is finite and each translation lies in [0, 2*pi), so no sum overflows.
+    images = [reduce_angles(moved + translations[n]) for n in chain]
     for prev, cur in zip(images, images[1:]):
         delta = np.mod(prev - cur, TWO_PI)
         dev = float(np.max(np.minimum(delta, TWO_PI - delta))) if delta.size else 0.0

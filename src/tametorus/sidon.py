@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .dynamics import float_array, torus_grid
+from .dynamics import finite_array, float_array, torus_grid
 from .errors import CapExceededError, MalformedInputError, StreamExhaustedError
 
 __all__ = [
@@ -155,7 +155,8 @@ def estimate_sidon_ratio(
     overestimate; this is a diagnostic, not a certified constant.
     Per-trial generators are seeded with (seed, trial), making the result
     bit-reproducible and the trial set extendable. A component beyond
-    double range raises CapExceededError before the grid is built.
+    double range raises CapExceededError before the grid is built, and a
+    phase <v_k, x> beyond it before any trial.
     """
     vs = [tuple(operator.index(c) for c in v) for v in vectors]
     if not vs:
@@ -168,7 +169,9 @@ def estimate_sidon_ratio(
         raise ValueError("seed must be nonnegative")
     freqs = float_array(vs, "frequency vector")
     grid = torus_grid(len(vs[0]), grid_per_axis)
-    basis = np.exp(1j * (grid @ freqs.T))  # (npoints, k)
+    with np.errstate(over="ignore"):
+        phases = finite_array(grid @ freqs.T, "a phase <v, x> of the grid")
+    basis = np.exp(1j * phases)  # (npoints, k)
     k = len(vs)
     best = 0.0
     for t in range(trials):

@@ -13,12 +13,16 @@ polynomials, without any polynomial factorization:
      trial division, and the order is their lcm, at most s_max(d),
 
 which yields the least pair (k, k+s) respectively the least order m = s.
-This one derivation, _index_and_order, backs the deciders and every
-certificate check. For an untame A, a gcd(g, g') test only names the
-witness: a repeated factor of g, or else the exhausted order bound.
-A certificate re-checker makes every verdict self-validating; an
-independent brute-force oracle (exact power enumeration, batched in int64
-under a proven overflow bound for sweep) backs sweep and the tests.
+Step 2 is one derivation, _index_and_order, from mu and d alone; it backs
+the deciders and every certificate check. For an untame A, a gcd(g, g')
+test only names the witness: a repeated factor of g, or else the
+exhausted order bound. decide_semicascade_batch, which sweep calls per
+chunk and decide_semicascade per matrix, therefore derives each
+certificate once per distinct mu in its batch, while the exact power
+proof of a TAME certificate still runs on every matrix. A certificate
+re-checker makes every verdict self-validating; an independent
+brute-force oracle (exact power enumeration, batched in int64 under a
+proven overflow bound for sweep) backs sweep and the tests.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ __all__ = [
     "order_bound",
     "order_of_x_mod",
     "decide_semicascade",
+    "decide_semicascade_batch",
     "decide_cascade",
     "oracle_semicascade",
     "oracle_semicascade_batch",
@@ -309,15 +314,16 @@ def order_of_x_mod(g: IntPoly, s_max: int):
     return None
 
 
-def _index_and_order(a: IntMatrix) -> tuple[int, IntPoly, int | None]:
-    """The decision: mu = x^k * g with g(0) != 0, and the order s of x
-    modulo g, the least s <= s_max(d) with g | x^s - 1.
+def _index_and_order(mu: IntPoly, d: int) -> tuple[int, IntPoly, int | None]:
+    """The decision from the minimal polynomial mu of a d x d matrix A:
+    mu = x^k * g with g(0) != 0, and the order s of x modulo g, the least
+    s <= s_max(d) with g | x^s - 1.
 
     s is None exactly when A is untame (see certificate_check); g = 1, a
     nilpotent A, gives s = 1. For a tame A, (k, k + s) is the least pair.
     """
-    k, g = strip_x_factor(min_poly(a))
-    return k, g, order_of_x_mod(g, order_bound(a.d).s_max)
+    k, g = strip_x_factor(mu)
+    return k, g, order_of_x_mod(g, order_bound(d).s_max)
 
 
 def _untame_witness(g: IntPoly, d: int) -> UntameWitness:
@@ -340,6 +346,17 @@ def _untame_witness(g: IntPoly, d: int) -> UntameWitness:
     )
 
 
+def _semicascade_certificate(mu: IntPoly, d: int) -> TamenessCertificate:
+    """The semicascade certificate of every d x d matrix with minimal
+    polynomial mu, before any self-check."""
+    k, g, s = _index_and_order(mu, d)
+    if s is None:
+        return TamenessCertificate(verdict=UNTAME, kind=SEMICASCADE, witness=_untame_witness(g, d))
+    return TamenessCertificate(
+        verdict=TAME, kind=SEMICASCADE, index_k=k, period_s=s, minimal_pair=(k, k + s)
+    )
+
+
 def _self_checked(a: IntMatrix, cert: TamenessCertificate, k: int, s: int) -> TamenessCertificate:
     if not _has_index_and_period(a, k, s):
         raise AssertionError("internal error: certificate failed self-check: %r" % (cert,))
@@ -356,14 +373,35 @@ def decide_semicascade(a: IntMatrix) -> TamenessCertificate:
     modulo the x-stripped part; they are re-verified against exact matrix
     powers (the power proof of certificate_check) before being returned.
     """
-    k, g, s = _index_and_order(a)
-    if s is None:
-        witness = _untame_witness(g, a.d)
-        return TamenessCertificate(verdict=UNTAME, kind=SEMICASCADE, witness=witness)
-    cert = TamenessCertificate(
-        verdict=TAME, kind=SEMICASCADE, index_k=k, period_s=s, minimal_pair=(k, k + s)
-    )
-    return _self_checked(a, cert, k, s)
+    return decide_semicascade_batch([a])[0]
+
+
+def decide_semicascade_batch(matrices: Sequence[IntMatrix]) -> list[TamenessCertificate]:
+    """decide_semicascade for each of a batch of d x d matrices, in order.
+
+    The certificate depends on A only through its minimal polynomial mu
+    (and d): k, g, s and the UNTAME witness all follow from mu. Each
+    matrix gets its own exact mu, and the certificate is derived once per
+    distinct mu in the batch; the memo lives for this call only. The
+    power proof of a TAME certificate depends on A itself, so it runs on
+    every TAME matrix and each verdict stays self-validating.
+    """
+    if not matrices:
+        return []
+    d = matrices[0].d
+    if any(a.d != d for a in matrices):
+        raise ValueError("a batch needs matrices of one dimension")
+    by_mu: dict[IntPoly, TamenessCertificate] = {}
+    out = []
+    for a in matrices:
+        mu = min_poly(a)
+        cert = by_mu.get(mu)
+        if cert is None:
+            cert = by_mu[mu] = _semicascade_certificate(mu, d)
+        if cert.verdict == TAME:
+            cert = _self_checked(a, cert, cert.index_k, cert.period_s)
+        out.append(cert)
+    return out
 
 
 def decide_cascade(a: IntMatrix) -> TamenessCertificate:
@@ -376,7 +414,7 @@ def decide_cascade(a: IntMatrix) -> TamenessCertificate:
     det = abs(a.det())
     if det != 1:
         raise DeterminantNotUnitError("cascade undefined: |det A| = %d, need 1" % det)
-    _, g, s = _index_and_order(a)
+    _, g, s = _index_and_order(min_poly(a), a.d)
     if s is None:
         witness = _untame_witness(g, a.d)
         return TamenessCertificate(verdict=UNTAME, kind=CASCADE, witness=witness)
@@ -550,7 +588,7 @@ def certificate_check(a: IntMatrix, cert: TamenessCertificate) -> bool:
         pair = _claimed_pair(cert)
         if pair is None or not 0 <= pair[0] < pair[1] <= a.d + order_bound(a.d).s_max:
             return False
-        k, _, s = _index_and_order(a)
+        k, _, s = _index_and_order(min_poly(a), a.d)
         return s is not None and pair == (k, k + s) and _has_index_and_period(a, k, s)
 
     if cert.verdict == UNTAME:
@@ -558,7 +596,7 @@ def certificate_check(a: IntMatrix, cert: TamenessCertificate) -> bool:
             return False
         if cert.kind == CASCADE and abs(a.det()) != 1:
             return False
-        k, g, s = _index_and_order(a)
+        k, g, s = _index_and_order(min_poly(a), a.d)
         if s is not None:
             return False
         witness = cert.witness

@@ -375,6 +375,34 @@ class TestMainExitCodes:
         assert code == 4
         assert json.loads(out)["result"]["error"]["code"] == "CAP_EXCEEDED"
 
+    @pytest.mark.parametrize(
+        "job",
+        [{"d": 1, "A": [[10 ** 308]], "b": [1.0]}, {"d": 2, "A": [[1, 10 ** 308], [0, 0]]}],
+        ids=["orbit_point", "probe_image"],
+    )
+    def test_simulate_point_beyond_double_range_is_4(self, capsys, tmp_path, job):
+        # A fits a double, but 1e308 times the orbit point 6.148... does
+        # not, nor (for the idempotent A = A^2) 1e308 times the grid's
+        # coordinate pi; both once gave NaN with exit 0
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(job))
+        code = main(["simulate", "--input", str(path), "--iters", "3", "--grid", "4"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert json.loads(captured.out)["result"]["error"]["code"] == "CAP_EXCEEDED"
+        assert captured.err == ""
+
+    def test_sidon_phase_beyond_double_range_is_4(self, capsys, tmp_path):
+        # 1e308 fits a double, but its products with grid angles do not;
+        # this once reported a ratio of 0, below the true minimum of 1
+        path = tmp_path / "stream.txt"
+        path.write_text("1\n%d\n" % 10 ** 308)
+        code = main(["sidon", "--input", str(path), "--iters", "2"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert json.loads(captured.out)["result"]["error"]["code"] == "CAP_EXCEEDED"
+        assert captured.err == ""
+
     def test_sidon_entry_beyond_double_range_is_4_before_the_grid(
         self, capsys, tmp_path, monkeypatch
     ):

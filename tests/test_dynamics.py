@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -61,6 +62,13 @@ class TestApply:
             ]
             assert torus_dist(phi.apply(x), exact) < 1e-12
 
+    def test_image_beyond_double_range_raises_without_warning(self):
+        phi = AffineMap(IntMatrix([[10 ** 308]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CapExceededError):
+                phi.apply([2.0])
+
     def test_reduce_angles_range(self):
         out = reduce_angles(np.array([-1e-18, TWO_PI, 3 * np.pi, -np.pi]))
         assert np.all(out >= 0.0) and np.all(out < TWO_PI)
@@ -88,6 +96,20 @@ class TestOrbit:
     def test_length_validation(self):
         with pytest.raises(ValueError):
             AffineMap(IntMatrix.identity(2)).orbit([0.0, 0.0], 0)
+
+    def test_equals_iterated_apply(self):
+        phi = AffineMap(IntMatrix([[2, 1, 0], [1, 1, -3], [0, 5, 1]]), [0.3, 6.0, 1.5])
+        orb = phi.orbit([1.0, 2.0, 4.0], 30)
+        for i in range(30):
+            assert np.array_equal(orb[i + 1], phi.apply(orb[i]))
+
+    def test_point_beyond_double_range_raises_without_warning(self):
+        # 1e308 * 6.148... (the second point) overflows to inf
+        phi = AffineMap(IntMatrix([[10 ** 308]]), [1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CapExceededError):
+                phi.orbit([0.0], 3)
 
 
 class TestFrequencyOrbit:

@@ -23,6 +23,7 @@ from tametorus import (
     certificate_check,
     decide_cascade,
     decide_semicascade,
+    decide_semicascade_batch,
     mat_mul,
     mat_pow,
     min_poly,
@@ -324,6 +325,50 @@ class TestDecideSemicascade:
         assert oracle_semicascade(a) == (UNTAME, None)
 
 
+class TestDecideSemicascadeBatch:
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls = []
+        real = getattr(tametorus.tameness, name)
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(tametorus.tameness, name, counting)
+        return calls
+
+    def test_memo_on_min_poly_keeps_the_power_proof_per_matrix(self, monkeypatch):
+        # all 81 2x2 matrices over {-1, 0, 1}, twice, in seeded order
+        matrices = [IntMatrix([c[:2], c[2:]]) for c in product((-1, 0, 1), repeat=4)] * 2
+        random.Random(6).shuffle(matrices)
+        distinct_mu = len({min_poly(a) for a in matrices})
+        expected = [decide_semicascade(a) for a in matrices]
+        proofs = self._count(monkeypatch, "_has_index_and_period")
+        orders = self._count(monkeypatch, "order_of_x_mod")
+        assert decide_semicascade_batch(matrices) == expected
+        assert len(orders) == distinct_mu < len(matrices)
+        tame = [(a, cert.index_k, cert.period_s)
+                for a, cert in zip(matrices, expected) if cert.verdict == TAME]
+        assert proofs == tame
+
+    def test_second_call_starts_with_an_empty_memo(self, monkeypatch):
+        matrices = [IntMatrix([[1, 0], [0, 1]]), IntMatrix([[0, 1], [1, 0]]),
+                    IntMatrix([[1, 0], [0, 1]]), IntMatrix([[2, 1], [1, 1]])]
+        orders = self._count(monkeypatch, "order_of_x_mod")
+        first = decide_semicascade_batch(matrices)
+        assert len(orders) == 3
+        assert decide_semicascade_batch(matrices) == first
+        assert len(orders) == 6
+
+    def test_empty_batch(self):
+        assert decide_semicascade_batch([]) == []
+
+    def test_rejects_mixed_dimensions(self):
+        with pytest.raises(ValueError):
+            decide_semicascade_batch([IntMatrix([[1]]), IntMatrix([[1, 0], [0, 1]])])
+
+
 class TestDecideCascade:
     def test_rotation_order_four(self, named):
         cert = decide_cascade(named["rot4"])
@@ -375,14 +420,19 @@ class TestOracle:
         matrices = [IntMatrix([c[:3], c[3:6], c[6:]]) for c in product((-1, 0, 1), repeat=9)]
         batched = [result for i in range(0, len(matrices), 2048)
                    for result in oracle_semicascade_batch(matrices[i : i + 2048])]
+        certs = [decide_semicascade(a) for a in matrices]
         tame = 0
-        for a, batch_result in zip(matrices, batched, strict=True):
-            cert = decide_semicascade(a)
+        for a, cert, batch_result in zip(matrices, certs, batched, strict=True):
             verdict, pair = oracle_semicascade(a)
             assert (cert.verdict, cert.minimal_pair) == (verdict, pair), a
             assert batch_result == (verdict, pair), a
             tame += verdict == TAME
         assert tame == 5383
+        # whole certificates, witness and detail included, from the memoized batch
+        assert decide_semicascade_batch(matrices) == certs
+        chunked = [cert for i in range(0, len(matrices), 1024)
+                   for cert in decide_semicascade_batch(matrices[i : i + 1024])]
+        assert chunked == certs
 
     def test_batch_equals_bigint_oracle_d4_sample(self):
         rng = random.Random(4)
