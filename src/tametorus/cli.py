@@ -13,11 +13,17 @@ Matrix jobs are described by JSON: {"d": int, "A": [[int]], "b": [...]}
 where translation entries are either decimal angles or rational
 multiples of 2*pi written "p/q". Sidon jobs read the line-based stream
 format (one integer vector per line) instead.
+
+semicascade, cascade, certify and frequencies are exact integer work and
+never load numpy, not even on an error path: translation angles parse to
+tuples of floats. simulate, sidon and sweep load it on first use, inside
+dynamics, sidon and tameness.oracle_semicascade_batch.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -28,8 +34,6 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import islice, product
 from typing import Callable
-
-import numpy as np
 
 from . import __version__
 from .dynamics import TWO_PI, AffineMap, convergence_probe, escape_probe, frequency_orbit, torus_grid
@@ -145,7 +149,12 @@ def _parse_angle(value, context: str) -> float:
             raise MalformedInputError(
                 "%s: expected a number or 'p/q', got %r" % (context, value)
             )
-        return float(Fraction(value) % 1) * TWO_PI
+        try:
+            turns = Fraction(value)
+        except ValueError as exc:
+            # p or q beyond CPython's int-string digit limit
+            raise MalformedInputError("%s: %s" % (context, exc)) from exc
+        return float(turns % 1) * TWO_PI
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise MalformedInputError("%s: expected a number or 'p/q', got %r" % (context, value))
     try:
@@ -158,14 +167,14 @@ def _parse_angle(value, context: str) -> float:
     return angle
 
 
-def _parse_angles(values, d: int, context: str) -> np.ndarray:
+def _parse_angles(values, d: int, context: str) -> tuple[float, ...]:
     if not isinstance(values, list):
         raise MalformedInputError("%s must be a list" % context)
     if len(values) != d:
         raise DimensionInputError(
             "%s has length %d, expected %d" % (context, len(values), d)
         )
-    return np.array([_parse_angle(v, "%s[%d]" % (context, i)) for i, v in enumerate(values)])
+    return tuple(_parse_angle(v, "%s[%d]" % (context, i)) for i, v in enumerate(values))
 
 
 def parse_input(text: str, command: str = "semicascade", options: dict | None = None) -> JobSpec:
@@ -212,13 +221,9 @@ def parse_input(text: str, command: str = "semicascade", options: dict | None = 
                for i, row in enumerate(a_rows)]
     payload["a"] = IntMatrix(entries)
 
-    payload["b"] = (
-        _parse_angles(data["b"], d, "'b'") if "b" in data else np.zeros(d)
-    )
+    payload["b"] = _parse_angles(data["b"], d, "'b'") if "b" in data else (0.0,) * d
     if command == "simulate":
-        payload["x0"] = (
-            _parse_angles(data["x0"], d, "'x0'") if "x0" in data else np.zeros(d)
-        )
+        payload["x0"] = _parse_angles(data["x0"], d, "'x0'") if "x0" in data else (0.0,) * d
     if command == "frequencies":
         if "u" in data:
             u = data["u"]
@@ -533,7 +538,11 @@ def _parse_range(text: str) -> tuple[int, int]:
     match = _RANGE_RE.match(text)
     if not match:
         raise MalformedInputError("range must look like LO..HI, got %r" % text)
-    lo, hi = int(match.group(1)), int(match.group(2))
+    try:
+        lo, hi = int(match.group(1)), int(match.group(2))
+    except ValueError as exc:
+        # a bound beyond CPython's int-string digit limit
+        raise MalformedInputError("range bound: %s" % exc) from exc
     if lo > hi:
         raise MalformedInputError("empty range %d..%d" % (lo, hi))
     return lo, hi
@@ -549,6 +558,9 @@ def _read_input(path: str) -> str:
         raise MalformedInputError("cannot read input %r: %s" % (path, exc)) from exc
 
 
+# Built once per process: parse_args keeps no state in the parser, and
+# building it costs more than parsing a job's argv.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=TOOL_NAME,

@@ -4,6 +4,11 @@ This is the only floating-point layer in the package: points on the
 d-torus live in [0, 2*pi)^d as float64 arrays. Everything involving
 frequencies or matrix powers stays exact (Python ints via exactalg) and
 is merely consumed here.
+
+numpy is imported inside the functions that compute with it, never at
+module level: importing this module, or running the exact
+frequency_orbit and escape_probe, loads no numpy, so the exact CLI
+commands start without it.
 """
 
 from __future__ import annotations
@@ -12,8 +17,6 @@ import math
 import operator
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .errors import CapExceededError, DimensionMismatchError
 from .exactalg import IntMatrix, mat_mul
@@ -48,6 +51,8 @@ MAX_INDEPENDENCE_FUNCTIONS = 12
 def float_array(values, what: str) -> np.ndarray:
     """Integer entries as a float64 array; CapExceededError when one is
     beyond double range (about 1.8e308), where float() overflows."""
+    import numpy as np
+
     try:
         return np.array(values, dtype=float)
     except OverflowError as exc:
@@ -57,6 +62,8 @@ def float_array(values, what: str) -> np.ndarray:
 def finite_array(values: np.ndarray, what: str) -> np.ndarray:
     """values unchanged; CapExceededError when an entry overflowed double
     range (inf) or was formed from such an entry (nan)."""
+    import numpy as np
+
     if not np.isfinite(values).all():
         raise CapExceededError("%s is beyond double range" % what)
     return values
@@ -64,6 +71,8 @@ def finite_array(values: np.ndarray, what: str) -> np.ndarray:
 
 def reduce_angles(x) -> np.ndarray:
     """Map angles into [0, 2*pi) componentwise."""
+    import numpy as np
+
     out = np.mod(np.asarray(x, dtype=float), TWO_PI)
     # np.mod can round tiny negatives up to exactly 2*pi.
     out[out >= TWO_PI] = 0.0
@@ -72,6 +81,8 @@ def reduce_angles(x) -> np.ndarray:
 
 def torus_dist(x, y) -> float:
     """Sup over coordinates of the circular distance min(|dx|, 2*pi - |dx|)."""
+    import numpy as np
+
     delta = np.mod(np.asarray(x, dtype=float) - np.asarray(y, dtype=float), TWO_PI)
     return float(np.max(np.minimum(delta, TWO_PI - delta)))
 
@@ -85,6 +96,8 @@ def torus_grid(d: int, per_axis: int | None = None) -> np.ndarray:
     d, or d >= 16, where even 2 points per axis exceed it) raises
     CapExceededError before anything is allocated.
     """
+    import numpy as np
+
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if per_axis is None:
@@ -110,6 +123,8 @@ class AffineMap:
     """
 
     def __init__(self, a: IntMatrix, b=None):
+        import numpy as np
+
         self.a = a
         if b is None:
             b = np.zeros(a.d)
@@ -128,6 +143,8 @@ class AffineMap:
     def apply(self, x) -> np.ndarray:
         """One application, reduced mod 2*pi; CapExceededError when A x + b
         is beyond double range."""
+        import numpy as np
+
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (self.d,):
             raise DimensionMismatchError(
@@ -140,6 +157,8 @@ class AffineMap:
     def orbit(self, x0, n: int) -> np.ndarray:
         """[x0, phi(x0), ..., phi^n(x0)] as an (n+1, d) array;
         CapExceededError when a point is beyond double range."""
+        import numpy as np
+
         if n < 1:
             raise ValueError("orbit length must be >= 1")
         out = np.empty((n + 1, self.d))
@@ -154,9 +173,11 @@ class AffineMap:
 
     def iterate_translations(self, n: int) -> np.ndarray:
         """Translation parts of phi^0 .. phi^n, i.e. the orbit of 0."""
-        return self.orbit(np.zeros(self.d), n)
+        return self.orbit((0.0,) * self.d, n)
 
     def __repr__(self):
+        import numpy as np
+
         return "AffineMap(%r, b=%s)" % (self.a, np.array2string(self.b, precision=6))
 
 
@@ -221,6 +242,8 @@ def convergence_probe(phi: AffineMap, indices: Sequence[int], grid: np.ndarray, 
     size >= 2 exists by pigeonhole once enough indices are supplied, so
     a nontrivial sub-list is always found for tame generators.
     """
+    import numpy as np
+
     indices = [operator.index(i) for i in indices]
     if not indices:
         raise ValueError("need at least one index")
@@ -285,6 +308,8 @@ class IndependenceQuery:
     b: float
 
     def __post_init__(self):
+        import numpy as np
+
         self.functions = [np.atleast_1d(np.asarray(f, dtype=float)) for f in self.functions]
         if self.functions:
             npoints = self.functions[0].shape[0]
@@ -344,6 +369,8 @@ def exp_grid_average(freq: Sequence[int], per_axis: int) -> complex:
     component of freq is divisible by per_axis and 0 otherwise; computed
     here by direct summation (fixed order) as a floating diagnostic.
     """
+    import numpy as np
+
     freq = [operator.index(c) for c in freq]
     grid = torus_grid(len(freq), per_axis)
     phases = grid @ np.asarray(freq, dtype=float)

@@ -7,7 +7,8 @@ sum of the l1-norms of everything kept so far. The largest vector in any
 {-1,0,+1}-combination of kept vectors then dominates the rest, so no
 nontrivial combination vanishes (quasi-independence), the standard
 sufficient condition for being Sidon. verify_quasi_independence proves
-it for up to 12 vectors by an exact meet-in-the-middle count.
+it for up to 12 vectors by an exact meet-in-the-middle count. Only the
+floating estimate_sidon_ratio uses numpy, and imports it when it runs.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .dynamics import finite_array, float_array, torus_grid
 from .errors import CapExceededError, MalformedInputError, StreamExhaustedError
@@ -158,6 +157,8 @@ def estimate_sidon_ratio(
     double range raises CapExceededError before the grid is built, and a
     phase <v_k, x> beyond it before any trial.
     """
+    import numpy as np
+
     vs = [tuple(operator.index(c) for c in v) for v in vectors]
     if not vs:
         raise ValueError("need at least one frequency vector")

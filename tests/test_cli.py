@@ -97,12 +97,23 @@ class TestParseInput:
         assert json.loads(out)["result"]["error"]["code"] == "MALFORMED"
 
     def test_integer_beyond_digit_limit_exit_2(self, capsys, tmp_path):
-        # CPython refuses to parse integers of more than 4300 digits
+        # CPython refuses to parse integers of more than 4300 digits; a
+        # "p/q" angle or a --range bound that long once crashed in
+        # Fraction() or int() with a traceback and exit 1
         path = tmp_path / "job.json"
-        path.write_text('{"d":1,"A":[[%s]]}' % ("1" * 5000))
-        code, out = run_cli(["semicascade", "--input", str(path)], capsys)
-        assert code == 2
-        assert json.loads(out)["result"]["error"]["code"] == "MALFORMED"
+        for argv, job in [
+            (["semicascade"], '{"d":1,"A":[[%s]]}' % ("1" * 5000)),
+            (["semicascade"], '{"d":1,"A":[[1]],"b":["%s/3"]}' % ("1" * 5000)),
+            (["simulate"], '{"d":1,"A":[[1]],"x0":["1/%s"]}' % ("7" * 5000)),
+            (["sweep", "--range=%s..%s" % ("1" + "0" * 5000, "1" + "0" * 5000)], "{}"),
+            (["sweep", "--range=-1..%s" % ("9" * 5000)], "{}"),
+        ]:
+            path.write_text(job)
+            code = main(argv + ["--input", str(path)])
+            captured = capsys.readouterr()
+            assert code == 2, argv
+            assert json.loads(captured.out)["result"]["error"]["code"] == "MALFORMED"
+            assert captured.err == ""
 
     def test_bad_translation_string(self):
         with pytest.raises(MalformedInputError):
@@ -702,6 +713,91 @@ class TestCommands:
         report = run(JobSpec(command="semicascade", input=job.input,
                              options={}, payload=job.payload))
         assert report.input == raw
+
+
+# Runs CLI jobs, given as JSON [argv, stdin] pairs in argv[1], in a fresh
+# interpreter and prints their exit codes and whether numpy got loaded.
+_NUMPY_FREE_CHILD = """\
+import contextlib, io, json, sys
+import tametorus
+import tametorus.cli
+loaded = ["numpy" in sys.modules]
+codes = []
+for argv, stdin in json.loads(sys.argv[1]):
+    sys.stdin = io.StringIO(stdin)
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(tametorus.cli.main(argv))
+    loaded.append("numpy" in sys.modules)
+print(json.dumps({"codes": codes, "numpy_loaded": loaded}))
+"""
+
+
+class TestProcessState:
+    def test_exact_commands_never_load_numpy(self):
+        rotation = '{"d":2,"A":[[0,-1],[1,0]],"b":["1/4",0.5]}'
+        jobs = [
+            (["semicascade"], rotation, 0),
+            (["cascade"], rotation, 0),
+            (["cascade"], '{"d":2,"A":[[1,0],[0,0]]}', 3),
+            (["certify"], '{"d":2,"A":[[0,-1],[1,0]],"certificate":{"verdict":"TAME",'
+                          '"kind":"CASCADE","period_s":4,"minimal_order_m":4}}', 0),
+            (["frequencies", "--iters", "30"], '{"d":2,"A":[[1,1],[0,1]],"b":[0.1,"1/3"]}', 0),
+            (["semicascade"], '{"d":1,"A":[[1]],"b":["%s/3"]}' % ("1" * 5000), 2),
+            (["certify"], '{"d":1,"A":[[1]],"certificate":{"verdict":"TAME"}}', 2),
+            (["cascade"], json.dumps({"d": MAX_DECIDE_DIMENSION + 1, "A": []}), 4),
+            (["frequencies", "--iters", "2"], '{"d":1,"A":[[%d]]}' % 10 ** 2500, 4),
+        ]
+        calls = [[argv + ["--input", "-", "--format", fmt], stdin]
+                 for argv, stdin, _ in jobs for fmt in ("json", "text")]
+        proc = subprocess.run(
+            [sys.executable, "-c", _NUMPY_FREE_CHILD, json.dumps(calls)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["codes"] == [code for _, _, code in jobs for _ in ("json", "text")]
+        assert not any(result["numpy_loaded"])
+
+    def test_repeated_main_calls_repeat_their_output(self, capsys, tmp_path, monkeypatch):
+        # main builds its argument parser once per process; a parse that
+        # failed, or printed help, must leave nothing behind for later calls
+        path = tmp_path / "job.json"
+        path.write_text('{"d":2,"A":[[0,-1],[1,1]],"b":["1/6",0.25],"x0":[0.5,"2/3"]}')
+        job = ["--input", str(path)]
+        calls = [
+            ["semicascade", *job],
+            ["simulate", "--iters", "5"],
+            ["cascade", *job, "--format", "text"],
+            ["frequencies", *job, "--iters", "9", "--bound", "3"],
+            ["simulate", *job, "--iters", "12", "--grid", "4", "--format", "text"],
+            ["sweep", "--range=0..1", "--format", "text"],
+            ["--help"],
+            ["sidon", "--help"],
+            ["semicascade", *job, "--format", "xml"],
+            ["simulate", *job, "--iters", "12", "--grid", "4"],
+            ["frequencies", *job, "--format", "text"],
+            ["certify", *job],
+        ]
+
+        def call(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = "SystemExit(%r)" % exc.code
+            captured = capsys.readouterr()
+            out = re.sub(r'"timing_ms": [0-9.e+-]+', '"timing_ms": T', captured.out)
+            out = re.sub(r"^timing: \d+\.\d ms$", "timing: T ms", out, flags=re.M)
+            return code, out, captured.err
+
+        monkeypatch.setenv("COLUMNS", "80")
+        tametorus.cli._build_parser.cache_clear()
+        first = [call(argv) for argv in calls]
+        assert [code for code, _, _ in first] == [
+            0, "SystemExit(2)", 0, 0, 0, 0, "SystemExit(0)", "SystemExit(0)",
+            "SystemExit(2)", 0, 0, 2,
+        ]
+        for _ in range(2):
+            assert [call(argv) for argv in calls] == first
 
 
 class TestTextReports:
