@@ -5,10 +5,11 @@ Commands: semicascade, cascade, certify, simulate, frequencies, sidon,
 sweep. Each is one entry of the _COMMANDS table: its help text, its
 flags, the function that runs a job into a result and the function that
 renders that result as text. Exit codes: 0 success, 2 input error,
-3 precondition error, 4 documented cap exceeded, which includes a
-report integer beyond CPython's int-to-str digit limit and a simulate or
-sidon entry, orbit point, probe image or phase beyond double range.
-Verdicts are report data, never exit codes.
+3 precondition error, 4 documented cap exceeded: _DIMENSION_CAPS,
+MAX_SWEEP_ENTRIES, MAX_SIMULATE_ITERS, dynamics' grid caps, CPython's
+int-to-str digit limit for a report integer, and double range for a simulate
+or sidon entry, orbit point, probe image or phase. Verdicts are report data,
+never exit codes.
 Matrix jobs are described by JSON: {"d": int, "A": [[int]], "b": [...]}
 where translation entries are either decimal angles or rational
 multiples of 2*pi written "p/q". Sidon jobs read the line-based stream
@@ -85,8 +86,13 @@ _DIMENSION_CAPS = {
     "semicascade": MAX_DECIDE_DIMENSION,
     "cascade": MAX_DECIDE_DIMENSION,
     "certify": MAX_DECIDE_DIMENSION,
+    "simulate": MAX_DECIDE_DIMENSION,  # convergence_probe runs decide_semicascade
     "sweep": MAX_SWEEP_DIMENSION,
 }
+
+# Largest simulate --iters. Time and memory grow linearly with it; README's
+# exit-code section gives the measured curve behind the value.
+MAX_SIMULATE_ITERS = 100_000
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+/[1-9]\d*$")
 _RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
@@ -183,8 +189,8 @@ def parse_input(text: str, command: str = "semicascade", options: dict | None = 
     Raises MalformedInputError for syntax/shape problems,
     DimensionInputError when A is not d x d or vectors have the wrong
     length, NonIntegerInputError when matrix entries are not integers,
-    and CapExceededError when a semicascade, cascade or certify job has
-    d > MAX_DECIDE_DIMENSION or a sweep job d > MAX_SWEEP_DIMENSION.
+    and CapExceededError when a semicascade, cascade, certify or simulate
+    job has d > MAX_DECIDE_DIMENSION or a sweep job d > MAX_SWEEP_DIMENSION.
     """
     try:
         data = json.loads(text)
@@ -293,8 +299,10 @@ def _text_certify(result: dict) -> list[str]:
 
 def _result_simulate(job: JobSpec) -> dict:
     opts = job.options
-    phi = AffineMap(job.payload["a"], job.payload["b"])
     n = opts["iters"]
+    if n > MAX_SIMULATE_ITERS:
+        raise CapExceededError("--iters %d exceeds the cap of %d" % (n, MAX_SIMULATE_ITERS))
+    phi = AffineMap(job.payload["a"], job.payload["b"])
     grid = torus_grid(phi.d, opts["grid"])
     orbit = phi.orbit(job.payload["x0"], n)
     sub, dev = convergence_probe(phi, list(range(n + 1)), grid, opts["tol"])

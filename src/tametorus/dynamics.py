@@ -1,9 +1,9 @@
 """Torus-orbit simulation and empirical convergence/escape probes.
 
 This is the only floating-point layer in the package: points on the
-d-torus live in [0, 2*pi)^d as float64 arrays. Everything involving
-frequencies or matrix powers stays exact (Python ints via exactalg) and
-is merely consumed here.
+d-torus live in [0, 2*pi)^d as float64 arrays. Frequencies stay exact
+(Python ints via exactalg), and this layer consumes the decider: the
+power structure of A comes from tameness.decide_semicascade.
 
 numpy is imported inside the functions that compute with it, never at
 module level: importing this module, or running the exact
@@ -16,10 +16,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Sequence
 
 from .errors import CapExceededError, DimensionMismatchError
-from .exactalg import IntMatrix, mat_mul
+from .exactalg import IntMatrix, mat_pow
+from .tameness import TAME, decide_semicascade
 
 __all__ = [
     "TWO_PI",
@@ -44,6 +46,7 @@ TWO_PI = 2.0 * math.pi
 # Default grids shrink their per-axis count to stay within this total;
 # larger grids are refused.
 GRID_POINT_CAP = 32 ** 3
+GRID_DIMENSION_CAP = 32  # np.meshgrid takes at most 32 axes
 
 MAX_INDEPENDENCE_FUNCTIONS = 12
 
@@ -93,13 +96,15 @@ def torus_grid(d: int, per_axis: int | None = None) -> np.ndarray:
     Defaults to 32 points per axis for d <= 3; for higher d the per-axis
     count shrinks to keep the total at most GRID_POINT_CAP points. A grid
     of more than GRID_POINT_CAP points (an explicit per_axis too large for
-    d, or d >= 16, where even 2 points per axis exceed it) raises
-    CapExceededError before anything is allocated.
+    d, or d >= 16 with 2 or more per axis) or GRID_DIMENSION_CAP axes
+    raises CapExceededError before anything is allocated.
     """
     import numpy as np
 
     if d < 1:
         raise ValueError("dimension must be >= 1")
+    if d > GRID_DIMENSION_CAP:
+        raise CapExceededError("grid of dimension %d exceeds the cap of %d" % (d, GRID_DIMENSION_CAP))
     if per_axis is None:
         per_axis = 32 if d <= 3 else max(2, int(GRID_POINT_CAP ** (1.0 / d)))
     if per_axis < 1:
@@ -171,10 +176,6 @@ class AffineMap:
                 out[i + 1] = reduce_angles(a @ out[i] + b)
         return finite_array(out, "an orbit point")
 
-    def iterate_translations(self, n: int) -> np.ndarray:
-        """Translation parts of phi^0 .. phi^n, i.e. the orbit of 0."""
-        return self.orbit((0.0,) * self.d, n)
-
     def __repr__(self):
         import numpy as np
 
@@ -238,9 +239,10 @@ def convergence_probe(phi: AffineMap, indices: Sequence[int], grid: np.ndarray, 
     double precision, so an entry of it, or an image of a grid point,
     beyond double range raises CapExceededError.
 
-    When the linear part generates a finite power semigroup, a group of
-    size >= 2 exists by pigeonhole once enough indices are supplied, so
-    a nontrivial sub-list is always found for tame generators.
+    The groups come from the certificate of decide_semicascade(A); no power
+    is built but the chain's A^n. By item 1 of certificate_check, A^i = A^j
+    (i < j) exactly when A is TAME with pair (k, k + s), i >= k and s | j - i,
+    so any s + 1 indices from k on of a tame A hold a group of size >= 2.
     """
     import numpy as np
 
@@ -255,48 +257,37 @@ def convergence_probe(phi: AffineMap, indices: Sequence[int], grid: np.ndarray, 
     if grid.ndim != 2 or grid.shape[1] != phi.d:
         raise DimensionMismatchError("grid must have shape (npoints, %d)" % phi.d)
 
-    n_max = max(indices)
-    powers = [IntMatrix.identity(phi.d)]
-    for _ in range(n_max):
-        powers.append(mat_mul(powers[-1], phi.a))
-    translations = phi.iterate_translations(n_max)
+    cert = decide_semicascade(phi.a)
+    # The powers of an UNTAME A never repeat: every n lies below an infinite index.
+    k, s = (cert.index_k, cert.period_s) if cert.verdict == TAME else (math.inf, 1)
+    translations = phi.orbit((0.0,) * phi.d, max(1, max(indices)))  # an orbit has n >= 1
 
-    groups: dict[tuple, list[int]] = {}
+    groups: dict[int, list[int]] = {}
     for n in sorted(set(indices)):
-        groups.setdefault(powers[n].entries, []).append(n)
+        groups.setdefault(n if n < k else k + (n - k) % s, []).append(n)
     group = max(groups.values(), key=lambda g: (len(g), -g[0]))
 
     # Snap coordinates that drifted across the 0/2pi seam so a cluster of
     # equal translations cannot be split by the lexicographic sort.
-    snap = min(1e-12, tol / 2)
-    keyed = []
-    for n in group:
-        t = translations[n].copy()
-        t[TWO_PI - t < snap] = 0.0
-        keyed.append((tuple(t), n))
-    keyed.sort()
+    snapped = translations[group]
+    snapped[TWO_PI - snapped < min(1e-12, tol / 2)] = 0.0
+    keyed = sorted(zip(map(tuple, snapped), group))
 
-    best_start, best_len = 0, 1
-    run_start = 0
-    for i in range(1, len(keyed)):
-        if torus_dist(keyed[i - 1][0], keyed[i][0]) < tol:
-            if i - run_start + 1 > best_len:
-                best_start, best_len = run_start, i - run_start + 1
+    runs = [[keyed[0][1]]]
+    for (prev, _), (cur, n) in pairwise(keyed):
+        if torus_dist(prev, cur) < tol:
+            runs[-1].append(n)
         else:
-            run_start = i
-    chain = [n for _, n in keyed[best_start : best_start + best_len]]
+            runs.append([n])
+    chain = max(runs, key=len)  # the earliest of the longest runs
 
-    max_dev = 0.0
-    mat = float_array(powers[chain[0]].entries, "A^%d" % chain[0])
+    mat = float_array(mat_pow(phi.a, chain[0]).entries, "A^%d" % chain[0])
     with np.errstate(over="ignore"):
         moved = finite_array(grid @ mat.T, "the image of a grid point")
     # moved is finite and each translation lies in [0, 2*pi), so no sum overflows.
-    images = [reduce_angles(moved + translations[n]) for n in chain]
-    for prev, cur in zip(images, images[1:]):
-        delta = np.mod(prev - cur, TWO_PI)
-        dev = float(np.max(np.minimum(delta, TWO_PI - delta))) if delta.size else 0.0
-        max_dev = max(max_dev, dev)
-    return sorted(chain), max_dev
+    images = (reduce_angles(moved + translations[n]) for n in chain)  # a pair at a time
+    devs = [torus_dist(prev, cur) for prev, cur in pairwise(images)] if grid.size else []
+    return sorted(chain), max([0.0, *devs])
 
 
 @dataclass

@@ -13,6 +13,7 @@ import tametorus.tameness
 from tametorus import __version__, order_bound
 from tametorus.cli import (
     MAX_DECIDE_DIMENSION,
+    MAX_SIMULATE_ITERS,
     MAX_SWEEP_DIMENSION,
     MAX_SWEEP_ENTRIES,
     JobSpec,
@@ -209,7 +210,7 @@ class TestMainExitCodes:
         assert code == 4
         assert json.loads(out)["result"]["error"]["code"] == "CAP_EXCEEDED"
 
-    @pytest.mark.parametrize("command", ["semicascade", "cascade", "certify"])
+    @pytest.mark.parametrize("command", ["semicascade", "cascade", "certify", "simulate"])
     def test_dimension_beyond_cap_is_4_before_any_algebra(self, capsys, tmp_path, monkeypatch,
                                                            command):
         def no_algebra(a):
@@ -402,6 +403,48 @@ class TestMainExitCodes:
         assert code == 4
         assert json.loads(captured.out)["result"]["error"]["code"] == "CAP_EXCEEDED"
         assert captured.err == ""
+
+    def test_simulate_iters_beyond_cap_is_4_before_any_work(self, capsys, tmp_path,
+                                                            monkeypatch):
+        def no_work(*args):
+            raise AssertionError("a simulate job beyond the iterate cap did work")
+
+        path = tmp_path / "job.json"
+        path.write_text('{"d":2,"A":[[0,-1],[1,0]]}')
+        monkeypatch.setattr(tametorus.cli, "AffineMap", no_work)
+        n = MAX_SIMULATE_ITERS + 1
+        code, out = run_cli(["simulate", "--input", str(path), "--iters", str(n)], capsys)
+        assert code == 4
+        assert json.loads(out)["result"]["error"] == {
+            "code": "CAP_EXCEEDED",
+            "message": "--iters %d exceeds the cap of %d" % (n, MAX_SIMULATE_ITERS)}
+        # the cap is inclusive; a small stand-in keeps the job quick
+        monkeypatch.undo()
+        monkeypatch.setattr(tametorus.cli, "MAX_SIMULATE_ITERS", 10)
+        code, _ = run_cli(["simulate", "--input", str(path), "--iters", "10"], capsys)
+        assert code == 0
+        code, _ = run_cli(["simulate", "--input", str(path), "--iters", "11"], capsys)
+        assert code == 4
+
+    def test_grid_beyond_32_axes_is_4(self, capsys, tmp_path):
+        # np.meshgrid takes at most 32 axes, even at one point per axis;
+        # this once ended in a RuntimeError traceback and exit 1
+        path = tmp_path / "stream.txt"
+        path.write_text("".join("%d %d%s\n" % (k, k * k, " 0" * 31) for k in range(1, 50)))
+        code = main(["sidon", "--input", str(path), "--iters", "3", "--grid", "1"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert json.loads(captured.out)["result"]["error"] == {
+            "code": "CAP_EXCEEDED", "message": "grid of dimension 33 exceeds the cap of 32"}
+        assert captured.err == ""
+        # simulate at d = 40 stops at the decide cap, before any grid
+        d = 40
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"d": d, "A": [[int(i == j) for j in range(d)]
+                                                  for i in range(d)]}))
+        code, out = run_cli(["simulate", "--input", str(path), "--grid", "1"], capsys)
+        assert code == 4
+        assert json.loads(out)["result"]["error"]["code"] == "CAP_EXCEEDED"
 
     def test_sidon_phase_beyond_double_range_is_4(self, capsys, tmp_path):
         # 1e308 fits a double, but its products with grid angles do not;

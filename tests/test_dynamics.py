@@ -1,3 +1,4 @@
+import itertools
 import random
 import warnings
 from fractions import Fraction
@@ -17,12 +18,15 @@ from tametorus import (
     exp_grid_average,
     frequency_orbit,
     independence_check,
+    mat_mul,
     mat_pow,
     reduce_angles,
     torus_dist,
     torus_grid,
 )
-from tametorus.dynamics import TWO_PI
+import tametorus.dynamics
+import tametorus.exactalg
+from tametorus.dynamics import GRID_DIMENSION_CAP, TWO_PI
 
 
 class TestApply:
@@ -202,6 +206,11 @@ class TestConvergenceProbe:
         assert len(sub) >= 5
         assert dev <= 1e-12
 
+    def test_index_zero_alone(self):
+        # the translation orbit needs a length of at least 1
+        phi = AffineMap(IntMatrix([[0, -1], [1, 0]]), [1.0, 2.0])
+        assert convergence_probe(phi, [0], torus_grid(2, 2), 1e-9) == ([0], 0.0)
+
     def test_validation(self):
         phi = AffineMap(IntMatrix.identity(2))
         grid = torus_grid(2, 4)
@@ -211,6 +220,141 @@ class TestConvergenceProbe:
             convergence_probe(phi, [0, 1], grid, 0.0)
         with pytest.raises(DimensionMismatchError):
             convergence_probe(phi, [0, 1], torus_grid(3, 4), 1e-9)
+
+
+def _reference_probe(phi, indices, grid, tol):
+    """convergence_probe with its groups taken from brute-force exact
+    power equality: every A^n is built and the indices are grouped by its
+    entries. The rest is the probe's documented strategy, step by step."""
+    groups = {}
+    for n in sorted(set(indices)):
+        groups.setdefault(mat_pow(phi.a, n).entries, []).append(n)
+    group = max(groups.values(), key=lambda g: (len(g), -g[0]))
+    translations = phi.orbit((0.0,) * phi.d, max(indices))
+    keyed = []
+    for n in group:
+        t = translations[n].copy()
+        t[TWO_PI - t < min(1e-12, tol / 2)] = 0.0
+        keyed.append((tuple(t), n))
+    keyed.sort()
+    best_start, best_len, run_start = 0, 1, 0
+    for i in range(1, len(keyed)):
+        if torus_dist(keyed[i - 1][0], keyed[i][0]) < tol:
+            if i - run_start + 1 > best_len:
+                best_start, best_len = run_start, i - run_start + 1
+        else:
+            run_start = i
+    chain = [n for _, n in keyed[best_start : best_start + best_len]]
+    moved = grid @ np.array(mat_pow(phi.a, chain[0]).entries, dtype=float).T
+    images = [reduce_angles(moved + translations[n]) for n in chain]
+    return sorted(chain), max([0.0] + [torus_dist(p, c) for p, c in zip(images, images[1:])])
+
+
+# Index lists beyond range(n + 1): sparse, unsorted and with duplicates.
+_INDEX_LISTS = (
+    list(range(13)),
+    [12, 3, 7, 3, 0, 9, 21, 15, 7, 26],
+    [5, 5, 5],
+    [28, 1, 16, 4, 16, 10],
+)
+
+_CYCLOTOMIC_COMPANIONS = {
+    1: [[1]],
+    2: [[-1]],
+    3: [[0, -1], [1, -1]],
+    4: [[0, -1], [1, 0]],
+    5: [[0, 0, 0, -1], [1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]],
+    6: [[0, -1], [1, 1]],
+}
+
+
+def _block_diag(blocks):
+    d = sum(len(b) for b in blocks)
+    out = [[0] * d for _ in range(d)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at : at + len(row)] = row
+        at += len(b)
+    return IntMatrix(out)
+
+
+def _unimodular_pair(rng, d):
+    """A product of random integer shears, and its inverse."""
+    u = u_inv = IntMatrix.identity(d)
+    for _ in range(3 * d):
+        i, j = rng.sample(range(d), 2)
+        c = rng.choice((-1, 1))
+        shear = [[int(p == q) for q in range(d)] for p in range(d)]
+        shear[i][j] = c
+        u = mat_mul(u, IntMatrix(shear))
+        shear[i][j] = -c
+        u_inv = mat_mul(IntMatrix(shear), u_inv)
+    return u, u_inv
+
+
+class TestConvergenceProbeGrouping:
+    """convergence_probe groups the indices by decide_semicascade's
+    certificate; brute-force power equality must give the same report."""
+
+    def test_all_d2_matrices(self):
+        grid = torus_grid(2, 4)
+        for entries in itertools.product(range(-2, 3), repeat=4):
+            a = IntMatrix([entries[:2], entries[2:]])
+            for b in ((0.0, 0.0), (TWO_PI / 3, 2 * TWO_PI / 5)):
+                phi = AffineMap(a, b)
+                for indices in _INDEX_LISTS:
+                    expected = _reference_probe(phi, indices, grid, 1e-9)
+                    assert convergence_probe(phi, indices, grid, 1e-9) == expected, (a, b, indices)
+
+    def test_seeded_blocks_d3_to_d6(self):
+        # nilpotent J_k(0), repeated cyclotomic blocks and an untame block,
+        # conjugated by a unimodular matrix
+        rng = random.Random(614)
+        untame = ([[1, 1], [0, 1]], [[2, 1], [1, 1]])
+        seen_tame = seen_untame = 0
+        for _ in range(60):
+            d = rng.randint(3, 6)
+            blocks = []
+            k = rng.randint(0, 3)
+            if k:
+                blocks.append([[int(j == i + 1) for j in range(k)] for i in range(k)])
+            while sum(len(b) for b in blocks) < d:
+                room = d - sum(len(b) for b in blocks)
+                choices = [c for c in _CYCLOTOMIC_COMPANIONS.values() if len(c) <= room]
+                if room >= 2 and rng.random() < 0.15:
+                    choices = list(untame)
+                blocks.append(rng.choice(choices))
+            rng.shuffle(blocks)
+            u, u_inv = _unimodular_pair(rng, d)
+            a = mat_mul(mat_mul(u, _block_diag(blocks)), u_inv)
+            cert = decide_semicascade(a)
+            seen_tame += cert.verdict == "TAME"
+            seen_untame += cert.verdict == "UNTAME"
+            grid = torus_grid(d, 2)
+            b = [rng.choice((0, 1, 2)) * TWO_PI / 3 for _ in range(d)]
+            phi = AffineMap(a, b)
+            for indices in (*_INDEX_LISTS, list(range(cert.index_k + 2 * cert.period_s + 1))
+                            if cert.verdict == "TAME" else [0, 1, 2]):
+                expected = _reference_probe(phi, indices, grid, 1e-9)
+                assert convergence_probe(phi, indices, grid, 1e-9) == expected, (a, indices)
+        assert seen_tame and seen_untame
+
+    def test_cat_map_builds_no_power_chain(self, monkeypatch):
+        products = []
+        real_mul = tametorus.exactalg.mat_mul
+
+        def counting_mul(a, b):
+            products.append(1)
+            return real_mul(a, b)
+
+        monkeypatch.setattr(tametorus.exactalg, "mat_mul", counting_mul)
+        # also count products made through a name imported into dynamics
+        monkeypatch.setattr(tametorus.dynamics, "mat_mul", counting_mul, raising=False)
+        phi = AffineMap(IntMatrix([[2, 1], [1, 1]]))
+        sub, dev = convergence_probe(phi, range(5001), torus_grid(2, 2), 1e-9)
+        assert (sub, dev) == ([0], 0.0)
+        assert len(products) <= 2 * (5000).bit_length()
 
 
 class TestIndependenceCheck:
@@ -286,3 +430,10 @@ class TestGridAverage:
             assert torus_grid(d, 32).shape == (32 ** d, d)
             assert torus_grid(d).shape == (32 ** d, d)
         assert torus_grid(15).shape == (2 ** 15, 15)
+        assert torus_grid(GRID_DIMENSION_CAP, 1).shape == (1, GRID_DIMENSION_CAP)
+
+    def test_torus_grid_beyond_dimension_cap_raises(self):
+        # np.meshgrid takes at most 32 axes; one point per axis is no exception
+        assert GRID_DIMENSION_CAP == 32
+        with pytest.raises(CapExceededError):
+            torus_grid(33, 1)
