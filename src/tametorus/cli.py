@@ -6,10 +6,10 @@ sweep. Each is one entry of the _COMMANDS table: its help text, its
 flags, the function that runs a job into a result and the function that
 renders that result as text. Exit codes: 0 success, 2 input error,
 3 precondition error, 4 documented cap exceeded: _DIMENSION_CAPS,
-MAX_SWEEP_ENTRIES, MAX_SIMULATE_ITERS, dynamics' grid caps, CPython's
-int-to-str digit limit for a report integer, and double range for a simulate
-or sidon entry, orbit point, probe image or phase. Verdicts are report data,
-never exit codes.
+MAX_SWEEP_ENTRIES, MAX_SIMULATE_ITERS, MAX_SIMULATE_WORK, dynamics' grid
+caps, CPython's int-to-str digit limit for a report integer, and double
+range for a simulate or sidon entry, orbit point, probe image or phase.
+Verdicts are report data, never exit codes.
 Matrix jobs are described by JSON: {"d": int, "A": [[int]], "b": [...]}
 where translation entries are either decimal angles or rational
 multiples of 2*pi written "p/q". Sidon jobs read the line-based stream
@@ -37,7 +37,8 @@ from itertools import islice, product
 from typing import Callable
 
 from . import __version__
-from .dynamics import TWO_PI, AffineMap, convergence_probe, escape_probe, frequency_orbit, torus_grid
+from .dynamics import (TWO_PI, AffineMap, convergence_probe, escape_probe, frequency_orbit,
+                       grid_per_axis, torus_grid)
 from .errors import (
     CapExceededError,
     DimensionInputError,
@@ -93,6 +94,11 @@ _DIMENSION_CAPS = {
 # Largest simulate --iters. Time and memory grow linearly with it; README's
 # exit-code section gives the measured curve behind the value.
 MAX_SIMULATE_ITERS = 100_000
+# Largest (--iters + 1) * grid points * d of a simulate job: the convergence
+# probe moves every grid coordinate once per iterate of its chain, and the
+# chain can hold all of them. At the cap a job takes 8-10 s of CLI wall
+# time at every d measured (README's exit-code section).
+MAX_SIMULATE_WORK = 10 ** 8
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+/[1-9]\d*$")
 _RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
@@ -302,8 +308,16 @@ def _result_simulate(job: JobSpec) -> dict:
     n = opts["iters"]
     if n > MAX_SIMULATE_ITERS:
         raise CapExceededError("--iters %d exceeds the cap of %d" % (n, MAX_SIMULATE_ITERS))
+    d = job.payload["a"].d
+    per_axis = grid_per_axis(d, opts["grid"])
+    work = (n + 1) * per_axis ** d * d
+    if work > MAX_SIMULATE_WORK:
+        raise CapExceededError(
+            "--iters %d over %d^%d grid points is %d coordinate updates, beyond the cap of %d"
+            % (n, per_axis, d, work, MAX_SIMULATE_WORK)
+        )
     phi = AffineMap(job.payload["a"], job.payload["b"])
-    grid = torus_grid(phi.d, opts["grid"])
+    grid = torus_grid(d, per_axis)
     orbit = phi.orbit(job.payload["x0"], n)
     sub, dev = convergence_probe(phi, list(range(n + 1)), grid, opts["tol"])
     return {

@@ -31,6 +31,7 @@ __all__ = [
     "IndependenceQuery",
     "reduce_angles",
     "torus_dist",
+    "grid_per_axis",
     "torus_grid",
     "frequency_orbit",
     "escape_probe",
@@ -90,17 +91,15 @@ def torus_dist(x, y) -> float:
     return float(np.max(np.minimum(delta, TWO_PI - delta)))
 
 
-def torus_grid(d: int, per_axis: int | None = None) -> np.ndarray:
-    """Uniform grid on [0, 2*pi)^d, shape (per_axis**d, d).
+def grid_per_axis(d: int, per_axis: int | None = None) -> int:
+    """Points per axis of torus_grid(d, per_axis), checked against the caps.
 
     Defaults to 32 points per axis for d <= 3; for higher d the per-axis
     count shrinks to keep the total at most GRID_POINT_CAP points. A grid
     of more than GRID_POINT_CAP points (an explicit per_axis too large for
     d, or d >= 16 with 2 or more per axis) or GRID_DIMENSION_CAP axes
-    raises CapExceededError before anything is allocated.
+    raises CapExceededError. Loads no numpy and allocates nothing.
     """
-    import numpy as np
-
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if d > GRID_DIMENSION_CAP:
@@ -113,6 +112,16 @@ def torus_grid(d: int, per_axis: int | None = None) -> np.ndarray:
         raise CapExceededError(
             "grid of %d^%d points exceeds the cap of %d" % (per_axis, d, GRID_POINT_CAP)
         )
+    return per_axis
+
+
+def torus_grid(d: int, per_axis: int | None = None) -> np.ndarray:
+    """Uniform grid on [0, 2*pi)^d, shape (n**d, d) for n =
+    grid_per_axis(d, per_axis), whose caps are checked before anything is
+    allocated."""
+    import numpy as np
+
+    per_axis = grid_per_axis(d, per_axis)
     axis = np.arange(per_axis) * (TWO_PI / per_axis)
     mesh = np.meshgrid(*([axis] * d), indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)

@@ -96,7 +96,7 @@ class IntMatrix:
             raise DimensionMismatchError(
                 "vector of length %d does not match dimension %d" % (len(v), self.d)
             )
-        return tuple(sum(row[j] * v[j] for j in range(self.d)) for row in self.entries)
+        return tuple([sum(map(operator.mul, row, v)) for row in self.entries])
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]

@@ -19,7 +19,10 @@ test only names the witness: a repeated factor of g, or else the
 exhausted order bound. decide_semicascade_batch, which sweep calls per
 chunk and decide_semicascade per matrix, therefore derives each
 certificate once per distinct mu in its batch, while the exact power
-proof of a TAME certificate still runs on every matrix. A certificate
+proof of a TAME certificate still runs on every matrix. That proof
+builds one squaring ladder A, A^2, A^4, ..., takes A^s from its rungs
+and proves its inequalities by matrix-vector products through them, so
+it costs O(log(k + s)) matrix products. A certificate
 re-checker makes every verdict self-validating; an independent
 brute-force oracle (exact power enumeration, batched in int64 under a
 proven overflow bound for sweep) backs sweep and the tests.
@@ -30,11 +33,10 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .errors import DeterminantNotUnitError
-from .exactalg import (IntMatrix, IntPoly, mat_mul, mat_pow, min_poly, poly_divmod, poly_gcd,
-                       strip_x_factor)
+from .exactalg import IntMatrix, IntPoly, mat_mul, min_poly, poly_divmod, poly_gcd, strip_x_factor
 
 __all__ = [
     "TAME",
@@ -515,15 +517,59 @@ def _has_index_and_period(a: IntMatrix, k: int, s: int) -> bool:
     """Whether the powers of A have index exactly k and period exactly s.
 
     A^k = A^{k+s} holds exactly when k is at least the index and s a
-    multiple of the period; the two remaining checks exclude a smaller
+    multiple of the period; the two remaining checks, A^{k-1} != A^{k-1+s}
+    if k > 0 and A^{k+s/r} != A^k for every prime r | s, exclude a smaller
     index and every proper divisor of s (see certificate_check).
+
+    Every power comes from one squaring ladder A, A^2, A^4, ..., up to the
+    top bit of max(k, s): A^n is the product of the rungs at the set bits
+    of n. The equality is proved on whole matrices, as A^s = I when k = 0
+    and as A^k A^s = A^k otherwise. Each inequality states M != 0 for
+    M = A^{j+t} - A^j, with (j, t) = (k - 1, s) or (k, s/r), and is proved
+    by matrix-vector products through the ladder: A^t commutes with A^j,
+    so Mv = A^t (A^j v) - A^j v. The vectors tried are (1, ..., d) and
+    then the unit vectors e_1, ..., e_d (_witnesses). A v with Mv != 0
+    proves M != 0, and M e_i is column i of M, so when every e_i gives 0,
+    M = 0 and the inequality fails. Each check therefore decides exactly
+    what comparing the whole matrices A^{j+t} and A^j decides, for every
+    A, k and s: the accepted (k, s) are those of the whole-matrix proof.
     """
-    head = mat_pow(a, k)
-    if mat_pow(a, k + s) != head:
+    ladder = [a]
+    for _ in range(max(k, s).bit_length() - 1):
+        ladder.append(mat_mul(ladder[-1], ladder[-1]))
+
+    def power(n: int) -> IntMatrix:
+        return reduce(mat_mul, [rung for i, rung in enumerate(ladder) if n >> i & 1])
+
+    def apply_power(n: int, v: tuple[int, ...]) -> tuple[int, ...]:
+        for i, rung in enumerate(ladder):
+            if n >> i & 1:
+                v = rung.apply(v)
+        return v
+
+    def moves_some_vector(j: int, t: int) -> bool:
+        for v in _witnesses(a.d):
+            u = apply_power(j, v)
+            if apply_power(t, u) != u:
+                return True
         return False
-    if k > 0 and mat_pow(a, k - 1 + s) == mat_pow(a, k - 1):
-        return False
-    return all(mat_pow(a, k + s // r) != head for r in _prime_divisors(s))
+
+    period = power(s)
+    if k == 0:
+        if period != IntMatrix.identity(a.d):
+            return False
+    else:
+        head = power(k)
+        if mat_mul(head, period) != head or not moves_some_vector(k - 1, s):
+            return False
+    return all(moves_some_vector(k, s // r) for r in _prime_divisors(s))
+
+
+def _witnesses(d: int):
+    """The vectors the power proof tries: (1, ..., d), then e_1, ..., e_d."""
+    yield tuple(range(1, d + 1))
+    for j in range(d):
+        yield tuple(int(i == j) for i in range(d))
 
 
 def certificate_check(a: IntMatrix, cert: TamenessCertificate) -> bool:
@@ -556,9 +602,14 @@ def certificate_check(a: IntMatrix, cert: TamenessCertificate) -> bool:
     the derived pair and lies within the bound; so the bound, checked
     before mu, and the comparison, made before any power, change no
     verdict. They keep a false claim from raising A, perhaps untame, to a
-    power near s_max. Each power comes from binary exponentiation, so a
-    claim costs O(log q) matrix products per prime of s instead of q
-    products and a quadratic scan.
+    power near s_max. The power proof (_has_index_and_period) builds one
+    squaring ladder A, A^2, A^4, ... and takes A^s, and A^k, from its
+    rungs: at most 2 floor(log2 s) matrix products when k = 0 and
+    3 floor(log2 max(k, s)) + 1 otherwise, instead of q products and a
+    quadratic scan. Its inequalities, one per prime of s and one more
+    when k > 0, cost matrix-vector products only, at most
+    2 (d + 1) bit_length(max(k, s)) each, and decide exactly what the
+    whole-matrix comparisons decide.
 
     An UNTAME claim needs a witness and a known kind, and a CASCADE one
     |det A| = 1 (a TAME one implies it through A^m = I). Beyond that it is

@@ -14,6 +14,7 @@ from tametorus import __version__, order_bound
 from tametorus.cli import (
     MAX_DECIDE_DIMENSION,
     MAX_SIMULATE_ITERS,
+    MAX_SIMULATE_WORK,
     MAX_SWEEP_DIMENSION,
     MAX_SWEEP_ENTRIES,
     JobSpec,
@@ -426,6 +427,43 @@ class TestMainExitCodes:
         code, _ = run_cli(["simulate", "--input", str(path), "--iters", "11"], capsys)
         assert code == 4
 
+    def test_simulate_work_beyond_cap_is_4_before_any_work(self, capsys, tmp_path,
+                                                           monkeypatch):
+        # --iters 1000 on the d = 3 identity over the default 32^3 grid once
+        # ran for 8 s; 1,100 iterates are 1,101 * 32^3 * 3 coordinate updates
+        def no_work(*args):
+            raise AssertionError("a simulate job beyond the work cap did work")
+
+        path = tmp_path / "job.json"
+        path.write_text('{"d":3,"A":[[1,0,0],[0,1,0],[0,0,1]]}')
+        for name in ("AffineMap", "torus_grid", "convergence_probe"):
+            monkeypatch.setattr(tametorus.cli, name, no_work)
+        work = 1101 * 32 ** 3 * 3
+        assert work > MAX_SIMULATE_WORK
+        code, out = run_cli(["simulate", "--input", str(path), "--iters", "1100"], capsys)
+        assert code == 4
+        assert json.loads(out)["result"]["error"] == {
+            "code": "CAP_EXCEEDED",
+            "message": "--iters 1100 over 32^3 grid points is %d coordinate updates, "
+                       "beyond the cap of %d" % (work, MAX_SIMULATE_WORK)}
+        # the cap is inclusive; a small stand-in keeps the job quick
+        monkeypatch.undo()
+        monkeypatch.setattr(tametorus.cli, "MAX_SIMULATE_WORK", 11 * 4 ** 3 * 3)
+        args = ["simulate", "--input", str(path), "--grid", "4", "--iters"]
+        assert run_cli(args + ["10"], capsys)[0] == 0
+        assert run_cli(args + ["11"], capsys)[0] == 4
+
+    def test_simulate_work_cap_admits_the_benchmark_probe_job(self, capsys, tmp_path):
+        # the largest simulate job of the probes workload: 51 iterates over
+        # the 32^3 grid, here on a permutation of order 3
+        assert 51 * 32 ** 3 * 3 <= MAX_SIMULATE_WORK
+        path = tmp_path / "job.json"
+        path.write_text('{"d":3,"A":[[0,1,0],[0,0,1],[1,0,0]]}')
+        code, out = run_cli(
+            ["simulate", "--input", str(path), "--iters", "50", "--grid", "32"], capsys)
+        assert code == 0
+        assert json.loads(out)["result"]["exact"]["subsequence"] == list(range(0, 51, 3))
+
     def test_grid_beyond_32_axes_is_4(self, capsys, tmp_path):
         # np.meshgrid takes at most 32 axes, even at one point per axis;
         # this once ended in a RuntimeError traceback and exit 1
@@ -697,16 +735,18 @@ class TestCommands:
         # a false claim (0, s_max) used to raise A to powers near s_max
         import random
 
+        import tametorus.exactalg
         import tametorus.tameness
 
         calls = []
-        real_pow = tametorus.tameness.mat_pow
+        real_mul = tametorus.exactalg.mat_mul
 
-        def counting_pow(a, n):
-            calls.append(n)
-            return real_pow(a, n)
+        def counting_mul(a, b):
+            calls.append(1)
+            return real_mul(a, b)
 
-        monkeypatch.setattr(tametorus.tameness, "mat_pow", counting_pow)
+        monkeypatch.setattr(tametorus.exactalg, "mat_mul", counting_mul)
+        monkeypatch.setattr(tametorus.tameness, "mat_mul", counting_mul)
         rng = random.Random(16)
         d = 16
         a = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]

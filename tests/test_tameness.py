@@ -776,7 +776,7 @@ def _tame_with_known_pair(rng, d):
 
 
 class TestCertificateCheckEquivalence:
-    """The mat_pow proof in certificate_check against the exhaustive scan."""
+    """The power proof in certificate_check against the exhaustive scan."""
 
     def test_equals_exhaustive_check_on_grid(self):
         accepted = {}
@@ -820,16 +820,7 @@ class TestCertificateCheckEquivalence:
 
     @pytest.mark.parametrize("d", range(3, 9))
     def test_claim_other_than_derived_pair_builds_no_power(self, monkeypatch, d):
-        import tametorus.tameness
-
-        powers = []
-        real_pow = tametorus.tameness.mat_pow
-
-        def counting_pow(a, n):
-            powers.append(n)
-            return real_pow(a, n)
-
-        monkeypatch.setattr(tametorus.tameness, "mat_pow", counting_pow)
+        products = _count_products(monkeypatch)
         rng = random.Random(4100 + d)
         cascades = 0
         while cascades < 2:
@@ -841,7 +832,7 @@ class TestCertificateCheckEquivalence:
                 cascades += 1
             for claim in claims:
                 assert certificate_check(a, claim) is False, (a, claim)
-        assert powers == []
+        assert products == []
 
     def test_rejects_cascade_claim_without_unit_determinant(self):
         a = IntMatrix([[2, 0], [0, 1]])
@@ -851,6 +842,158 @@ class TestCertificateCheckEquivalence:
         assert certificate_check(a, claim) is False
         with pytest.raises(DeterminantNotUnitError):
             decide_cascade(a)
+
+
+def _count_products(monkeypatch):
+    """Record every matrix product made outside min_poly, whether tameness
+    calls mat_mul itself or through exactalg (mat_pow). min_poly's own
+    power search, which derogatory matrices take, is not a power proof."""
+    import tametorus.exactalg
+
+    calls = []
+    inside_min_poly = []
+    real_mul = tametorus.exactalg.mat_mul
+    real_min_poly = tametorus.tameness.min_poly
+
+    def counting_mul(a, b):
+        if not inside_min_poly:
+            calls.append(a.d)
+        return real_mul(a, b)
+
+    def uncounted_min_poly(a):
+        inside_min_poly.append(a)
+        try:
+            return real_min_poly(a)
+        finally:
+            inside_min_poly.pop()
+
+    monkeypatch.setattr(tametorus.exactalg, "mat_mul", counting_mul)
+    monkeypatch.setattr(tametorus.tameness, "mat_mul", counting_mul)
+    monkeypatch.setattr(tametorus.tameness, "min_poly", uncounted_min_poly)
+    return calls
+
+
+def _reference_has_index_and_period(a, k, s):
+    """The power proof by whole-matrix comparisons, each power from its own
+    mat_pow: A^k = A^{k+s}, A^{k-1} != A^{k-1+s} if k > 0, and
+    A^{k+s/r} != A^k for every prime r | s."""
+    head = mat_pow(a, k)
+    if mat_pow(a, k + s) != head:
+        return False
+    if k > 0 and mat_pow(a, k - 1 + s) == mat_pow(a, k - 1):
+        return False
+    return all(mat_pow(a, k + s // r) != head for r in _primes_dividing(s))
+
+
+def _mutated_pairs(k, s):
+    """The pair (k, s) itself and the claims next to it: (k + 1, s),
+    (k - 1, s) when k > 0, (k, 2s), (k, s/r) for every prime r | s, and
+    (k, s + 1)."""
+    pairs = [(k, s), (k + 1, s), (k, 2 * s), (k, s + 1)]
+    if k > 0:
+        pairs.append((k - 1, s))
+    return pairs + [(k, s // r) for r in _primes_dividing(s)]
+
+
+def _eigenvector_start(rng, blocks):
+    """U * diag(1, B) * U^-1 with B = the conjugated blocks and U the
+    unimodular matrix with first column (1, ..., d) and otherwise I, so
+    that A (1, ..., d) = (1, ..., d)."""
+    inner = _conjugated(rng, blocks).entries
+    d = len(inner) + 1
+    u = [[i + 1 if j == 0 else int(i == j) for j in range(d)] for i in range(d)]
+    u_inv = [[-(i + 1) if j == 0 and i else int(i == j) for j in range(d)] for i in range(d)]
+    b = [[int(i == j == 0) for j in range(d)] for i in range(d)]
+    for i, row in enumerate(inner):
+        b[i + 1][1:] = row
+    a = mat_mul(mat_mul(IntMatrix(u), IntMatrix(b)), IntMatrix(u_inv))
+    assert a.apply(range(1, d + 1)) == tuple(range(1, d + 1))
+    return a
+
+
+class TestPowerProofEqualsReference:
+    """_has_index_and_period (one squaring ladder, vector witnesses for the
+    inequalities) against the whole-matrix reference, on true pairs and on
+    the mutated claims around them."""
+
+    @staticmethod
+    def _assert_equal(a, k, s):
+        for k2, s2 in _mutated_pairs(k, s):
+            expected = _reference_has_index_and_period(a, k2, s2)
+            assert tametorus.tameness._has_index_and_period(a, k2, s2) is expected, (a, k2, s2)
+            assert expected is ((k2, s2) == (k, s)), (a, k2, s2)
+
+    def test_every_two_by_two_matrix_in_box(self):
+        # all 625 matrices with entries in {-2..2}; an untame one has no
+        # true pair, so every pair within the bound is a claim on it
+        tame = 0
+        for c in product(range(-2, 3), repeat=4):
+            a = IntMatrix([c[:2], c[2:]])
+            verdict, pair = oracle_semicascade(a)
+            if verdict == TAME:
+                tame += 1
+                self._assert_equal(a, pair[0], pair[1] - pair[0])
+                continue
+            for k in range(3):
+                for s in range(1, 7):
+                    assert tametorus.tameness._has_index_and_period(a, k, s) is False
+                    assert _reference_has_index_and_period(a, k, s) is False
+        assert tame == 109
+
+    def test_tame_three_by_three_matrices_in_box(self):
+        matrices = [IntMatrix([c[:3], c[3:6], c[6:]]) for c in product((-1, 0, 1), repeat=9)]
+        tame = 0
+        for a, (verdict, pair) in zip(matrices, oracle_semicascade_batch(matrices)):
+            if verdict == TAME:
+                tame += 1
+                self._assert_equal(a, pair[0], pair[1] - pair[0])
+        assert tame == 5383
+
+    @pytest.mark.parametrize("d", range(4, 17))
+    def test_conjugated_cyclotomic_blocks(self, d):
+        rng = random.Random(15000 + d)
+        for _ in range(2):
+            a, k, s, _ = _tame_with_known_pair(rng, d)
+            self._assert_equal(a, k, s)
+
+    @pytest.mark.parametrize("d", [4, 6, 8, 16])
+    def test_eigenvector_start_runs_the_unit_vector_fallback(self, monkeypatch, d):
+        # A (1, ..., d) = (1, ..., d), so (1, ..., d) is no witness for any
+        # inequality, and each one that holds needs some e_i
+        drawn = []
+        real = tametorus.tameness._witnesses
+
+        def counting(n):
+            for v in real(n):
+                drawn.append(v)
+                yield v
+
+        monkeypatch.setattr(tametorus.tameness, "_witnesses", counting)
+        rng = random.Random(15100 + d)
+        k = d % 3
+        orders, budget = [], d - 1 - k
+        for n in (4, 3, 5, 7):
+            if euler_phi(n) <= budget:
+                orders.append(n)
+                budget -= euler_phi(n)
+        blocks = [_companion(_cyclotomic(n)) for n in orders] + [[[1]]] * budget
+        if k:
+            blocks.append(_nilpotent_block(k))
+        a = _eigenvector_start(rng, blocks)
+        s = math.lcm(*orders)
+        self._assert_equal(a, k, s)
+        ones = tuple(range(1, d + 1))
+        assert drawn.count(ones) < len(drawn)
+        assert all(v == ones or sorted(v) == [0] * (d - 1) + [1] for v in drawn)
+
+    def test_landau_cascade_proof_uses_a_logarithmic_number_of_products(self, monkeypatch):
+        # d = 16, orders {3, 5, 7, 8}: s = 840 = s_max(16); one power per
+        # check took 51 products, the ladder 9 squarings and 3 products
+        rng = random.Random(15200)
+        a = _conjugated(rng, [_companion(_cyclotomic(n)) for n in (3, 5, 7, 8)])
+        products = _count_products(monkeypatch)
+        assert tametorus.tameness._has_index_and_period(a, 0, 840)
+        assert len(products) <= 2 * (840).bit_length()
 
 
 _JORDAN_ONE = [[1, 1], [0, 1]]
