@@ -48,6 +48,7 @@ from .errors import (
 )
 from .exactalg import IntMatrix, IntPoly
 from .sidon import (
+    DEFAULT_MAX_SCAN,
     estimate_sidon_ratio,
     extract_sidon,
     parse_stream,
@@ -497,7 +498,7 @@ _COMMANDS: dict[str, _Command] = {
         _text_sidon,
         (
             ("--iters", "count", int, 12, "number of vectors to select", ">= 1"),
-            ("--bound", "max_scan", int, 100_000, "max candidates scanned", ">= 1"),
+            ("--bound", "max_scan", int, DEFAULT_MAX_SCAN, "max candidates scanned", ">= 1"),
             ("--grid", "grid", int, 32, "estimation grid per axis", ">= 1"),
             ("--seed", "seed", int, 0, "estimation seed", ">= 0"),
         ),

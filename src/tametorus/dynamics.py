@@ -321,7 +321,7 @@ class IndependenceQuery:
             raise ValueError("thresholds must satisfy a < b")
 
 
-def independence_check(query: IndependenceQuery, cap: int = MAX_INDEPENDENCE_FUNCTIONS) -> bool:
+def independence_check(query: IndependenceQuery) -> bool:
     """Brute-force test of the independence pattern condition.
 
     True iff for every pair of disjoint index subsets P, Q some sampled
@@ -331,8 +331,9 @@ def independence_check(query: IndependenceQuery, cap: int = MAX_INDEPENDENCE_FUN
     extension of it is also a pattern).
     """
     n = len(query.functions)
-    if n > cap:
-        raise CapExceededError("independence check capped at %d functions, got %d" % (cap, n))
+    if n > MAX_INDEPENDENCE_FUNCTIONS:
+        raise CapExceededError("independence check capped at %d functions, got %d"
+                               % (MAX_INDEPENDENCE_FUNCTIONS, n))
     if n == 0:
         return True
     npoints = query.functions[0].shape[0]

@@ -53,7 +53,6 @@ def extract_sidon(
     stream: Iterable[Sequence[int]],
     count: int,
     max_scan: int = DEFAULT_MAX_SCAN,
-    verify_cap: int = MAX_QUASI_INDEPENDENCE_VECTORS,
 ) -> SidonReport:
     """Greedily select count vectors satisfying the norm-growth rule.
 
@@ -62,8 +61,8 @@ def extract_sidon(
     qualifies). Raises StreamExhaustedError when the stream ends, or when
     max_scan candidates have been examined, before count vectors are
     found; a bounded stream can never satisfy the rule count times.
-    The selected prefix (up to verify_cap vectors) is re-checked for
-    quasi-independence by verify_quasi_independence.
+    The selected prefix (up to MAX_QUASI_INDEPENDENCE_VECTORS vectors) is
+    re-checked for quasi-independence by verify_quasi_independence.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -93,8 +92,8 @@ def extract_sidon(
             "stream supplied %d of %d vectors under the norm-growth rule "
             "(%d candidates examined)" % (len(selected), count, scanned)
         )
-    checked = min(count, verify_cap)
-    if not verify_quasi_independence(selected[:checked], cap=verify_cap):
+    checked = min(count, MAX_QUASI_INDEPENDENCE_VECTORS)
+    if not verify_quasi_independence(selected[:checked]):
         raise AssertionError("norm-growth rule produced a dependent set; this is a bug")
     return SidonReport(selected=selected, quasi_independence_checked_up_to=checked)
 
@@ -107,15 +106,13 @@ def _signed_sums(vectors: Sequence[tuple[int, ...]], dim: int) -> list[tuple[int
     return sums
 
 
-def verify_quasi_independence(
-    vectors: Sequence[Sequence[int]], cap: int = MAX_QUASI_INDEPENDENCE_VECTORS
-) -> bool:
+def verify_quasi_independence(vectors: Sequence[Sequence[int]]) -> bool:
     """Exactly check that no nontrivial {-1,0,+1}-combination vanishes.
 
     Meet in the middle (Horowitz and Sahni 1974): split the n vectors into
     halves of sizes h = n // 2 and n - h and build every signed sum S1(e)
     of the first half and S2(f) of the second: 3^h + 3^(n-h) integer
-    tuples, at most 2 * 3^6 under the default cap. A full pattern (e, f)
+    tuples, at most 2 * 3^6 under the cap. A full pattern (e, f)
     vanishes iff S1(e) = -S2(f), so the number of colliding pairs is the
     number of vanishing patterns, and the vectors are quasi-independent
     iff it is exactly 1, the all-zero pattern. Python integers throughout
@@ -123,10 +120,9 @@ def verify_quasi_independence(
     """
     vs = [tuple(operator.index(c) for c in v) for v in vectors]
     n = len(vs)
-    if n > cap:
-        raise CapExceededError(
-            "quasi-independence check capped at %d vectors, got %d" % (cap, n)
-        )
+    if n > MAX_QUASI_INDEPENDENCE_VECTORS:
+        raise CapExceededError("quasi-independence check capped at %d vectors, got %d"
+                               % (MAX_QUASI_INDEPENDENCE_VECTORS, n))
     if n == 0:
         return True
     if len({len(v) for v in vs}) != 1:

@@ -16,23 +16,25 @@ which yields the least pair (k, k+s) respectively the least order m = s.
 Step 2 is one derivation, _index_and_order, from mu and d alone; it backs
 the deciders and every certificate check. For an untame A, a gcd(g, g')
 test only names the witness: a repeated factor of g, or else the
-exhausted order bound. decide_semicascade_batch, which sweep calls per
-chunk and decide_semicascade per matrix, therefore derives each
-certificate once per distinct mu in its batch, while the exact power
-proof of a TAME certificate still runs on every matrix. That proof
-builds one squaring ladder A, A^2, A^4, ..., takes A^s from its rungs
-and proves its inequalities by matrix-vector products through them, so
-it costs O(log(k + s)) matrix products. A certificate
-re-checker makes every verdict self-validating; an independent
-brute-force oracle (exact power enumeration, batched in int64 under a
-proven overflow bound for sweep) backs sweep and the tests.
+exhausted order bound. decide_semicascade_batch is the one place a
+verdict is derived and proved: sweep calls it per chunk,
+decide_semicascade per matrix, and decide_cascade and the simulate
+probe go through decide_semicascade, a cascade order m being the pair
+(0, m). It derives each certificate once per distinct mu in its batch,
+while the exact power proof of a TAME certificate still runs on every
+matrix. That proof builds one squaring ladder A, A^2, A^4, ..., takes
+A^s from its rungs and proves its inequalities by matrix-vector
+products through them, so it costs O(log(k + s)) matrix products. A
+certificate re-checker makes every verdict self-validating; an
+independent brute-force oracle (exact power enumeration, batched in
+int64 under a proven overflow bound for sweep) backs sweep and the tests.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 
 from .errors import DeterminantNotUnitError
@@ -359,12 +361,6 @@ def _semicascade_certificate(mu: IntPoly, d: int) -> TamenessCertificate:
     )
 
 
-def _self_checked(a: IntMatrix, cert: TamenessCertificate, k: int, s: int) -> TamenessCertificate:
-    if not _has_index_and_period(a, k, s):
-        raise AssertionError("internal error: certificate failed self-check: %r" % (cert,))
-    return cert
-
-
 def decide_semicascade(a: IntMatrix) -> TamenessCertificate:
     """Decide tameness of the iteration semigroup of x -> Ax + b.
 
@@ -400,8 +396,8 @@ def decide_semicascade_batch(matrices: Sequence[IntMatrix]) -> list[TamenessCert
         cert = by_mu.get(mu)
         if cert is None:
             cert = by_mu[mu] = _semicascade_certificate(mu, d)
-        if cert.verdict == TAME:
-            cert = _self_checked(a, cert, cert.index_k, cert.period_s)
+        if cert.verdict == TAME and not _has_index_and_period(a, cert.index_k, cert.period_s):
+            raise AssertionError("internal error: certificate failed self-check: %r" % (cert,))
         out.append(cert)
     return out
 
@@ -410,20 +406,23 @@ def decide_cascade(a: IntMatrix) -> TamenessCertificate:
     """Decide tameness of the iteration group of an invertible affine map.
 
     Requires |det A| = 1 (otherwise the inverse is not an integer matrix
-    and the cascade is undefined). TAME certificates carry the least
-    m >= 1 with A^m = I.
+    and the cascade is undefined). The cascade is tame exactly when
+    A^m = I for some m >= 1, that is when the semicascade has the pair
+    (0, m), so the verdict is decide_semicascade's, with its derivation
+    and power proof. An UNTAME witness depends only on mu and d and is
+    kept; a TAME certificate carries the least order m = s.
     """
     det = abs(a.det())
     if det != 1:
         raise DeterminantNotUnitError("cascade undefined: |det A| = %d, need 1" % det)
-    _, g, s = _index_and_order(min_poly(a), a.d)
-    if s is None:
-        witness = _untame_witness(g, a.d)
-        return TamenessCertificate(verdict=UNTAME, kind=CASCADE, witness=witness)
-    # |det A| = 1, so x does not divide the minimal polynomial and the
-    # index is 0; the self-check below would catch a violation.
-    cert = TamenessCertificate(verdict=TAME, kind=CASCADE, period_s=s, minimal_order_m=s)
-    return _self_checked(a, cert, 0, s)
+    cert = decide_semicascade(a)
+    if cert.verdict == UNTAME:
+        return replace(cert, kind=CASCADE)
+    if cert.index_k != 0:
+        # |det A| = 1 keeps x out of the minimal polynomial.
+        raise AssertionError("internal error: |det A| = 1 but %r has an index" % (cert,))
+    return TamenessCertificate(verdict=TAME, kind=CASCADE, period_s=cert.period_s,
+                               minimal_order_m=cert.period_s)
 
 
 def oracle_semicascade(a: IntMatrix):

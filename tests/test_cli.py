@@ -193,7 +193,20 @@ class TestMainExitCodes:
         path.write_text('{"d":2,"A":[[1,0],[0,0]]}')
         code, out = run_cli(["cascade", "--input", str(path)], capsys)
         assert code == 3
-        assert json.loads(out)["result"]["error"]["code"] == "DETERMINANT_NOT_UNIT"
+        assert json.loads(out)["result"]["error"] == {
+            "code": "DETERMINANT_NOT_UNIT",
+            "message": "cascade undefined: |det A| = 0, need 1",
+        }
+
+    def test_precondition_error_names_a_nonzero_determinant(self, capsys, tmp_path):
+        path = tmp_path / "job.json"
+        path.write_text('{"d":2,"A":[[2,0],[0,1]]}')
+        code, out = run_cli(["cascade", "--input", str(path)], capsys)
+        assert code == 3
+        assert json.loads(out)["result"]["error"] == {
+            "code": "DETERMINANT_NOT_UNIT",
+            "message": "cascade undefined: |det A| = 2, need 1",
+        }
 
     def test_stream_exhausted_is_3(self, capsys, tmp_path):
         path = tmp_path / "stream.txt"
@@ -602,6 +615,21 @@ class TestCommands:
         assert exact["quasi_independent"] is True
         assert report["result"]["floating"]["estimated_ratio"] > 0
 
+    def test_sidon_checks_the_first_twelve_of_more_vectors(self, capsys, tmp_path):
+        path = tmp_path / "stream.txt"
+        path.write_text("".join("%d\n" % 2 ** k for k in range(20)))
+        for fmt in ("json", "text"):
+            code, out = run_cli(
+                ["sidon", "--input", str(path), "--iters", "14", "--format", fmt], capsys
+            )
+            assert code == 0
+            if fmt == "json":
+                exact = json.loads(out)["result"]["exact"]
+                assert exact["selected"] == [[2 ** k] for k in range(14)]
+                assert exact["quasi_independence_checked_up_to"] == 12
+            else:
+                assert "quasi-independent: True (checked up to 12)" in out
+
     def test_sidon_grid_within_cap_runs_at_d3(self, capsys, tmp_path):
         path = tmp_path / "stream.txt"
         path.write_text("".join("%d %d %d\n" % (k, k * k, 1) for k in range(1, 100)))
@@ -657,6 +685,48 @@ class TestCommands:
         path.write_text(json.dumps(bad))
         code, out = run_cli(["certify", "--input", str(path)], capsys)
         assert code == 0 and json.loads(out)["result"]["exact"]["valid"] is False
+
+    _ROT4 = [[0, -1], [1, 0]]
+    _CATMAP = [[2, 1], [1, 1]]
+    _SEMI = {"verdict": "TAME", "kind": "SEMICASCADE", "index_k": 0, "period_s": 4,
+             "minimal_pair": [0, 4]}
+    _CASC = {"verdict": "TAME", "kind": "CASCADE", "period_s": 4, "minimal_order_m": 4}
+    _WITNESS = {"reason": "ORDER_BOUND_EXHAUSTED", "stripped_min_poly": [1, -3, 1], "s_max": 6}
+    _UNTAME = {"verdict": "UNTAME", "kind": "SEMICASCADE", "witness": _WITNESS}
+
+    @pytest.mark.parametrize(
+        "a, certificate, valid",
+        [
+            (_ROT4, _SEMI, True),
+            (_ROT4, {**_SEMI, "minimal_order_m": 4}, False),
+            (_ROT4, {**_SEMI, "index_k": 1}, False),
+            (_ROT4, {**_SEMI, "period_s": 2}, False),
+            (_ROT4, {**_SEMI, "witness": _WITNESS}, False),
+            (_ROT4, {**_CASC, "index_k": 0}, True),
+            (_ROT4, {**_CASC, "period_s": 2}, False),
+            (_ROT4, {**_CASC, "minimal_pair": [0, 4]}, False),
+            (_ROT4, {**_CASC, "index_k": 1}, False),
+            (_ROT4, {**_CASC, "kind": "GROUP"}, False),
+            (_ROT4, {**_UNTAME, "kind": "GROUP"}, False),
+            (_ROT4, {"verdict": "UNTAME", "kind": "SEMICASCADE"}, False),
+            (_ROT4, {**_CASC, "verdict": "MAYBE"}, False),
+            (_CATMAP, _UNTAME, True),
+            (_CATMAP, {**_UNTAME, "kind": "GROUP"}, False),
+            (_CATMAP, {"verdict": "UNTAME", "kind": "SEMICASCADE"}, False),
+            (_CATMAP, {**_UNTAME, "verdict": "MAYBE"}, False),
+        ],
+        ids=["semicascade", "semicascade_with_order", "semicascade_index_not_p",
+             "semicascade_period_not_q_minus_p", "semicascade_with_witness",
+             "cascade_index_zero", "cascade_period_not_m", "cascade_with_pair",
+             "cascade_index_one", "tame_group", "untame_group", "untame_without_witness",
+             "maybe", "catmap_untame", "catmap_untame_group", "catmap_untame_without_witness",
+             "catmap_maybe"],
+    )
+    def test_certify_reads_every_claim_field(self, capsys, tmp_path, a, certificate, valid):
+        path = tmp_path / "claim.json"
+        path.write_text(json.dumps({"d": 2, "A": a, "certificate": certificate}))
+        code, out = run_cli(["certify", "--input", str(path)], capsys)
+        assert code == 0 and json.loads(out)["result"]["exact"]["valid"] is valid
 
     @pytest.mark.parametrize(
         "certificate",

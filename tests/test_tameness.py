@@ -390,9 +390,8 @@ class TestDecideCascade:
             decide_cascade(named["projector"])
 
     def test_consistency_with_semicascade(self):
-        # over all |det| = 1 matrices with entries in {-1, 0, 1}
-        for combo in product((-1, 0, 1), repeat=4):
-            a = IntMatrix([combo[:2], combo[2:]])
+        # over all |det| = 1 3x3 matrices with entries in {-1, 0, 1}
+        for a in _box(3, (-1, 0, 1)):
             if abs(a.det()) != 1:
                 continue
             casc = decide_cascade(a)
@@ -1109,6 +1108,78 @@ class TestUntameCertificateEquivalence:
         for a, cert in claims:
             assert cert.verdict == UNTAME and certificate_check(a, cert), cert
         assert calls == []
+
+
+def _reference_decide_cascade(a):
+    """decide_cascade as its own derivation: the witness from g and the
+    power proof of (0, s), next to decide_semicascade's."""
+    det = abs(a.det())
+    if det != 1:
+        raise DeterminantNotUnitError("cascade undefined: |det A| = %d, need 1" % det)
+    _, g, s = tametorus.tameness._index_and_order(min_poly(a), a.d)
+    if s is None:
+        witness = tametorus.tameness._untame_witness(g, a.d)
+        return TamenessCertificate(verdict=UNTAME, kind=CASCADE, witness=witness)
+    cert = TamenessCertificate(verdict=TAME, kind=CASCADE, period_s=s, minimal_order_m=s)
+    if not tametorus.tameness._has_index_and_period(a, 0, s):
+        raise AssertionError("internal error: certificate failed self-check: %r" % (cert,))
+    return cert
+
+
+def _outcome(decide, a):
+    """The certificate decide returns, or the type and message it raises."""
+    try:
+        return decide(a)
+    except Exception as exc:  # the caller compares it with the other side's
+        return type(exc), str(exc)
+
+
+def _box(d, values):
+    """Every d x d matrix with entries in values, in product order."""
+    for combo in product(values, repeat=d * d):
+        yield IntMatrix([combo[i * d:(i + 1) * d] for i in range(d)])
+
+
+class TestDecideCascadeEqualsReference:
+    """decide_cascade, which reads decide_semicascade's certificate, against
+    the separate derivation it replaced, certificate for certificate and
+    exception for exception."""
+
+    @staticmethod
+    def _assert_same(matrices):
+        verdicts = set()
+        for a in matrices:
+            got = _outcome(decide_cascade, a)
+            assert got == _outcome(_reference_decide_cascade, a), a
+            verdicts.add(got.verdict if isinstance(got, TamenessCertificate) else got[0])
+        return verdicts
+
+    @pytest.mark.parametrize("d, values", [(2, range(-2, 3)), (3, (-1, 0, 1))])
+    def test_every_unimodular_matrix_in_box(self, d, values):
+        matrices = [a for a in _box(d, values) if abs(a.det()) == 1]
+        assert self._assert_same(matrices) == {TAME, UNTAME}
+
+    @pytest.mark.parametrize("d", range(4, 17))
+    def test_conjugated_cyclotomic_blocks(self, d):
+        rng = random.Random(1600 + d)
+        unimodular, singular = [], []
+        while len(unimodular) < 2 or not singular:
+            a, k, _, _ = _tame_with_known_pair(rng, d)
+            (singular if k else unimodular).append(a)
+        # x^d - x - 1 is squarefree, so its companion exhausts the order bound
+        selmer = _conjugated(rng, [_companion(IntPoly([-1, -1] + [0] * (d - 2) + [1]))])
+        untame = [_non_squarefree(rng, d), _hyperbolic(rng, d), selmer]
+        matrices = unimodular + singular[:1] + untame
+        assert self._assert_same(matrices) == {TAME, UNTAME, DeterminantNotUnitError}
+        reasons = {decide_cascade(a).witness.reason for a in untame}
+        assert reasons == {NON_SQUAREFREE, ORDER_BOUND_EXHAUSTED}
+
+    @pytest.mark.parametrize("entries, det", [([[1, 0], [0, 0]], 0), ([[2, 0], [0, 1]], 2)])
+    def test_determinant_not_unit(self, entries, det):
+        a = IntMatrix(entries)
+        message = "cascade undefined: |det A| = %d, need 1" % det
+        assert _outcome(decide_cascade, a) == (DeterminantNotUnitError, message)
+        assert _outcome(_reference_decide_cascade, a) == (DeterminantNotUnitError, message)
 
 
 class TestMinPolyKnownTame:
