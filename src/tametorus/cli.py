@@ -76,9 +76,10 @@ MAX_SWEEP_ENTRIES = 1_000_000
 _SWEEP_CHUNK = 1024
 
 # Largest d that semicascade, cascade and certify accept. At d = 32 the
-# slowest measured family, a dense matrix whose min_poly start vector is an
-# eigenvector (the full vec(A^k) search), takes ~4 s of CLI wall time per
-# job; at d = 36 it takes ~10 s and at d = 40 ~27 s (BENCH_9.json).
+# slowest measured family, a dense random matrix with entries in +-2^16,
+# takes ~2.5 s of CLI wall time per job, against ~0.3 s for entries in
+# +-2 or an eigenvector start vector (BENCH_17.json). That cost grows
+# with the entry size, which no cap bounds, so d is held at 32.
 MAX_DECIDE_DIMENSION = 32
 # Largest d for which a sweep box of two values per entry, 2^(d*d)
 # matrices, fits MAX_SWEEP_ENTRIES. Beyond it only a one-value box fits,

@@ -345,51 +345,53 @@ def _first_dependency(vectors, n: int) -> IntPoly:
     raise ArithmeticError("no dependency among the first %d vectors" % n)
 
 
-def _krylov_vectors(a: IntMatrix):
-    """v, Av, A^2 v, ... for the fixed start vector v = (1, 2, ..., d).
+def _witnesses(d: int):
+    """(1, ..., d), then the unit vectors e_1, ..., e_d: the start vectors
+    of min_poly's Krylov sequences and the vectors the power proof tries.
 
     Small entries keep the elimination's integers short: at d = 30 and 36
     the start vector (1, 2, 4, ..., 2^(d-1)) made the search 2.5 to 3
     times slower.
     """
-    vec = list(range(1, a.d + 1))
+    yield tuple(range(1, d + 1))
+    for j in range(d):
+        yield tuple(int(i == j) for i in range(d))
+
+
+def _krylov_vectors(a: IntMatrix, vec):
+    """vec, A vec, A^2 vec, ..."""
     while True:
         yield vec
         vec = [sum(map(operator.mul, row, vec)) for row in a.entries]
 
 
-def _power_vectors(a: IntMatrix):
-    """vec(I), vec(A), vec(A^2), ..., each power flattened row by row."""
-    power = IntMatrix.identity(a.d)
-    while True:
-        yield [x for row in power.entries for x in row]
-        power = mat_mul(power, a)
-
-
 def min_poly(a: IntMatrix) -> IntPoly:
     """Monic minimal polynomial mu of an integer matrix, by exact Krylov
-    elimination. No factorization is ever performed.
+    elimination on d-vectors, with no factorization and no matrix product.
 
-    First, the shared dependency search runs on the Krylov sequence
-    v, Av, A^2 v, ... of one fixed integer start vector v. Its first
-    dependency is mu_v, the least monic polynomial with mu_v(A) v = 0.
-    This costs d matrix-vector products, not d matrix products. If
-    deg mu_v = d, then mu_v = mu:
-      * mu(A) v = 0, so mu_v divides mu (the f with f(A) v = 0 form an
-        ideal of Q[x], and mu_v generates it);
-      * Cayley-Hamilton gives deg mu <= d, so deg mu_v = d = deg mu, and
-        two monic polynomials of which one divides the other and which
-        have equal degree are equal;
-      * mu_v is a monic divisor of the monic integer polynomial mu, so by
-        Gauss's lemma it has integer coefficients, and the division of the
-        dependency by its lead coefficient is exact.
-    Otherwise A is derogatory or v is not a cyclic vector, and the same
-    search runs on vec(I), vec(A), ..., vec(A^d): a relation among the
-    powers is a polynomial that annihilates A, so its first dependency is
-    mu by definition, which Cayley-Hamilton guarantees by vec(A^d).
+    mu_u, the least monic polynomial with mu_u(A) u = 0, generates the
+    ideal of the f with f(A) u = 0, so it divides mu. The loop keeps a
+    monic divisor P of mu, from P = 1, and for u = (1, ..., d), e_1, ...,
+    e_d in turn (_witnesses) forms w = P(A) u by Horner's rule, deg P
+    matrix-vector products. If w != 0, P becomes P * mu_w, mu_w the first
+    dependency of w, Aw, A^2 w, ... (_first_dependency):
+      * f(A) w = 0 exactly when mu_u divides f P, so mu_w = mu_u /
+        gcd(mu_u, P) and P * mu_w = lcm(P, mu_u) still divides mu; the
+        first d + 1 - deg P vectors of w's sequence are dependent.
+      * Each mu_w divides the monic integer mu, so by Gauss's lemma it is
+        integral, and dividing the dependency by its lead is exact.
+      * At the end P(A) e_i = 0 for every i, so P(A) = 0 and P = mu.
+      * deg mu <= d (Cayley-Hamilton), so deg P = d stops the loop early;
+        a cyclic v = (1, ..., d) stops it after the first step.
     """
     d = a.d
-    mu_v = _first_dependency(_krylov_vectors(a), d + 1)
-    if mu_v.degree == d:
-        return mu_v
-    return _first_dependency(_power_vectors(a), d + 1)
+    mu = IntPoly([1])
+    for u in _witnesses(d):
+        w = u
+        for c in reversed(mu.coeffs[:-1]):
+            w = [sum(map(operator.mul, row, w)) + c * x for row, x in zip(a.entries, u)]
+        if any(w):
+            mu = mu * _first_dependency(_krylov_vectors(a, w), d + 1 - mu.degree)
+            if mu.degree == d:
+                break
+    return mu

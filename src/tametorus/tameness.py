@@ -38,7 +38,8 @@ from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 
 from .errors import DeterminantNotUnitError
-from .exactalg import IntMatrix, IntPoly, mat_mul, min_poly, poly_divmod, poly_gcd, strip_x_factor
+from .exactalg import (IntMatrix, IntPoly, _witnesses, mat_mul, min_poly, poly_divmod, poly_gcd,
+                       strip_x_factor)
 
 __all__ = [
     "TAME",
@@ -562,13 +563,6 @@ def _has_index_and_period(a: IntMatrix, k: int, s: int) -> bool:
         if mat_mul(head, period) != head or not moves_some_vector(k - 1, s):
             return False
     return all(moves_some_vector(k, s // r) for r in _prime_divisors(s))
-
-
-def _witnesses(d: int):
-    """The vectors the power proof tries: (1, ..., d), then e_1, ..., e_d."""
-    yield tuple(range(1, d + 1))
-    for j in range(d):
-        yield tuple(int(i == j) for i in range(d))
 
 
 def certificate_check(a: IntMatrix, cert: TamenessCertificate) -> bool:

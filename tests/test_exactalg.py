@@ -1,7 +1,8 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,8 @@ from tametorus import (
     poly_gcd,
     strip_x_factor,
 )
-from tametorus.exactalg import _first_dependency, _krylov_vectors, _power_vectors
+import tametorus.exactalg
+from tametorus.exactalg import _first_dependency, _krylov_vectors
 
 
 def square_matrices(max_d=4, lo=-3, hi=3):
@@ -313,53 +315,136 @@ class TestMinPoly:
         assert derogatory >= 30
 
 
+def _power_vectors(a):
+    """vec(I), vec(A), vec(A^2), ..., each power flattened row by row."""
+    power = IntMatrix.identity(a.d)
+    while True:
+        yield [x for row in power.entries for x in row]
+        power = mat_mul(power, a)
+
+
 def _power_search(a):
-    """The full vec(A^k) dependency search, called directly."""
+    """The reference for min_poly: the first dependency among vec(I),
+    vec(A), ..., vec(A^d). A relation among the powers is a polynomial
+    that annihilates A, so the first one is mu by definition, and
+    Cayley-Hamilton guarantees it by vec(A^d)."""
     return _first_dependency(_power_vectors(a), a.d + 1)
 
 
 def _krylov_search(a):
-    """mu_v for min_poly's start vector v = (1, 2, ..., d)."""
-    return _first_dependency(_krylov_vectors(a), a.d + 1)
+    """mu_v for min_poly's first start vector v = (1, 2, ..., d)."""
+    return _first_dependency(_krylov_vectors(a, tuple(range(1, a.d + 1))), a.d + 1)
 
 
-def _eigenvector_start(d, seed):
-    """A random matrix with its first column changed so that A v = v for
-    v = (1, ..., d): A = R - (R v - v) e_1^T."""
-    rng = random.Random(seed)
-    a = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
-    for i, row in enumerate(a):
-        row[0] -= sum(x * (j + 1) for j, x in enumerate(row)) - (i + 1)
-    return IntMatrix(a)
+def _shear_conjugated(rng, blocks, steps):
+    """U * diag(blocks) * U^-1 for U a product of `steps` elementary shears
+    I + c E_ij, c = +-1, whose inverses are I - c E_ij."""
+    d = sum(len(b) for b in blocks)
+    entries = [[0] * d for _ in range(d)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            entries[at + i][at:at + len(row)] = row
+        at += len(b)
+    a = IntMatrix(entries)
+    for _ in range(steps if d > 1 else 0):
+        i, j = rng.sample(range(d), 2)
+        c = rng.choice((-1, 1))
+        u = [[int(r == s) + (c if (r, s) == (i, j) else 0) for s in range(d)] for r in range(d)]
+        u_inv = [[int(r == s) - (c if (r, s) == (i, j) else 0) for s in range(d)] for r in range(d)]
+        a = mat_mul(mat_mul(IntMatrix(u), a), IntMatrix(u_inv))
+    return a
+
+
+def _eigenvector_start(rng, d):
+    """U * diag(1, B) * U^-1 with U = I + (v - e_1) e_1^T, whose first
+    column is v = (1, ..., d) and whose inverse is I - (v - e_1) e_1^T, so
+    that A v = v. B is the conjugated companion matrix of a random monic h
+    with h(1) != 0, so A is non-derogatory with mu = (x - 1) h."""
+    h = [rng.randint(-2, 2) for _ in range(d - 1)] + [1]
+    h[0] += sum(h) == 0
+    b = _shear_conjugated(rng, [_companion(IntPoly(h))], 2 * (d - 1)).entries
+    u = [[i + 1 if j == 0 else int(i == j) for j in range(d)] for i in range(d)]
+    u_inv = [[-(i + 1) if j == 0 and i else int(i == j) for j in range(d)] for i in range(d)]
+    m = [[int(i == j == 0) if i == 0 or j == 0 else b[i - 1][j - 1] for j in range(d)]
+         for i in range(d)]
+    a = mat_mul(mat_mul(IntMatrix(u), IntMatrix(m)), IntMatrix(u_inv))
+    assert a.apply(range(1, d + 1)) == tuple(range(1, d + 1))
+    return a
+
+
+def _companion(g):
+    """Companion matrix of a monic integer polynomial of degree >= 1."""
+    c = g.coeffs
+    m = len(c) - 1
+    return [[1 if i == j + 1 else 0 for j in range(m - 1)] + [-c[i]] for i in range(m)]
+
+
+def _companion_plus_one(rng, d):
+    """U * diag(C((x - 1) g), 1) * U^-1 for a random monic g of degree
+    d - 2: mu = (x - 1) g has degree d - 1, so min_poly never stops early
+    and folds every e_i."""
+    g = IntPoly([rng.randint(-2, 2) for _ in range(d - 2)] + [1])
+    return _shear_conjugated(rng, [_companion(IntPoly([-1, 1]) * g), [[1]]], 2 * d)
+
+
+def _repeated_blocks(rng, d):
+    """U * diag(C(Phi_n), C(Phi_n) for n in (3, 4, 6), J_2(0), J_2(0),
+    1, ..., 1) * U^-1, cut to dimension d >= 8: every block is repeated."""
+    phis = {3: [1, 1, 1], 4: [1, 0, 1], 6: [1, -1, 1]}
+    blocks = [[[0, 1], [0, 0]]] * 2
+    for n in rng.sample(sorted(phis), 3):
+        if sum(map(len, blocks)) + 4 <= d:
+            blocks += [_companion(IntPoly(phis[n]))] * 2
+    blocks += [[[1]]] * (d - sum(map(len, blocks)))
+    return _shear_conjugated(rng, blocks, 2 * d)
+
+
+def _krylov_determinants(a):
+    """det [v, Av, ..., A^(d-1) v] for a stack of int64 matrices, by the
+    Leibniz formula; exact while the products fit in int64."""
+    d = a.shape[1]
+    vecs = [np.broadcast_to(np.arange(1, d + 1), a.shape[:2])]
+    for _ in range(d - 1):
+        vecs.append(np.einsum("nij,nj->ni", a, vecs[-1]))
+    k = np.stack(vecs, axis=1)
+    return sum(
+        (-1) ** sum(p[i] > p[j] for i in range(d) for j in range(i + 1, d))
+        * np.prod(k[:, range(d), p], axis=1)
+        for p in permutations(range(d))
+    )
+
+
+_SMALL_CASES = pytest.mark.parametrize(
+    "entries, mu, krylov_degree",
+    [
+        ([[5, 0, 0, 0], [0, 5, 0, 0], [0, 0, 5, 0], [0, 0, 0, 5]], [-5, 1], 1),
+        ([[0] * 3] * 3, [0, 1], 1),
+        ([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]], [0, 0, 0, 0, 1], 4),
+        ([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]], [0, 0, 1], 2),
+        ([[2, 1, 0], [0, 2, 0], [0, 0, 2]], [4, -4, 1], 2),
+        ([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], [1, 0, 1], 2),
+    ],
+    ids=["scalar", "zero", "nilpotent-jordan", "nilpotent-derogatory",
+         "derogatory-jordan", "derogatory-rotations"],
+)
 
 
 class TestMinPolyPaths:
-    """min_poly's two paths: mu_v of one Krylov sequence, proved equal to mu
-    when its degree is d, and the full vec(A^k) search otherwise."""
+    """min_poly's one Krylov loop: mu_v of v = (1, ..., d), proved equal to
+    mu when its degree is d, and otherwise folded with the local minimal
+    polynomials of mu(A) e_i, against the full vec(A^k) search."""
 
     @pytest.mark.parametrize("d", range(2, 7))
     def test_eigenvector_start_falls_back_to_char_poly(self, d):
         # non-derogatory, but v is an eigenvector: mu_v = x - 1, so the
-        # fallback must still find mu = chi
-        a = _eigenvector_start(d, seed=d)
-        assert a.apply(range(1, d + 1)) == tuple(range(1, d + 1))
+        # unit vectors must still find mu = chi
+        a = _eigenvector_start(random.Random(d), d)
         assert _krylov_search(a) == IntPoly([-1, 1])
         assert min_poly(a) == _char_poly(a)
         assert min_poly(a).degree == d
 
-    @pytest.mark.parametrize(
-        "entries, mu, krylov_degree",
-        [
-            ([[5, 0, 0, 0], [0, 5, 0, 0], [0, 0, 5, 0], [0, 0, 0, 5]], [-5, 1], 1),
-            ([[0] * 3] * 3, [0, 1], 1),
-            ([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]], [0, 0, 0, 0, 1], 4),
-            ([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]], [0, 0, 1], 2),
-            ([[2, 1, 0], [0, 2, 0], [0, 0, 2]], [4, -4, 1], 2),
-            ([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], [1, 0, 1], 2),
-        ],
-        ids=["scalar", "zero", "nilpotent-jordan", "nilpotent-derogatory",
-             "derogatory-jordan", "derogatory-rotations"],
-    )
+    @_SMALL_CASES
     def test_scalar_nilpotent_derogatory(self, entries, mu, krylov_degree):
         a = IntMatrix(entries)
         assert _krylov_search(a).degree == krylov_degree
@@ -372,11 +457,56 @@ class TestMinPolyPaths:
         a = _random_test_matrix(rng, derogatory=kind == 0)
         assert min_poly(a) == _power_search(a)
 
-    @pytest.mark.parametrize("d, lo, hi", [(2, -2, 2), (3, 0, 1), (3, -1, 0)])
+    @pytest.mark.parametrize("d, lo, hi", [(2, -2, 2), (3, -1, 1)])
     def test_equals_power_search_on_box(self, d, lo, hi):
         for combo in product(range(lo, hi + 1), repeat=d * d):
             a = IntMatrix([combo[i * d:(i + 1) * d] for i in range(d)])
             assert min_poly(a) == _power_search(a), a
+
+    def test_equals_power_search_where_the_start_vector_is_not_cyclic(self):
+        # the d=4 {0,1} matrices whose Krylov matrix of v is singular
+        box = np.array(list(product((0, 1), repeat=16)), dtype=np.int64).reshape(-1, 4, 4)
+        singular = box[_krylov_determinants(box) == 0]
+        assert len(singular) == 13711
+        for entries in singular.tolist():
+            a = IntMatrix(entries)
+            assert min_poly(a) == _power_search(a), a
+
+    @pytest.mark.parametrize("d", range(8, 25, 4))
+    def test_equals_power_search_on_conjugated_families(self, d):
+        rng = random.Random(17000 + d)
+        eigen, plus_one, repeated = (
+            _eigenvector_start(rng, d), _companion_plus_one(rng, d), _repeated_blocks(rng, d))
+        assert _krylov_search(eigen) == IntPoly([-1, 1])
+        assert min_poly(plus_one).degree == d - 1
+        for a in (eigen, plus_one, repeated):
+            assert min_poly(a) == _power_search(a), a
+
+    @pytest.mark.parametrize("d", range(4, 17))
+    def test_eigenvector_start_makes_no_matrix_product(self, monkeypatch, d):
+        a = _eigenvector_start(random.Random(17100 + d), d)
+        products = _count_mat_mul(monkeypatch)
+        assert min_poly(a).degree == d
+        assert products == []
+
+    @_SMALL_CASES
+    def test_small_cases_make_no_matrix_product(self, monkeypatch, entries, mu, krylov_degree):
+        products = _count_mat_mul(monkeypatch)
+        assert min_poly(IntMatrix(entries)) == IntPoly(mu)
+        assert products == []
+
+
+def _count_mat_mul(monkeypatch):
+    """Record every mat_mul that exactalg makes from now on."""
+    calls = []
+    real_mul = tametorus.exactalg.mat_mul
+
+    def counting_mul(a, b):
+        calls.append(a.d)
+        return real_mul(a, b)
+
+    monkeypatch.setattr(tametorus.exactalg, "mat_mul", counting_mul)
+    return calls
 
 
 def _sympy_eval(poly, m):
@@ -399,19 +529,7 @@ def _random_test_matrix(rng, derogatory):
     block = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
     rest = d - 2 * k
     tail = [[rng.randint(-2, 2) for _ in range(rest)] for _ in range(rest)]
-    entries = [[0] * d for _ in range(d)]
-    for offset, b in ((0, block), (k, block), (2 * k, tail)):
-        for i, row in enumerate(b):
-            entries[offset + i][offset:offset + len(row)] = row
-    a = IntMatrix(entries)
-    for _ in range(3):
-        i, j = rng.sample(range(d), 2)
-        c = rng.choice((-1, 1))
-        # U = I + c E_ij, U^-1 = I - c E_ij
-        u = [[int(r == s) + (c if (r, s) == (i, j) else 0) for s in range(d)] for r in range(d)]
-        u_inv = [[int(r == s) - (c if (r, s) == (i, j) else 0) for s in range(d)] for r in range(d)]
-        a = mat_mul(mat_mul(IntMatrix(u), a), IntMatrix(u_inv))
-    return a
+    return _shear_conjugated(rng, [block, block, tail], 3)
 
 
 def _divides(g, f):

@@ -844,31 +844,19 @@ class TestCertificateCheckEquivalence:
 
 
 def _count_products(monkeypatch):
-    """Record every matrix product made outside min_poly, whether tameness
-    calls mat_mul itself or through exactalg (mat_pow). min_poly's own
-    power search, which derogatory matrices take, is not a power proof."""
+    """Record every matrix product a decision makes, whether tameness calls
+    mat_mul itself or through exactalg (mat_pow); min_poly makes none."""
     import tametorus.exactalg
 
     calls = []
-    inside_min_poly = []
     real_mul = tametorus.exactalg.mat_mul
-    real_min_poly = tametorus.tameness.min_poly
 
     def counting_mul(a, b):
-        if not inside_min_poly:
-            calls.append(a.d)
+        calls.append(a.d)
         return real_mul(a, b)
-
-    def uncounted_min_poly(a):
-        inside_min_poly.append(a)
-        try:
-            return real_min_poly(a)
-        finally:
-            inside_min_poly.pop()
 
     monkeypatch.setattr(tametorus.exactalg, "mat_mul", counting_mul)
     monkeypatch.setattr(tametorus.tameness, "mat_mul", counting_mul)
-    monkeypatch.setattr(tametorus.tameness, "min_poly", uncounted_min_poly)
     return calls
 
 
