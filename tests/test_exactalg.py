@@ -457,7 +457,9 @@ class TestMinPolyPaths:
         a = _random_test_matrix(rng, derogatory=kind == 0)
         assert min_poly(a) == _power_search(a)
 
-    @pytest.mark.parametrize("d, lo, hi", [(2, -2, 2), (3, -1, 1)])
+    @pytest.mark.parametrize(
+        "d, lo, hi", [(2, -2, 2), (3, -1, 0), (3, 0, 1), (3, -1, 1)]
+    )
     def test_equals_power_search_on_box(self, d, lo, hi):
         for combo in product(range(lo, hi + 1), repeat=d * d):
             a = IntMatrix([combo[i * d:(i + 1) * d] for i in range(d)])
