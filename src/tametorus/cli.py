@@ -6,9 +6,10 @@ sweep. Each is one entry of the _COMMANDS table: its help text, its
 flags, the function that runs a job into a result and the function that
 renders that result as text. Exit codes: 0 success, 2 input error,
 3 precondition error, 4 documented cap exceeded: _DIMENSION_CAPS,
-MAX_SWEEP_ENTRIES, MAX_SIMULATE_ITERS, MAX_SIMULATE_WORK, dynamics' grid
-caps, CPython's int-to-str digit limit for a report integer, and double
-range for a simulate or sidon entry, orbit point, probe image or phase.
+MAX_SWEEP_ENTRIES, MAX_SIMULATE_ITERS (simulate and frequencies --iters),
+MAX_SIMULATE_WORK, dynamics' grid caps, CPython's int-to-str digit limit
+for a report integer, and double range for a simulate or sidon entry,
+orbit point, probe image or phase.
 Verdicts are report data, never exit codes.
 Matrix jobs are described by JSON: {"d": int, "A": [[int]], "b": [...]}
 where translation entries are either decimal angles or rational
@@ -32,7 +33,6 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field, fields
-from fractions import Fraction
 from itertools import islice, product
 from typing import Callable
 
@@ -93,8 +93,9 @@ _DIMENSION_CAPS = {
     "sweep": MAX_SWEEP_DIMENSION,
 }
 
-# Largest simulate --iters. Time and memory grow linearly with it; README's
-# exit-code section gives the measured curve behind the value.
+# Largest simulate and frequencies --iters. Time and memory grow linearly
+# with it; README's exit-code section gives the measured curves behind the
+# value.
 MAX_SIMULATE_ITERS = 100_000
 # Largest (--iters + 1) * grid points * d of a simulate job: the convergence
 # probe moves every grid coordinate once per iterate of its chain, and the
@@ -163,12 +164,14 @@ def _parse_angle(value, context: str) -> float:
             raise MalformedInputError(
                 "%s: expected a number or 'p/q', got %r" % (context, value)
             )
+        p, q = value.split("/")
         try:
-            turns = Fraction(value)
+            p, q = int(p), int(q)
         except ValueError as exc:
             # p or q beyond CPython's int-string digit limit
             raise MalformedInputError("%s: %s" % (context, exc)) from exc
-        return float(turns % 1) * TWO_PI
+        # int / int is correctly rounded
+        return p % q / q * TWO_PI
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise MalformedInputError("%s: expected a number or 'p/q', got %r" % (context, value))
     try:
@@ -305,11 +308,16 @@ def _text_certify(result: dict) -> list[str]:
     return ["certificate valid: %s" % result["exact"]["valid"]]
 
 
-def _result_simulate(job: JobSpec) -> dict:
-    opts = job.options
+def _capped_iters(opts: dict) -> int:
     n = opts["iters"]
     if n > MAX_SIMULATE_ITERS:
         raise CapExceededError("--iters %d exceeds the cap of %d" % (n, MAX_SIMULATE_ITERS))
+    return n
+
+
+def _result_simulate(job: JobSpec) -> dict:
+    opts = job.options
+    n = _capped_iters(opts)
     d = job.payload["a"].d
     per_axis = grid_per_axis(d, opts["grid"])
     work = (n + 1) * per_axis ** d * d
@@ -341,7 +349,7 @@ def _text_simulate(result: dict) -> list[str]:
 
 def _result_frequencies(job: JobSpec) -> dict:
     opts = job.options
-    fo = frequency_orbit(job.payload["a"], job.payload["u"], opts["iters"])
+    fo = frequency_orbit(job.payload["a"], job.payload["u"], _capped_iters(opts))
     escaped, first = escape_probe(fo, opts["bound"])
     return {
         "exact": {

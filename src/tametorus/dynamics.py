@@ -24,22 +24,17 @@ from .exactalg import IntMatrix, mat_pow
 from .tameness import TAME, decide_semicascade
 
 __all__ = [
-    "TWO_PI",
-    "MAX_INDEPENDENCE_FUNCTIONS",
     "AffineMap",
     "FrequencyOrbit",
     "IndependenceQuery",
     "reduce_angles",
     "torus_dist",
-    "grid_per_axis",
     "torus_grid",
     "frequency_orbit",
     "escape_probe",
     "convergence_probe",
     "independence_check",
     "exp_grid_average",
-    "float_array",
-    "finite_array",
 ]
 
 TWO_PI = 2.0 * math.pi

@@ -5,6 +5,19 @@ it maps to (input errors -> 2, precondition errors -> 3, cap/limit
 errors -> 4).
 """
 
+__all__ = [
+    "TameTorusError",
+    "InputError",
+    "MalformedInputError",
+    "DimensionInputError",
+    "NonIntegerInputError",
+    "PreconditionError",
+    "DeterminantNotUnitError",
+    "StreamExhaustedError",
+    "CapExceededError",
+    "DimensionMismatchError",
+]
+
 
 class TameTorusError(Exception):
     """Base class for all package-specific errors."""

@@ -22,8 +22,6 @@ from .dynamics import finite_array, float_array, torus_grid
 from .errors import CapExceededError, MalformedInputError, StreamExhaustedError
 
 __all__ = [
-    "MAX_QUASI_INDEPENDENCE_VECTORS",
-    "DEFAULT_MAX_SCAN",
     "SidonReport",
     "extract_sidon",
     "verify_quasi_independence",

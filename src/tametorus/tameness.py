@@ -598,11 +598,10 @@ def certificate_check(a: IntMatrix, cert: TamenessCertificate) -> bool:
     power near s_max. The power proof (_has_index_and_period) builds one
     squaring ladder A, A^2, A^4, ... and takes A^s, and A^k, from its
     rungs: at most 2 floor(log2 s) matrix products when k = 0 and
-    3 floor(log2 max(k, s)) + 1 otherwise, instead of q products and a
-    quadratic scan. Its inequalities, one per prime of s and one more
-    when k > 0, cost matrix-vector products only, at most
-    2 (d + 1) bit_length(max(k, s)) each, and decide exactly what the
-    whole-matrix comparisons decide.
+    3 floor(log2 max(k, s)) + 1 otherwise. Its inequalities, one per
+    prime of s and one more when k > 0, cost matrix-vector products
+    only, at most 2 (d + 1) bit_length(max(k, s)) each, and decide
+    exactly what the whole-matrix comparisons decide.
 
     An UNTAME claim needs a witness and a known kind, and a CASCADE one
     |det A| = 1 (a TAME one implies it through A^m = I). Beyond that it is

@@ -1,6 +1,14 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from tametorus import IntMatrix
+
+# The interpreters that tests start (python -m tametorus, python -c) import
+# the package from this checkout, as the test process does.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

@@ -1187,3 +1187,73 @@ class TestMinPolyKnownTame:
         blocks = [_companion(_cyclotomic(n)) for n in (3, 3, 4)] + [[[1]]] * 2
         a = _conjugated(rng, blocks)
         assert min_poly(a) == _cyclotomic(1) * _cyclotomic(3) * _cyclotomic(4)
+
+
+class TestSympyVerdictOracle:
+    """decide_semicascade against a verdict read off sympy's factorization
+    of the characteristic polynomial; shares no code with min_poly or the
+    power-enumeration oracle.
+
+    Let r be the product of the distinct irreducible factors of chi other
+    than x. A is TAME iff every such factor is cyclotomic and
+    A^d * r(A) = 0; its index is the least k with A^k * r(A) = 0 and its
+    period the lcm of the factors' orders.
+    """
+
+    @staticmethod
+    def _verdict(sympy, a, cyclotomic_order):
+        x = sympy.Symbol("x")
+        m = sympy.Matrix(a.to_lists())
+        d = m.rows
+        _, factors = sympy.factor_list(m.charpoly(x).as_expr(), x)
+        factors = [sympy.Poly(f, x) for f, _ in factors if f != x]
+        if not all(f.is_cyclotomic for f in factors):
+            return UNTAME, None
+        r = sympy.eye(d)
+        for f in factors:
+            value = sympy.zeros(d, d)
+            for c in f.all_coeffs():
+                value = value * m + c * sympy.eye(d)
+            r = r * value
+        k = 0
+        while k < d and not r.is_zero_matrix:
+            r = m * r
+            k += 1
+        if not r.is_zero_matrix:
+            return UNTAME, None
+        return TAME, (k, k + math.lcm(1, *(cyclotomic_order[f] for f in factors)))
+
+    @staticmethod
+    def _family(rng, d, kind):
+        if kind == "random":
+            return IntMatrix([[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)])
+        if kind == "distinct":
+            return _tame_with_known_pair(rng, d)[0]
+        # "repeated" is tame; one J_2(1) or cat-map block makes A untame
+        blocks = {"repeated": [], "jordan": [_JORDAN_ONE], "hyperbolic": [[[2, 1], [1, 1]]]}[kind]
+        while (left := d - sum(len(b) for b in blocks)):
+            if rng.random() < 0.25:
+                blocks.append(_nilpotent_block(rng.randint(1, min(3, left))))
+                continue
+            block = _companion(_cyclotomic(rng.choice([n for n in range(1, 31)
+                                                       if euler_phi(n) <= left])))
+            blocks += [block] * rng.randint(1, left // len(block))
+        return _conjugated(rng, blocks)
+
+    def test_equals_decider_on_seeded_families(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        cyclotomic_order = {sympy.Poly(sympy.cyclotomic_poly(n, x), x): n
+                            for n in range(1, 2 * 16 * 16 + 1) if euler_phi(n) <= 16}
+        rng = random.Random(6600)
+        seen = set()
+        for d in range(2, 17):
+            for kind in ("distinct", "repeated", "jordan", "hyperbolic", "random"):
+                a = self._family(rng, d, kind)
+                verdict, pair = self._verdict(sympy, a, cyclotomic_order)
+                cert = decide_semicascade(a)
+                assert cert.verdict == verdict, (kind, a)
+                assert (tuple(cert.minimal_pair) if cert.minimal_pair else None) == pair, (kind, a)
+                seen.add((kind, verdict))
+        assert {("distinct", TAME), ("repeated", TAME), ("jordan", UNTAME),
+                ("hyperbolic", UNTAME), ("random", TAME), ("random", UNTAME)} <= seen
