@@ -28,12 +28,14 @@ import argparse
 import functools
 import json
 import math
+import operator
 import os
 import re
 import sys
 import time
+from array import array
 from dataclasses import dataclass, field, fields
-from itertools import islice, product
+from itertools import permutations, product
 from typing import Callable
 
 from . import __version__
@@ -398,39 +400,98 @@ def _text_sidon(result: dict) -> list[str]:
     ]
 
 
+def _image_index_weights(d: int, width: int) -> set[tuple[int, ...]]:
+    """For each of the 2 * d! maps A -> P A P^T and A -> (P A P^T)^T, P a
+    permutation matrix, the weights w that give the box index of A's image
+    as sum((a - lo) * w) over A's row-major entries a. The box index of B
+    is sum((b - lo) * width^(d*d-1-k)) over its row-major entries b."""
+    size = d * d
+    places = [width ** (size - 1 - k) for k in range(size)]
+    weights = set()
+    for pi in permutations(range(d)):
+        # B[i][j] = A[pi(i)][pi(j)] for B = P A P^T; B^T swaps i and j.
+        conj, conj_t = [0] * size, [0] * size
+        for i in range(d):
+            for j in range(d):
+                conj[pi[i] * d + pi[j]] = places[i * d + j]
+                conj_t[pi[i] * d + pi[j]] = places[j * d + i]
+        weights.update((tuple(conj), tuple(conj_t)))
+    return weights
+
+
 def _result_sweep(job: JobSpec) -> dict:
+    """Decide every d x d matrix with entries in lo..hi, and check each
+    verdict against the brute-force oracle, once per symmetry orbit.
+
+    Lemma. Let B = P A P^T for a permutation matrix P, or B = (P A P^T)^T.
+    Then B^n = P A^n P^T, or (P A^n P^T)^T, for every n >= 0, because
+    P^T P = I and (A^T)^n = (A^n)^T; more generally f(B) is the same image
+    of f(A) for every polynomial f. Both images are injective, so
+    A^p = A^q <=> B^p = B^q: A and B have the same minimal pair, or none,
+    and mu_B = mu_A. The certificate depends on A only through mu and d,
+    so it is the same for A and B, and so are the oracle's (verdict, pair)
+    and their agreement. The TAME power proof that decide_semicascade_batch
+    runs on the representative of an orbit, together with this lemma,
+    proves every member's certificate: a proof, not a sample.
+
+    These 2 * d! maps only permute a matrix's entries, so every image of a
+    box matrix lies in the box, and the box is a union of orbits. The walk
+    takes the box in itertools.product order, which is lexicographic, so
+    the first member of an orbit that it meets is the orbit's
+    lexicographic minimum: that member is the representative. Each box
+    index (its position in the walk) gets its class number in an
+    array('i'), 4 bytes per matrix. The decider and the oracle run on the
+    representatives only, in chunks of _SWEEP_CHUNK, and every entry
+    carries its own A with its class's results.
+    """
     opts = job.options
     d = job.payload["d"]
     lo, hi = opts["range"]
-    total = (hi - lo + 1) ** (d * d)
+    width = hi - lo + 1
+    size = d * d
+    total = width ** size
     if total > MAX_SWEEP_ENTRIES:
         raise CapExceededError(
             "sweep of %d matrices exceeds the cap of %d" % (total, MAX_SWEEP_ENTRIES)
         )
-    entries = []
-    tame = 0
-    all_agree = True
-    combos = product(range(lo, hi + 1), repeat=d * d)
-    while chunk := [IntMatrix([combo[i * d : (i + 1) * d] for i in range(d)])
-                    for combo in islice(combos, _SWEEP_CHUNK)]:
-        for a, cert, (verdict, pair) in zip(
-            chunk, decide_semicascade_batch(chunk), oracle_semicascade_batch(chunk)
+    weights = _image_index_weights(d, width)
+    classes = array("i", [-1]) * total
+    representatives = []
+    for index, digits in enumerate(product(range(width), repeat=size)):
+        if classes[index] < 0:
+            for w in weights:
+                classes[sum(map(operator.mul, digits, w))] = len(representatives)
+            representatives.append(digits)
+
+    outcomes = []
+    for start in range(0, len(representatives), _SWEEP_CHUNK):
+        chunk = [IntMatrix([[lo + x for x in digits[i * d : (i + 1) * d]] for i in range(d)])
+                 for digits in representatives[start : start + _SWEEP_CHUNK]]
+        for cert, (verdict, pair) in zip(
+            decide_semicascade_batch(chunk), oracle_semicascade_batch(chunk)
         ):
             agree = cert.verdict == verdict and (
                 cert.verdict != TAME or cert.minimal_pair == pair
             )
-            all_agree = all_agree and agree
-            tame += cert.verdict == TAME
-            entries.append(
-                {
-                    "A": a.to_lists(),
-                    "verdict": cert.verdict,
-                    "minimal_pair": list(cert.minimal_pair) if cert.minimal_pair else None,
-                    "oracle_verdict": verdict,
-                    "oracle_pair": list(pair) if pair else None,
-                    "agree": agree,
-                }
-            )
+            outcomes.append((cert.verdict, cert.minimal_pair, verdict, pair, agree))
+
+    entries = []
+    tame = 0
+    # Tuples of d rows, in the same lexicographic order as the walk.
+    for rows, c in zip(product(product(range(lo, hi + 1), repeat=d), repeat=d), classes):
+        verdict, minimal_pair, oracle_verdict, oracle_pair, agree = outcomes[c]
+        tame += verdict == TAME
+        entries.append(
+            {
+                "A": [list(row) for row in rows],
+                "verdict": verdict,
+                "minimal_pair": list(minimal_pair) if minimal_pair else None,
+                "oracle_verdict": oracle_verdict,
+                "oracle_pair": list(oracle_pair) if oracle_pair else None,
+                "agree": agree,
+            }
+        )
+    all_agree = all(outcome[4] for outcome in outcomes)
     return {
         "exact": {
             "d": d,
@@ -554,10 +615,7 @@ def emit(report: Report, fmt: str = "json") -> str:
             header = "%s %s - %s" % (TOOL_NAME, report.tool["version"], report.command)
             return "\n".join([header, *body, "timing: %.1f ms" % report.timing_ms])
     except ValueError as exc:
-        raise CapExceededError(
-            "report holds an integer beyond the %d-digit limit of int-to-str conversion"
-            % sys.get_int_max_str_digits()
-        ) from exc
+        raise CapExceededError.digit_limit("report holds an integer") from exc
     raise ValueError("unknown format %r" % fmt)
 
 
@@ -635,11 +693,15 @@ def _job_from_args(args) -> JobSpec:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # An error report echoes the job's input and options once it parsed.
+    job = JobSpec(command=args.command, input={}, options={})
     try:
-        text, code = emit(run(_job_from_args(args)), args.format), 0
+        job = _job_from_args(args)
+        text, code = emit(run(job), args.format), 0
     except TameTorusError as exc:
         error = {"error": {"code": exc.code, "message": str(exc)}}
-        report = Report(command=args.command, input={}, options={}, result=error, timing_ms=0.0)
+        report = Report(command=args.command, input=job.input, options=job.options, result=error,
+                        timing_ms=0.0)
         text, code = emit(report, args.format), exc.exit_code
     try:
         print(text)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from itertools import pairwise
 from typing import Sequence
@@ -200,6 +201,12 @@ def frequency_orbit(a: IntMatrix, u: Sequence[int], n: int) -> FrequencyOrbit:
     Composing the exponential with frequency u with x -> Ax + b yields the
     exponential with frequency A^T u (up to a unimodular constant), so
     these orbits are exactly the frequency sets the iterates act on.
+
+    Raises CapExceededError at the first term that holds an integer of
+    more decimal digits than sys.get_int_max_str_digits(), before the
+    next term is built: CPython cannot print that integer, so no orbit
+    that holds it can be reported. The cat map's terms pass the default
+    limit of 4,300 digits at index 10,289.
     """
     u = tuple(operator.index(c) for c in u)
     if len(u) != a.d:
@@ -208,11 +215,24 @@ def frequency_orbit(a: IntMatrix, u: Sequence[int], n: int) -> FrequencyOrbit:
         )
     if n < 1:
         raise ValueError("orbit length must be >= 1")
+    limit = sys.get_int_max_str_digits()  # 0: no limit
     at = a.transpose()
+    # |A^T t| <= ||A^T|| |t| in the sup norm, ||A^T|| being the largest
+    # absolute row sum, so a term's largest entry has at most `step` more
+    # bits than the last term's. An integer of at most 3 * limit bits is
+    # below 8^limit < 10^limit, so it has at most `limit` digits and prints.
+    step = max(sum(map(abs, row)) for row in at.entries).bit_length()
     terms = [u]
-    for _ in range(n):
-        terms.append(at.apply(terms[-1]))
-    return FrequencyOrbit(u=u, terms=tuple(terms))
+    while True:
+        top = max(map(abs, terms[-1]))
+        if limit and top.bit_length() > 3 * limit and top >= 10 ** limit:
+            raise CapExceededError.digit_limit("report holds an integer")
+        if len(terms) > n:
+            return FrequencyOrbit(u=u, terms=tuple(terms))
+        # The next `ahead` terms stay within 3 * limit bits: none needs a check.
+        ahead = (3 * limit - top.bit_length()) // step if limit and step else n
+        for _ in range(min(max(ahead, 1), n + 1 - len(terms))):
+            terms.append(at.apply(terms[-1]))
 
 
 def escape_probe(fo: FrequencyOrbit, bound: int):

@@ -5,6 +5,8 @@ it maps to (input errors -> 2, precondition errors -> 3, cap/limit
 errors -> 4).
 """
 
+import sys
+
 __all__ = [
     "TameTorusError",
     "InputError",
@@ -68,6 +70,13 @@ class CapExceededError(TameTorusError, ValueError):
 
     code = "CAP_EXCEEDED"
     exit_code = 4
+
+    @classmethod
+    def digit_limit(cls, what: str) -> "CapExceededError":
+        """The error for an integer of more decimal digits than CPython's
+        int-to-str limit, sys.get_int_max_str_digits(): no report can print it."""
+        return cls("%s beyond the %d-digit limit of int-to-str conversion"
+                   % (what, sys.get_int_max_str_digits()))
 
 
 class DimensionMismatchError(TameTorusError, ValueError):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 
 from .errors import CapExceededError, DimensionMismatchError
 
@@ -211,10 +210,7 @@ class IntPoly:
             try:
                 mag = str(abs(c))
             except ValueError as exc:
-                raise CapExceededError(
-                    "polynomial coefficient beyond the %d-digit limit of int-to-str conversion"
-                    % sys.get_int_max_str_digits()
-                ) from exc
+                raise CapExceededError.digit_limit("polynomial coefficient") from exc
             if power == 0:
                 term = mag
             else:

@@ -17,12 +17,12 @@ Step 2 is one derivation, _index_and_order, from mu and d alone; it backs
 the deciders and every certificate check. For an untame A, a gcd(g, g')
 test only names the witness: a repeated factor of g, or else the
 exhausted order bound. decide_semicascade_batch is the one place a
-verdict is derived and proved: sweep calls it per chunk,
-decide_semicascade per matrix, and decide_cascade and the simulate
-probe go through decide_semicascade, a cascade order m being the pair
-(0, m). It derives each certificate once per distinct mu in its batch,
-while the exact power proof of a TAME certificate still runs on every
-matrix. That proof builds one squaring ladder A, A^2, A^4, ..., takes
+verdict is derived and proved: sweep calls it per chunk of orbit
+representatives, decide_semicascade per matrix, and decide_cascade and
+the simulate probe go through decide_semicascade, a cascade order m
+being the pair (0, m). It derives each certificate once per distinct mu in its batch,
+while the exact power proof of a TAME certificate runs on every matrix
+of the batch. That proof builds one squaring ladder A, A^2, A^4, ..., takes
 A^s from its rungs and proves its inequalities by matrix-vector
 products through them, so it costs O(log(k + s)) matrix products. A
 certificate re-checker makes every verdict self-validating; an

@@ -6,13 +6,16 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
+from itertools import permutations, product
 
+import numpy as np
 import pytest
 
 import tametorus.cli
 import tametorus.tameness
-from tametorus import __version__, order_bound
+from tametorus import TAME, UNTAME, IntMatrix, __version__, order_bound
 from tametorus.cli import (
     MAX_DECIDE_DIMENSION,
     MAX_SIMULATE_ITERS,
@@ -37,6 +40,7 @@ from tametorus.errors import (
     StreamExhaustedError,
     TameTorusError,
 )
+from tametorus.tameness import decide_semicascade_batch, oracle_semicascade_batch
 
 
 def run_cli(argv, capsys):
@@ -406,6 +410,37 @@ class TestMainExitCodes:
         )
         assert code == 4
         assert out.splitlines()[1] == "error: CAP_EXCEEDED"
+
+    def test_frequency_orbit_stops_at_the_first_unprintable_term(self, capsys, tmp_path):
+        # --iters 100,000 once built every term, 1.8 GB of them, in 6.8 s
+        # before the report failed to print the first term past the limit
+        path = tmp_path / "job.json"
+        path.write_text('{"d":2,"A":[[2,1],[1,1]]}')
+        start = time.perf_counter()
+        code, out = run_cli(["frequencies", "--input", str(path), "--iters", "100000"], capsys)
+        elapsed = time.perf_counter() - start
+        assert code == 4
+        assert json.loads(out)["result"]["error"] == {
+            "code": "CAP_EXCEEDED",
+            "message": "report holds an integer beyond the %d-digit limit of int-to-str "
+                       "conversion" % sys.get_int_max_str_digits()}
+        assert elapsed < 1.0
+
+    def test_error_report_echoes_the_parsed_job(self, capsys, tmp_path):
+        path = tmp_path / "job.json"
+        path.write_text('{"d":2,"A":[[2,1],[1,1]]}')
+        code, out = run_cli(["frequencies", "--input", str(path), "--iters", "100001"], capsys)
+        assert code == 4
+        report = json.loads(out)
+        assert report["result"]["error"]["code"] == "CAP_EXCEEDED"
+        assert report["input"] == {"d": 2, "A": [[2, 1], [1, 1]]}
+        assert report["options"] == {"iters": 100001, "bound": 10 ** 6}
+        # a job that did not parse has nothing to echo
+        path.write_text('{"d":2,"A":[[2,1]]}')
+        code, out = run_cli(["frequencies", "--input", str(path), "--iters", "5"], capsys)
+        assert code == 2
+        report = json.loads(out)
+        assert (report["input"], report["options"]) == ({}, {})
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_witness_coefficient_beyond_digit_limit_is_4(self, capsys, tmp_path, fmt):
@@ -1094,3 +1129,110 @@ class TestTextReports:
         masked = re.sub(r"^timing: \d+\.\d ms$", "timing: T ms", out, flags=re.M)
         header = "tametorus %s - %s" % (__version__, argv[0])
         assert masked == "\n".join([header, *body, "timing: T ms"]) + "\n"
+
+
+def _orbit_sweep(d, lo, hi):
+    return run(parse_input(json.dumps({"d": d}), "sweep", {"range": [lo, hi]})).result["exact"]
+
+
+def _per_matrix_sweep(d, lo, hi):
+    """The exact block of a sweep that decides every matrix of the box, the
+    reference for the orbit sweep: decide_semicascade_batch and
+    oracle_semicascade_batch run on each matrix, in product order."""
+    matrices = [IntMatrix([combo[i * d : (i + 1) * d] for i in range(d)])
+                for combo in product(range(lo, hi + 1), repeat=d * d)]
+    certs, oracle = [], []
+    for start in range(0, len(matrices), 2048):
+        certs += decide_semicascade_batch(matrices[start : start + 2048])
+        oracle += oracle_semicascade_batch(matrices[start : start + 2048])
+    entries = []
+    for a, cert, (verdict, pair) in zip(matrices, certs, oracle, strict=True):
+        entries.append({
+            "A": a.to_lists(),
+            "verdict": cert.verdict,
+            "minimal_pair": list(cert.minimal_pair) if cert.minimal_pair else None,
+            "oracle_verdict": verdict,
+            "oracle_pair": list(pair) if pair else None,
+            "agree": cert.verdict == verdict and (cert.verdict != TAME or cert.minimal_pair == pair),
+        })
+    tame = sum(entry["verdict"] == TAME for entry in entries)
+    return {"d": d, "range": [lo, hi], "total": len(matrices), "tame_count": tame,
+            "untame_count": len(matrices) - tame,
+            "all_agree": all(entry["agree"] for entry in entries), "entries": entries}
+
+
+def _orbit(a):
+    """The images of A under A -> P A P^T and A -> (P A P^T)^T, P a
+    permutation matrix, by matrix products."""
+    m = np.array(a.entries, dtype=np.int64)
+    images = set()
+    for perm in permutations(range(a.d)):
+        p = np.eye(a.d, dtype=np.int64)[list(perm)]
+        b = p @ m @ p.T
+        images.update((tuple(map(tuple, b.tolist())), tuple(map(tuple, b.T.tolist()))))
+    return images
+
+
+class TestOrbitSweep:
+    """sweep decides one representative per orbit of A -> P A P^T, A -> A^T."""
+
+    @pytest.mark.parametrize("box", [(2, -2, 2), (3, -1, 1), (3, -2, -1), (3, -1, 0), (3, 0, 1),
+                                     (3, 1, 2), (2, -3, 0), (1, -3, 3)])
+    def test_equals_per_matrix_reference(self, box):
+        assert _orbit_sweep(*box) == _per_matrix_sweep(*box)
+
+    def test_exhaustive_d4_agreement(self):
+        # all 65,536 4x4 matrices with entries in {0, 1}, each decided and
+        # checked against the oracle on its own
+        reference = _per_matrix_sweep(4, 0, 1)
+        assert reference["total"] == 65536
+        assert all(entry["agree"] for entry in reference["entries"])
+        assert reference["all_agree"] is True
+        assert reference["tame_count"] == 4647
+        assert _orbit_sweep(4, 0, 1) == reference
+
+    def test_planted_disagreement_marks_every_member_of_its_orbit(self, monkeypatch):
+        # The nilpotent [[0,1],[0,0]] is TAME with pair (2, 3); an oracle that
+        # calls its orbit UNTAME disagrees on both members, and on no other.
+        orbit = _orbit(IntMatrix([[0, 1], [0, 0]]))
+
+        def planted(matrices):
+            return [(UNTAME, None) if a.entries in orbit else result
+                    for a, result in zip(matrices, oracle_semicascade_batch(matrices))]
+
+        monkeypatch.setattr(tametorus.cli, "oracle_semicascade_batch", planted)
+        exact = _orbit_sweep(2, 0, 1)
+        assert exact["all_agree"] is False
+        assert [(entry["A"], entry["verdict"], entry["minimal_pair"], entry["oracle_verdict"])
+                for entry in exact["entries"] if not entry["agree"]] == [
+            ([[0, 0], [1, 0]], TAME, [2, 3], UNTAME), ([[0, 1], [0, 0]], TAME, [2, 3], UNTAME)]
+
+    @pytest.mark.parametrize(("d", "lo", "hi", "orbits"),
+                             [(3, 0, 1, 74), (2, -2, 2, 225), (4, 0, 1, 1740)])
+    def test_each_orbit_is_decided_once(self, monkeypatch, d, lo, hi, orbits):
+        calls = {"decide": [], "oracle": []}
+
+        def spy(name, batch_function):
+            def recording(matrices):
+                calls[name].append(list(matrices))
+                return batch_function(matrices)
+            return recording
+
+        monkeypatch.setattr(tametorus.cli, "decide_semicascade_batch",
+                            spy("decide", decide_semicascade_batch))
+        monkeypatch.setattr(tametorus.cli, "oracle_semicascade_batch",
+                            spy("oracle", oracle_semicascade_batch))
+        exact = _orbit_sweep(d, lo, hi)
+        assert calls["decide"] == calls["oracle"]
+        assert max(map(len, calls["decide"])) <= 1024
+        decided = [a.entries for batch in calls["decide"] for a in batch]
+        assert len(decided) == orbits
+        assert len(set(decided)) == orbits
+        # Each decided matrix is the least member of its orbit, so no two
+        # share an orbit; their orbits fill the box, so every orbit is decided.
+        covered = 0
+        for entries in decided:
+            images = _orbit(IntMatrix(entries))
+            assert min(images) == entries
+            covered += len(images)
+        assert covered == exact["total"] == (hi - lo + 1) ** (d * d)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import warnings
 from fractions import Fraction
 
@@ -136,6 +137,26 @@ class TestFrequencyOrbit:
             at = a.transpose()
             for n, term in enumerate(fo.terms):
                 assert term == mat_pow(at, n).apply((1, -2))
+
+    def test_stops_at_the_first_term_beyond_the_digit_limit(self):
+        # 10^640 is the first power of ten of 641 digits, one more than the
+        # smallest limit CPython accepts; a limit of 0 lifts the limit
+        limit = sys.get_int_max_str_digits()
+        ten = IntMatrix([[10]])
+        try:
+            sys.set_int_max_str_digits(640)
+            assert frequency_orbit(ten, (-1,), 639).terms[-1] == (-10 ** 639,)
+            with pytest.raises(CapExceededError, match="beyond the 640-digit limit"):
+                frequency_orbit(ten, (-1,), 640)
+            # caught in the middle of the orbit, although the last term is 0
+            nilpotent = IntMatrix([[0, 10 ** 400], [0, 0]])
+            assert frequency_orbit(nilpotent, (10 ** 200, 0), 2).terms[-1] == (0, 0)
+            with pytest.raises(CapExceededError):
+                frequency_orbit(nilpotent, (10 ** 300, 0), 2)
+            sys.set_int_max_str_digits(0)
+            assert frequency_orbit(ten, (1,), 700).terms[-1] == (10 ** 700,)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_eventual_periodicity_for_tame(self, tame_examples):
         for a in tame_examples:
