@@ -217,22 +217,16 @@ def frequency_orbit(a: IntMatrix, u: Sequence[int], n: int) -> FrequencyOrbit:
         raise ValueError("orbit length must be >= 1")
     limit = sys.get_int_max_str_digits()  # 0: no limit
     at = a.transpose()
-    # |A^T t| <= ||A^T|| |t| in the sup norm, ||A^T|| being the largest
-    # absolute row sum, so a term's largest entry has at most `step` more
-    # bits than the last term's. An integer of at most 3 * limit bits is
-    # below 8^limit < 10^limit, so it has at most `limit` digits and prints.
-    step = max(sum(map(abs, row)) for row in at.entries).bit_length()
     terms = [u]
     while True:
+        # An integer of at most 3 * limit bits is below 8^limit < 10^limit,
+        # so it has at most `limit` digits and prints.
         top = max(map(abs, terms[-1]))
         if limit and top.bit_length() > 3 * limit and top >= 10 ** limit:
             raise CapExceededError.digit_limit("report holds an integer")
         if len(terms) > n:
             return FrequencyOrbit(u=u, terms=tuple(terms))
-        # The next `ahead` terms stay within 3 * limit bits: none needs a check.
-        ahead = (3 * limit - top.bit_length()) // step if limit and step else n
-        for _ in range(min(max(ahead, 1), n + 1 - len(terms))):
-            terms.append(at.apply(terms[-1]))
+        terms.append(at.apply(terms[-1]))
 
 
 def escape_probe(fo: FrequencyOrbit, bound: int):

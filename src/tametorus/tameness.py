@@ -587,49 +587,48 @@ def certificate_check(a: IntMatrix, cert: TamenessCertificate) -> bool:
 
     A TAME claim states a pair (p, q): a SEMICASCADE one its minimal_pair,
     with index_k = p and period_s = q - p, and a CASCADE one of order m the
-    pair (0, m), with period_s = m, since A^m = I is A^0 = A^m. The claim
-    is accepted exactly when 0 <= p < q <= d + s_max(d), (p, q) = (k, k + s)
-    and the power proof passes: A^k = A^{k+s}, A^{k-1} != A^{k-1+s} if
+    pair (0, m), with period_s = m, since A^m = I is A^0 = A^m. It is
+    accepted exactly when (p, q) = (k, k + s) and the power proof
+    (_has_index_and_period) passes: A^k = A^{k+s}, A^{k-1} != A^{k-1+s} if
     k > 0, and A^{k+s/r} != A^k for every prime r | s. By 1 the power
-    proof alone accepts exactly the least pair of a tame A, which by 2 is
-    the derived pair and lies within the bound; so the bound, checked
-    before mu, and the comparison, made before any power, change no
-    verdict. They keep a false claim from raising A, perhaps untame, to a
-    power near s_max. The power proof (_has_index_and_period) builds one
-    squaring ladder A, A^2, A^4, ... and takes A^s, and A^k, from its
-    rungs: at most 2 floor(log2 s) matrix products when k = 0 and
-    3 floor(log2 max(k, s)) + 1 otherwise. Its inequalities, one per
-    prime of s and one more when k > 0, cost matrix-vector products
-    only, at most 2 (d + 1) bit_length(max(k, s)) each, and decide
-    exactly what the whole-matrix comparisons decide.
+    proof alone accepts exactly that pair, so the comparison changes no
+    verdict; made before any power, it keeps a false claim from raising
+    A, perhaps untame, to a large power. The proof takes A^s and A^k from
+    one squaring ladder, at most 3 floor(log2 max(k, s)) + 1 matrix
+    products (2 floor(log2 s) when k = 0), and proves each inequality by
+    matrix-vector products alone.
 
     An UNTAME claim needs a witness and a known kind, and a CASCADE one
-    |det A| = 1 (a TAME one implies it through A^m = I). Beyond that it is
-    accepted exactly when s is None and the witness re-derives from mu:
-    ZERO_EIGENVALUE when k > 0, NON_SQUAREFREE when the claimed g is the
-    x-stripped part and has a repeated factor, ORDER_BOUND_EXHAUSTED when
-    it is and the claimed s_max is s_max(d). This accepts exactly the
-    claims that the exhaustive check (oracle_semicascade reports UNTAME and
-    the witness re-derives) accepts: the oracle enumerates A^0..A^{d+s_max}
-    and reports UNTAME exactly when they hold no repetition, which by 2 is
+    |det A| = 1 (a TAME one implies it through A^m = I). For an integer A
+    that is mu(0) = +-1, i.e. k = 0 and |g(0)| = 1, so no determinant is
+    computed: if mu(0) = +-1, then A q(A) = -+I for an integral q, so A^-1
+    is integral and det A det A^-1 = 1; if A^-1 is integral, each root of
+    mu is a unit algebraic integer, so mu(0), a rational integer and a
+    product of units, is +-1. Beyond that the claim is accepted exactly
+    when s is None and the witness re-derives from mu: ZERO_EIGENVALUE
+    when k > 0, NON_SQUAREFREE when the claimed g is the x-stripped part
+    and has a repeated factor, ORDER_BOUND_EXHAUSTED when it is and the
+    claimed s_max is s_max(d). This accepts exactly the claims that the
+    exhaustive check (oracle_semicascade reports UNTAME and the witness
+    re-derives) accepts: the oracle enumerates A^0..A^{d+s_max} and
+    reports UNTAME exactly when they hold no repetition, which by 2 is
     exactly when A is untame, that is when s is None. A re-derived
     NON_SQUAREFREE witness already implies s is None (any divisor of the
-    squarefree x^s - 1 is squarefree), and an ORDER_BOUND_EXHAUSTED one
-    is the statement itself; only a ZERO_EIGENVALUE one needs s on top.
-    For a CASCADE claim the two kinds coincide: |det A| = 1 makes
-    A^p = A^q imply A^{q-p} = I, so the cascade is untame exactly when the
+    squarefree x^s - 1 is squarefree), and an ORDER_BOUND_EXHAUSTED one is
+    the statement itself; only a ZERO_EIGENVALUE one needs s on top. For a
+    CASCADE claim the two kinds coincide: |det A| = 1 makes A^p = A^q
+    imply A^{q-p} = I, so the cascade is untame exactly when the
     semicascade is. No power of A is computed for an UNTAME claim.
 
     An ORDER_BOUND_EXHAUSTED witness states x^s mod g != 1 for every
-    1 <= s <= s_max, and it holds exactly when order_of_x_mod, which uses
-    Kronecker's criterion instead of the residues, returns None: g divides
-    x^s - 1 = prod_{n | s} Phi_n exactly when g is prod_{n in S} Phi_n for
-    some set S of divisors of s, so the least such s is lcm S, which
-    order_of_x_mod returns when it is at most s_max.
+    1 <= s <= s_max, exactly when order_of_x_mod (Kronecker's criterion,
+    not the residues) returns None: g divides x^s - 1 = prod_{n | s} Phi_n
+    exactly when g = prod_{n in S} Phi_n for a set S of divisors of s, so
+    the least such s is lcm S, returned when it is at most s_max.
     """
     if cert.verdict == TAME:
         pair = _claimed_pair(cert)
-        if pair is None or not 0 <= pair[0] < pair[1] <= a.d + order_bound(a.d).s_max:
+        if pair is None:
             return False
         k, _, s = _index_and_order(min_poly(a), a.d)
         return s is not None and pair == (k, k + s) and _has_index_and_period(a, k, s)
@@ -637,10 +636,8 @@ def certificate_check(a: IntMatrix, cert: TamenessCertificate) -> bool:
     if cert.verdict == UNTAME:
         if cert.witness is None or cert.kind not in (SEMICASCADE, CASCADE):
             return False
-        if cert.kind == CASCADE and abs(a.det()) != 1:
-            return False
         k, g, s = _index_and_order(min_poly(a), a.d)
-        if s is not None:
+        if s is not None or cert.kind == CASCADE and (k > 0 or abs(g.coeffs[0]) != 1):
             return False
         witness = cert.witness
         if witness.reason == ZERO_EIGENVALUE:

@@ -4,6 +4,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tametorus.tameness
 from tametorus import (
@@ -822,16 +824,46 @@ class TestCertificateCheckEquivalence:
         products = _count_products(monkeypatch)
         rng = random.Random(4100 + d)
         cascades = 0
+        # beyond q <= d + s_max(d), with q < p, with q = p or with q astronomic
+        beyond = d + order_bound(d).s_max + 1
         while cascades < 2:
             a, k, s, _ = _tame_with_known_pair(rng, d)
-            claims = [_pair_claim(k + 1, k + 1 + s), _pair_claim(k, k + 2 * s)]
+            claims = [_pair_claim(k + 1, k + 1 + s), _pair_claim(k, k + 2 * s),
+                      _pair_claim(0, beyond), _pair_claim(3, 2), _pair_claim(0, 0),
+                      _pair_claim(k, k + 10 ** 30)]
             if k == 0:
-                claims.append(TamenessCertificate(
-                    verdict=TAME, kind=CASCADE, period_s=2 * s, minimal_order_m=2 * s))
+                claims += [TamenessCertificate(verdict=TAME, kind=CASCADE, period_s=m,
+                                               minimal_order_m=m) for m in (2 * s, beyond, 0)]
                 cascades += 1
             for claim in claims:
                 assert certificate_check(a, claim) is False, (a, claim)
         assert products == []
+
+    def test_no_claim_computes_a_determinant(self, monkeypatch, named):
+        # |det A| = 1 is read off mu: k = 0 and |g(0)| = 1
+        calls = []
+        real_det = IntMatrix.det
+
+        def counting_det(a):
+            calls.append(a)
+            return real_det(a)
+
+        rng = random.Random(4200)
+        matrices = list(named.values()) + [
+            _conjugated(rng, blocks) for blocks in (
+                [_companion(_cyclotomic(5)), [[-1]]], [_JORDAN_ONE, [[2]], [[1]]],
+                [[[2, 1], [1, 1]], _nilpotent_block(2)], [[[0, 1], [2, 0]], [[1]], [[-1]]])]
+        expected = [(a, cert, _exhaustive_certificate_check(a, cert))
+                    for a in matrices for cert in _claims(a)]
+        accepted = set()
+        monkeypatch.setattr(IntMatrix, "det", counting_det)
+        for a, cert, valid in expected:
+            assert certificate_check(a, cert) is valid, (a, cert)
+            if valid:
+                accepted.add((cert.verdict, cert.kind))
+        assert calls == []
+        assert accepted == {(TAME, SEMICASCADE), (TAME, CASCADE),
+                            (UNTAME, SEMICASCADE), (UNTAME, CASCADE)}
 
     def test_rejects_cascade_claim_without_unit_determinant(self):
         a = IntMatrix([[2, 0], [0, 1]])
@@ -1170,6 +1202,44 @@ class TestDecideCascadeEqualsReference:
         assert _outcome(_reference_decide_cascade, a) == (DeterminantNotUnitError, message)
 
 
+def _unit_by_min_poly(a):
+    """|det A| = 1 as certificate_check reads it: mu = x^k * g, k = 0, |g(0)| = 1."""
+    k, g = strip_x_factor(min_poly(a))
+    return k == 0 and abs(g.coeffs[0]) == 1
+
+
+class TestUnimodularFromMinPoly:
+    """|det A| = 1 exactly when k = 0 and |g(0)| = 1, the lemma that lets
+    certificate_check decide a CASCADE claim without a determinant."""
+
+    def test_every_matrix_in_box(self):
+        units = 0
+        for d, values in ((2, range(-2, 3)), (3, (-1, 0, 1))):
+            for a in _box(d, values):
+                unit = abs(a.det()) == 1
+                assert _unit_by_min_poly(a) is unit, a
+                units += unit
+        assert units == 7064
+
+    @pytest.mark.parametrize("d", range(4, 17))
+    def test_conjugated_families(self, d):
+        # a block of determinant 0, 1 or +-2 next to blocks C(Phi_n), n != 2, of
+        # determinant 1, with and without a block [-1] that flips the sign
+        rng = random.Random(2000 + d)
+        dets = set()
+        for block in (_nilpotent_block(2), _JORDAN_ONE, [[2, 1], [1, 1]], [[2]], [[0, 2], [1, 0]]):
+            for flip in ([], [[[-1]]]):
+                blocks = [block] + flip
+                while (left := d - sum(len(b) for b in blocks)):
+                    n = rng.choice([n for n in range(1, 31) if n != 2 and euler_phi(n) <= left])
+                    blocks.append(_companion(_cyclotomic(n)))
+                a = _conjugated(rng, blocks)
+                det = a.det()
+                assert _unit_by_min_poly(a) is (abs(det) == 1), a
+                dets.add(det)
+        assert dets == {0, 1, -1, 2, -2}
+
+
 class TestMinPolyKnownTame:
     """min_poly at d >= 3 against the minimal polynomial known by construction."""
 
@@ -1257,3 +1327,62 @@ class TestSympyVerdictOracle:
                 seen.add((kind, verdict))
         assert {("distinct", TAME), ("repeated", TAME), ("jordan", UNTAME),
                 ("hyperbolic", UNTAME), ("random", TAME), ("random", UNTAME)} <= seen
+
+
+@st.composite
+def _block_family(draw):
+    """U * diag(blocks) * U^-1 at d = 4..16 for a unimodular U, with its
+    predicted verdict and witness reason and the pair (k, k + s) of its
+    tame part: J_k(0) (k <= 2, absent when k = 0) and blocks C(Phi_n) of
+    orders n with lcm s, led by a repeated C(Phi_n) (derogatory, TAME), by
+    J_2(1) or C(Phi_n^2) (UNTAME, NON_SQUAREFREE), or by one hyperbolic
+    block, the cat map or C(x^m - x - 1) (UNTAME, ORDER_BOUND_EXHAUSTED)."""
+    d = draw(st.integers(4, 16))
+    kind = draw(st.sampled_from((TAME, NON_SQUAREFREE, ORDER_BOUND_EXHAUSTED)))
+    k = draw(st.integers(0, 2))
+    n = draw(st.sampled_from([n for n in range(1, 31) if 2 * euler_phi(n) <= d - k]))
+    if kind == TAME:
+        blocks, orders = [_companion(_cyclotomic(n))] * 2, [n]
+    elif kind == NON_SQUAREFREE:
+        blocks = [draw(st.sampled_from((_JORDAN_ONE, _companion(_cyclotomic(n) * _cyclotomic(n)))))]
+        orders = []
+    else:
+        m = draw(st.integers(2, min(5, d - k)))
+        selmer = _companion(IntPoly([-1, -1] + [0] * (m - 2) + [1]))
+        blocks, orders = [draw(st.sampled_from(([[2, 1], [1, 1]], selmer)))], []
+    if k:
+        blocks.append(_nilpotent_block(k))
+    while (left := d - sum(len(b) for b in blocks)):
+        n = draw(st.sampled_from([n for n in range(1, 31) if euler_phi(n) <= left]))
+        blocks += [_companion(_cyclotomic(n))] * draw(st.integers(1, left // euler_phi(n)))
+        orders.append(n)
+    a = _conjugated(draw(st.randoms(use_true_random=False)), blocks)
+    return a, kind, k, math.lcm(1, *orders)
+
+
+class TestBlockFamilies:
+    """The decider and certificate_check at d = 4..16 on derogatory tame,
+    non-squarefree and hyperbolic families, against what their blocks
+    predict."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_block_family())
+    def test_verdict_witness_and_certify(self, family):
+        a, kind, k, s = family
+        cert = decide_semicascade(a)
+        if kind == TAME:
+            assert (cert.verdict, cert.minimal_pair, cert.witness) == (TAME, (k, k + s), None), a
+        else:
+            assert (cert.verdict, cert.minimal_pair, cert.witness.reason) == (UNTAME, None, kind), a
+        assert certificate_check(a, cert)
+        # every block but J_k(0) has determinant +-1
+        assert (abs(a.det()) == 1) is (k == 0)
+        if k == 0:
+            assert certificate_check(a, decide_cascade(a))
+        for k2, s2 in _mutated_pairs(k, s):
+            valid = kind == TAME and (k2, s2) == (k, s)
+            assert certificate_check(a, _pair_claim(k2, k2 + s2)) is valid, (a, k2, s2)
+            if k2 == 0:
+                order = TamenessCertificate(verdict=TAME, kind=CASCADE, period_s=s2,
+                                            minimal_order_m=s2)
+                assert certificate_check(a, order) is valid, (a, s2)
