@@ -28,14 +28,11 @@ import argparse
 import functools
 import json
 import math
-import operator
 import os
 import re
 import sys
 import time
-from array import array
 from dataclasses import dataclass, field, fields
-from itertools import permutations, product
 from typing import Callable
 
 from . import __version__
@@ -62,9 +59,8 @@ from .tameness import (
     certificate_check,
     decide_cascade,
     decide_semicascade,
-    decide_semicascade_batch,
     oracle_semicascade,  # noqa: F401  (perfbench's tracer wraps cli.oracle_semicascade)
-    oracle_semicascade_batch,
+    sweep_box,
 )
 
 __all__ = ["JobSpec", "Report", "parse_input", "run", "emit", "parse_report", "main"]
@@ -72,10 +68,6 @@ __all__ = ["JobSpec", "Report", "parse_input", "run", "emit", "parse_report", "m
 TOOL_NAME = "tametorus"
 
 MAX_SWEEP_ENTRIES = 1_000_000
-
-# Matrices per batched oracle call in sweep; at d = 4 their int64 powers
-# take (4 + s_max(4) + 1) * 1024 * 16 * 8 bytes, about 2.2 MB.
-_SWEEP_CHUNK = 1024
 
 # Largest d that semicascade, cascade and certify accept. At d = 32 the
 # slowest measured family, a dense random matrix with entries in +-2^16,
@@ -85,7 +77,8 @@ _SWEEP_CHUNK = 1024
 MAX_DECIDE_DIMENSION = 32
 # Largest d for which a sweep box of two values per entry, 2^(d*d)
 # matrices, fits MAX_SWEEP_ENTRIES. Beyond it only a one-value box fits,
-# and semicascade answers that single matrix.
+# and semicascade answers that single matrix. The cap also bounds the
+# 2 * d! image maps of sweep_box's orbit walk: 48 at d = 4.
 MAX_SWEEP_DIMENSION = math.isqrt(MAX_SWEEP_ENTRIES.bit_length() - 1)
 _DIMENSION_CAPS = {
     "semicascade": MAX_DECIDE_DIMENSION,
@@ -400,98 +393,28 @@ def _text_sidon(result: dict) -> list[str]:
     ]
 
 
-def _image_index_weights(d: int, width: int) -> set[tuple[int, ...]]:
-    """For each of the 2 * d! maps A -> P A P^T and A -> (P A P^T)^T, P a
-    permutation matrix, the weights w that give the box index of A's image
-    as sum((a - lo) * w) over A's row-major entries a. The box index of B
-    is sum((b - lo) * width^(d*d-1-k)) over its row-major entries b."""
-    size = d * d
-    places = [width ** (size - 1 - k) for k in range(size)]
-    weights = set()
-    for pi in permutations(range(d)):
-        # B[i][j] = A[pi(i)][pi(j)] for B = P A P^T; B^T swaps i and j.
-        conj, conj_t = [0] * size, [0] * size
-        for i in range(d):
-            for j in range(d):
-                conj[pi[i] * d + pi[j]] = places[i * d + j]
-                conj_t[pi[i] * d + pi[j]] = places[j * d + i]
-        weights.update((tuple(conj), tuple(conj_t)))
-    return weights
-
-
 def _result_sweep(job: JobSpec) -> dict:
-    """Decide every d x d matrix with entries in lo..hi, and check each
-    verdict against the brute-force oracle, once per symmetry orbit.
-
-    Lemma. Let B = P A P^T for a permutation matrix P, or B = (P A P^T)^T.
-    Then B^n = P A^n P^T, or (P A^n P^T)^T, for every n >= 0, because
-    P^T P = I and (A^T)^n = (A^n)^T; more generally f(B) is the same image
-    of f(A) for every polynomial f. Both images are injective, so
-    A^p = A^q <=> B^p = B^q: A and B have the same minimal pair, or none,
-    and mu_B = mu_A. The certificate depends on A only through mu and d,
-    so it is the same for A and B, and so are the oracle's (verdict, pair)
-    and their agreement. The TAME power proof that decide_semicascade_batch
-    runs on the representative of an orbit, together with this lemma,
-    proves every member's certificate: a proof, not a sample.
-
-    These 2 * d! maps only permute a matrix's entries, so every image of a
-    box matrix lies in the box, and the box is a union of orbits. The walk
-    takes the box in itertools.product order, which is lexicographic, so
-    the first member of an orbit that it meets is the orbit's
-    lexicographic minimum: that member is the representative. Each box
-    index (its position in the walk) gets its class number in an
-    array('i'), 4 bytes per matrix. The decider and the oracle run on the
-    representatives only, in chunks of _SWEEP_CHUNK, and every entry
-    carries its own A with its class's results.
-    """
     opts = job.options
     d = job.payload["d"]
     lo, hi = opts["range"]
-    width = hi - lo + 1
-    size = d * d
-    total = width ** size
+    total = (hi - lo + 1) ** (d * d)
     if total > MAX_SWEEP_ENTRIES:
         raise CapExceededError(
             "sweep of %d matrices exceeds the cap of %d" % (total, MAX_SWEEP_ENTRIES)
         )
-    weights = _image_index_weights(d, width)
-    classes = array("i", [-1]) * total
-    representatives = []
-    for index, digits in enumerate(product(range(width), repeat=size)):
-        if classes[index] < 0:
-            for w in weights:
-                classes[sum(map(operator.mul, digits, w))] = len(representatives)
-            representatives.append(digits)
-
-    outcomes = []
-    for start in range(0, len(representatives), _SWEEP_CHUNK):
-        chunk = [IntMatrix([[lo + x for x in digits[i * d : (i + 1) * d]] for i in range(d)])
-                 for digits in representatives[start : start + _SWEEP_CHUNK]]
-        for cert, (verdict, pair) in zip(
-            decide_semicascade_batch(chunk), oracle_semicascade_batch(chunk)
-        ):
-            agree = cert.verdict == verdict and (
-                cert.verdict != TAME or cert.minimal_pair == pair
-            )
-            outcomes.append((cert.verdict, cert.minimal_pair, verdict, pair, agree))
-
     entries = []
-    tame = 0
-    # Tuples of d rows, in the same lexicographic order as the walk.
-    for rows, c in zip(product(product(range(lo, hi + 1), repeat=d), repeat=d), classes):
-        verdict, minimal_pair, oracle_verdict, oracle_pair, agree = outcomes[c]
-        tame += verdict == TAME
+    for rows, cert, (oracle_verdict, oracle_pair), agree in sweep_box(d, lo, hi):
         entries.append(
             {
                 "A": [list(row) for row in rows],
-                "verdict": verdict,
-                "minimal_pair": list(minimal_pair) if minimal_pair else None,
+                "verdict": cert.verdict,
+                "minimal_pair": list(cert.minimal_pair) if cert.minimal_pair else None,
                 "oracle_verdict": oracle_verdict,
                 "oracle_pair": list(oracle_pair) if oracle_pair else None,
                 "agree": agree,
             }
         )
-    all_agree = all(outcome[4] for outcome in outcomes)
+    tame = sum(entry["verdict"] == TAME for entry in entries)
     return {
         "exact": {
             "d": d,
@@ -499,7 +422,7 @@ def _result_sweep(job: JobSpec) -> dict:
             "total": total,
             "tame_count": tame,
             "untame_count": total - tame,
-            "all_agree": all_agree,
+            "all_agree": all(entry["agree"] for entry in entries),
             "entries": entries,
         }
     }

@@ -16,26 +16,29 @@ which yields the least pair (k, k+s) respectively the least order m = s.
 Step 2 is one derivation, _index_and_order, from mu and d alone; it backs
 the deciders and every certificate check. For an untame A, a gcd(g, g')
 test only names the witness: a repeated factor of g, or else the
-exhausted order bound. decide_semicascade_batch is the one place a
-verdict is derived and proved: sweep calls it per chunk of orbit
-representatives, decide_semicascade per matrix, and decide_cascade and
-the simulate probe go through decide_semicascade, a cascade order m
-being the pair (0, m). It derives each certificate once per distinct mu in its batch,
-while the exact power proof of a TAME certificate runs on every matrix
-of the batch. That proof builds one squaring ladder A, A^2, A^4, ..., takes
+exhausted order bound. decide_semicascade derives a verdict and proves
+it; decide_cascade and the simulate probe go through it, a cascade order
+m being the pair (0, m). sweep_box decides a whole box of matrices, one
+per symmetry orbit: it derives each certificate once per distinct mu,
+while the exact power proof of a TAME certificate runs on every orbit
+representative. That proof builds one squaring ladder A, A^2, A^4, ..., takes
 A^s from its rungs and proves its inequalities by matrix-vector
 products through them, so it costs O(log(k + s)) matrix products. A
 certificate re-checker makes every verdict self-validating; an
 independent brute-force oracle (exact power enumeration, batched in
-int64 under a proven overflow bound for sweep) backs sweep and the tests.
+int64 under a proven overflow bound for sweep_box) backs sweep and the
+tests.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+import operator
+from array import array
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
+from itertools import permutations, product
 
 from .errors import DeterminantNotUnitError
 from .exactalg import (IntMatrix, IntPoly, _witnesses, mat_mul, min_poly, poly_divmod, poly_gcd,
@@ -55,7 +58,7 @@ __all__ = [
     "order_bound",
     "order_of_x_mod",
     "decide_semicascade",
-    "decide_semicascade_batch",
+    "sweep_box",
     "decide_cascade",
     "oracle_semicascade",
     "oracle_semicascade_batch",
@@ -372,35 +375,14 @@ def decide_semicascade(a: IntMatrix) -> TamenessCertificate:
     modulo the x-stripped part; they are re-verified against exact matrix
     powers (the power proof of certificate_check) before being returned.
     """
-    return decide_semicascade_batch([a])[0]
+    return _proved(a, _semicascade_certificate(min_poly(a), a.d))
 
 
-def decide_semicascade_batch(matrices: Sequence[IntMatrix]) -> list[TamenessCertificate]:
-    """decide_semicascade for each of a batch of d x d matrices, in order.
-
-    The certificate depends on A only through its minimal polynomial mu
-    (and d): k, g, s and the UNTAME witness all follow from mu. Each
-    matrix gets its own exact mu, and the certificate is derived once per
-    distinct mu in the batch; the memo lives for this call only. The
-    power proof of a TAME certificate depends on A itself, so it runs on
-    every TAME matrix and each verdict stays self-validating.
-    """
-    if not matrices:
-        return []
-    d = matrices[0].d
-    if any(a.d != d for a in matrices):
-        raise ValueError("a batch needs matrices of one dimension")
-    by_mu: dict[IntPoly, TamenessCertificate] = {}
-    out = []
-    for a in matrices:
-        mu = min_poly(a)
-        cert = by_mu.get(mu)
-        if cert is None:
-            cert = by_mu[mu] = _semicascade_certificate(mu, d)
-        if cert.verdict == TAME and not _has_index_and_period(a, cert.index_k, cert.period_s):
-            raise AssertionError("internal error: certificate failed self-check: %r" % (cert,))
-        out.append(cert)
-    return out
+def _proved(a: IntMatrix, cert: TamenessCertificate) -> TamenessCertificate:
+    """cert, once the power proof has passed on A when it is TAME."""
+    if cert.verdict == TAME and not _has_index_and_period(a, cert.index_k, cert.period_s):
+        raise AssertionError("internal error: certificate failed self-check: %r" % (cert,))
+    return cert
 
 
 def decide_cascade(a: IntMatrix) -> TamenessCertificate:
@@ -511,6 +493,90 @@ def oracle_semicascade_batch(matrices: Sequence[IntMatrix]) -> list:
     for i, p, q in zip(fast, first_p.tolist(), first_q.tolist()):
         results[i] = (TAME, (p, q)) if q >= 0 else (UNTAME, None)
     return results
+
+
+# Representatives per oracle_semicascade_batch call in sweep_box; at d = 4
+# their int64 powers take (4 + s_max(4) + 1) * 1024 * 16 * 8 bytes, about 2.2 MB.
+_SWEEP_CHUNK = 1024
+
+
+def _image_index_weights(d: int, width: int) -> set[tuple[int, ...]]:
+    """For each of the 2 * d! maps A -> P A P^T and A -> (P A P^T)^T, P a
+    permutation matrix, the weights w that give the box index of A's image
+    as sum((a - lo) * w) over A's row-major entries a. The box index of B
+    is sum((b - lo) * width^(d*d-1-k)) over its row-major entries b."""
+    size = d * d
+    places = [width ** (size - 1 - k) for k in range(size)]
+    weights = set()
+    for pi in permutations(range(d)):
+        # B[i][j] = A[pi(i)][pi(j)] for B = P A P^T; B^T swaps i and j.
+        conj, conj_t = [0] * size, [0] * size
+        for i in range(d):
+            for j in range(d):
+                conj[pi[i] * d + pi[j]] = places[i * d + j]
+                conj_t[pi[i] * d + pi[j]] = places[j * d + i]
+        weights.update((tuple(conj), tuple(conj_t)))
+    return weights
+
+
+def sweep_box(d: int, lo: int, hi: int) -> Iterator[tuple]:
+    """Decide every d x d matrix with entries in lo..hi, and check each
+    verdict against the brute-force oracle, once per symmetry orbit.
+
+    Yields (rows, cert, (verdict, pair), agree) for each matrix of the box,
+    in itertools.product order: its d rows, the semicascade certificate of
+    its orbit, the oracle's verdict and least pair, and whether the two
+    agree (the same verdict and, for TAME, the same pair).
+
+    Lemma. Let B = P A P^T for a permutation matrix P, or B = (P A P^T)^T.
+    Then B^n = P A^n P^T, or (P A^n P^T)^T, for every n >= 0, because
+    P^T P = I and (A^T)^n = (A^n)^T; more generally f(B) is the same image
+    of f(A) for every polynomial f. Both images are injective, so
+    A^p = A^q <=> B^p = B^q: A and B have the same minimal pair, or none,
+    and mu_B = mu_A. The certificate depends on A only through mu and d,
+    so it is the same for A and B, and so are the oracle's (verdict, pair)
+    and their agreement. The TAME power proof, run on the representative
+    of an orbit, together with this lemma proves every member's
+    certificate: a proof, not a sample.
+
+    These 2 * d! maps only permute a matrix's entries, so every image of a
+    box matrix lies in the box, and the box is a union of orbits. The walk
+    takes the box in itertools.product order, which is lexicographic, so
+    the first member of an orbit that it meets is the orbit's
+    lexicographic minimum: that member is the representative. Each box
+    index (its position in the walk) gets its class number in an
+    array('i'), 4 bytes per matrix. Each representative gets its own exact
+    mu, and its certificate is derived once per distinct mu in the call;
+    the oracle runs on the representatives in chunks of _SWEEP_CHUNK.
+    """
+    width = hi - lo + 1
+    size = d * d
+    weights = _image_index_weights(d, width)
+    classes = array("i", [-1]) * width ** size
+    representatives = []
+    for index, digits in enumerate(product(range(width), repeat=size)):
+        if classes[index] < 0:
+            for w in weights:
+                classes[sum(map(operator.mul, digits, w))] = len(representatives)
+            representatives.append(digits)
+
+    by_mu: dict[IntPoly, TamenessCertificate] = {}
+    outcomes = []
+    for start in range(0, len(representatives), _SWEEP_CHUNK):
+        chunk = [IntMatrix([[lo + x for x in digits[i * d : (i + 1) * d]] for i in range(d)])
+                 for digits in representatives[start : start + _SWEEP_CHUNK]]
+        for a, oracle in zip(chunk, oracle_semicascade_batch(chunk)):
+            mu = min_poly(a)
+            cert = by_mu.get(mu)
+            if cert is None:
+                cert = by_mu[mu] = _semicascade_certificate(mu, d)
+            verdict, pair = oracle
+            agree = cert.verdict == verdict and (cert.verdict != TAME or cert.minimal_pair == pair)
+            outcomes.append((_proved(a, cert), oracle, agree))
+
+    # Tuples of d rows, in the same lexicographic order as the walk.
+    for rows, c in zip(product(product(range(lo, hi + 1), repeat=d), repeat=d), classes):
+        yield (rows, *outcomes[c])
 
 
 def _has_index_and_period(a: IntMatrix, k: int, s: int) -> bool:

@@ -40,7 +40,7 @@ from tametorus.errors import (
     StreamExhaustedError,
     TameTorusError,
 )
-from tametorus.tameness import decide_semicascade_batch, oracle_semicascade_batch
+from tametorus.tameness import decide_semicascade, min_poly, oracle_semicascade_batch
 
 
 def run_cli(argv, capsys):
@@ -284,7 +284,7 @@ class TestMainExitCodes:
             raise AssertionError("a sweep beyond the dimension cap did work")
 
         monkeypatch.setattr(tametorus.tameness, "min_poly", no_work)
-        monkeypatch.setattr(tametorus.cli, "oracle_semicascade_batch", no_work)
+        monkeypatch.setattr(tametorus.tameness, "oracle_semicascade_batch", no_work)
         assert MAX_SWEEP_DIMENSION == 4
         assert 2 ** (MAX_SWEEP_DIMENSION ** 2) <= MAX_SWEEP_ENTRIES
         assert 2 ** ((MAX_SWEEP_DIMENSION + 1) ** 2) > MAX_SWEEP_ENTRIES
@@ -1137,13 +1137,13 @@ def _orbit_sweep(d, lo, hi):
 
 def _per_matrix_sweep(d, lo, hi):
     """The exact block of a sweep that decides every matrix of the box, the
-    reference for the orbit sweep: decide_semicascade_batch and
+    reference for the orbit sweep: decide_semicascade and
     oracle_semicascade_batch run on each matrix, in product order."""
     matrices = [IntMatrix([combo[i * d : (i + 1) * d] for i in range(d)])
                 for combo in product(range(lo, hi + 1), repeat=d * d)]
-    certs, oracle = [], []
+    certs = [decide_semicascade(a) for a in matrices]
+    oracle = []
     for start in range(0, len(matrices), 2048):
-        certs += decide_semicascade_batch(matrices[start : start + 2048])
         oracle += oracle_semicascade_batch(matrices[start : start + 2048])
     entries = []
     for a, cert, (verdict, pair) in zip(matrices, certs, oracle, strict=True):
@@ -1200,7 +1200,7 @@ class TestOrbitSweep:
             return [(UNTAME, None) if a.entries in orbit else result
                     for a, result in zip(matrices, oracle_semicascade_batch(matrices))]
 
-        monkeypatch.setattr(tametorus.cli, "oracle_semicascade_batch", planted)
+        monkeypatch.setattr(tametorus.tameness, "oracle_semicascade_batch", planted)
         exact = _orbit_sweep(2, 0, 1)
         assert exact["all_agree"] is False
         assert [(entry["A"], entry["verdict"], entry["minimal_pair"], entry["oracle_verdict"])
@@ -1210,22 +1210,23 @@ class TestOrbitSweep:
     @pytest.mark.parametrize(("d", "lo", "hi", "orbits"),
                              [(3, 0, 1, 74), (2, -2, 2, 225), (4, 0, 1, 1740)])
     def test_each_orbit_is_decided_once(self, monkeypatch, d, lo, hi, orbits):
-        calls = {"decide": [], "oracle": []}
+        decided_matrices, oracle_chunks = [], []
 
-        def spy(name, batch_function):
-            def recording(matrices):
-                calls[name].append(list(matrices))
-                return batch_function(matrices)
-            return recording
+        def deciding(a):
+            decided_matrices.append(a)
+            return min_poly(a)
 
-        monkeypatch.setattr(tametorus.cli, "decide_semicascade_batch",
-                            spy("decide", decide_semicascade_batch))
-        monkeypatch.setattr(tametorus.cli, "oracle_semicascade_batch",
-                            spy("oracle", oracle_semicascade_batch))
+        def oracle(matrices):
+            oracle_chunks.append(list(matrices))
+            return oracle_semicascade_batch(matrices)
+
+        # sweep_box computes min_poly once for each matrix it decides.
+        monkeypatch.setattr(tametorus.tameness, "min_poly", deciding)
+        monkeypatch.setattr(tametorus.tameness, "oracle_semicascade_batch", oracle)
         exact = _orbit_sweep(d, lo, hi)
-        assert calls["decide"] == calls["oracle"]
-        assert max(map(len, calls["decide"])) <= 1024
-        decided = [a.entries for batch in calls["decide"] for a in batch]
+        assert [a for chunk in oracle_chunks for a in chunk] == decided_matrices
+        assert max(map(len, oracle_chunks)) <= 1024
+        decided = [a.entries for a in decided_matrices]
         assert len(decided) == orbits
         assert len(set(decided)) == orbits
         # Each decided matrix is the least member of its orbit, so no two

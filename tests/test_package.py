@@ -13,7 +13,7 @@ PUBLIC_NAMES = {
     # tameness
     "TAME", "UNTAME", "SEMICASCADE", "CASCADE", "NON_SQUAREFREE", "ORDER_BOUND_EXHAUSTED",
     "ZERO_EIGENVALUE", "TamenessCertificate", "UntameWitness", "OrderBoundTable",
-    "order_bound", "order_of_x_mod", "decide_semicascade", "decide_semicascade_batch",
+    "order_bound", "order_of_x_mod", "decide_semicascade", "sweep_box",
     "decide_cascade", "oracle_semicascade", "oracle_semicascade_batch", "certificate_check",
     # dynamics
     "AffineMap", "FrequencyOrbit", "IndependenceQuery", "reduce_angles", "torus_dist",

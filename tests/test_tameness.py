@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -25,7 +25,6 @@ from tametorus import (
     certificate_check,
     decide_cascade,
     decide_semicascade,
-    decide_semicascade_batch,
     mat_mul,
     mat_pow,
     min_poly,
@@ -36,7 +35,9 @@ from tametorus import (
     poly_divmod,
     poly_gcd,
     strip_x_factor,
+    sweep_box,
 )
+from tametorus.cli import MAX_DECIDE_DIMENSION
 
 
 def euler_phi(n):
@@ -327,7 +328,21 @@ class TestDecideSemicascade:
         assert oracle_semicascade(a) == (UNTAME, None)
 
 
-class TestDecideSemicascadeBatch:
+def _representatives(d, lo, hi):
+    """The least member of each orbit of the box under A -> P A P^T and
+    A -> (P A P^T)^T, P a permutation matrix, in product order."""
+    least = set()
+    for combo in product(range(lo, hi + 1), repeat=d * d):
+        rows = [combo[i * d : (i + 1) * d] for i in range(d)]
+        images = set()
+        for pi in permutations(range(d)):
+            b = tuple(tuple(rows[pi[i]][pi[j]] for j in range(d)) for i in range(d))
+            images.update((b, tuple(zip(*b))))
+        least.add(min(images))
+    return [IntMatrix(rows) for rows in sorted(least)]
+
+
+class TestSweepBox:
     @staticmethod
     def _count(monkeypatch, name):
         calls = []
@@ -340,35 +355,34 @@ class TestDecideSemicascadeBatch:
         monkeypatch.setattr(tametorus.tameness, name, counting)
         return calls
 
-    def test_memo_on_min_poly_keeps_the_power_proof_per_matrix(self, monkeypatch):
-        # all 81 2x2 matrices over {-1, 0, 1}, twice, in seeded order
-        matrices = [IntMatrix([c[:2], c[2:]]) for c in product((-1, 0, 1), repeat=4)] * 2
-        random.Random(6).shuffle(matrices)
-        distinct_mu = len({min_poly(a) for a in matrices})
-        expected = [decide_semicascade(a) for a in matrices]
+    def test_memo_on_min_poly_keeps_the_power_proof_per_representative(self, monkeypatch):
+        # all 625 2x2 matrices over {-2..2}, 225 orbit representatives
+        representatives = _representatives(2, -2, 2)
+        assert len(representatives) == 225
+        distinct_mu = len({min_poly(a) for a in representatives})
+        expected = [decide_semicascade(a) for a in representatives]
         proofs = self._count(monkeypatch, "_has_index_and_period")
         orders = self._count(monkeypatch, "order_of_x_mod")
-        assert decide_semicascade_batch(matrices) == expected
-        assert len(orders) == distinct_mu < len(matrices)
+        swept = list(sweep_box(2, -2, 2))
+        assert len(swept) == 625
+        assert len(orders) == distinct_mu < len(representatives)
         tame = [(a, cert.index_k, cert.period_s)
-                for a, cert in zip(matrices, expected) if cert.verdict == TAME]
+                for a, cert in zip(representatives, expected) if cert.verdict == TAME]
         assert proofs == tame
+        by_rows = {rows: cert for rows, cert, _, _ in swept}
+        assert [by_rows[a.entries] for a in representatives] == expected
 
     def test_second_call_starts_with_an_empty_memo(self, monkeypatch):
-        matrices = [IntMatrix([[1, 0], [0, 1]]), IntMatrix([[0, 1], [1, 0]]),
-                    IntMatrix([[1, 0], [0, 1]]), IntMatrix([[2, 1], [1, 1]])]
+        # {-1, 0, 1}^4 has 36 orbits, 19 distinct mu among their representatives
+        representatives = _representatives(2, -1, 1)
+        assert len(representatives) == 36
+        distinct_mu = len({min_poly(a) for a in representatives})
+        assert distinct_mu == 19
         orders = self._count(monkeypatch, "order_of_x_mod")
-        first = decide_semicascade_batch(matrices)
-        assert len(orders) == 3
-        assert decide_semicascade_batch(matrices) == first
-        assert len(orders) == 6
-
-    def test_empty_batch(self):
-        assert decide_semicascade_batch([]) == []
-
-    def test_rejects_mixed_dimensions(self):
-        with pytest.raises(ValueError):
-            decide_semicascade_batch([IntMatrix([[1]]), IntMatrix([[1, 0], [0, 1]])])
+        first = list(sweep_box(2, -1, 1))
+        assert len(orders) == distinct_mu
+        assert list(sweep_box(2, -1, 1)) == first
+        assert len(orders) == 2 * distinct_mu
 
 
 class TestDecideCascade:
@@ -429,11 +443,12 @@ class TestOracle:
             assert batch_result == (verdict, pair), a
             tame += verdict == TAME
         assert tame == 5383
-        # whole certificates, witness and detail included, from the memoized batch
-        assert decide_semicascade_batch(matrices) == certs
-        chunked = [cert for i in range(0, len(matrices), 1024)
-                   for cert in decide_semicascade_batch(matrices[i : i + 1024])]
-        assert chunked == certs
+        # whole certificates, witness and detail included, from the orbit walk
+        swept = list(sweep_box(3, -1, 1))
+        assert [IntMatrix(rows) for rows, _, _, _ in swept] == matrices
+        assert [cert for _, cert, _, _ in swept] == certs
+        assert [oracle for _, _, oracle, _ in swept] == batched
+        assert all(agree for _, _, _, agree in swept)
 
     def test_batch_equals_bigint_oracle_d4_sample(self):
         rng = random.Random(4)
@@ -1313,11 +1328,12 @@ class TestSympyVerdictOracle:
     def test_equals_decider_on_seeded_families(self):
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
+        cap = MAX_DECIDE_DIMENSION
         cyclotomic_order = {sympy.Poly(sympy.cyclotomic_poly(n, x), x): n
-                            for n in range(1, 2 * 16 * 16 + 1) if euler_phi(n) <= 16}
+                            for n in range(1, 2 * cap * cap + 1) if euler_phi(n) <= cap}
         rng = random.Random(6600)
         seen = set()
-        for d in range(2, 17):
+        for d in range(2, cap + 1):
             for kind in ("distinct", "repeated", "jordan", "hyperbolic", "random"):
                 a = self._family(rng, d, kind)
                 verdict, pair = self._verdict(sympy, a, cyclotomic_order)
@@ -1330,14 +1346,14 @@ class TestSympyVerdictOracle:
 
 
 @st.composite
-def _block_family(draw):
-    """U * diag(blocks) * U^-1 at d = 4..16 for a unimodular U, with its
+def _block_family(draw, least_d, most_d):
+    """U * diag(blocks) * U^-1 at d = least_d..most_d for a unimodular U, with its
     predicted verdict and witness reason and the pair (k, k + s) of its
     tame part: J_k(0) (k <= 2, absent when k = 0) and blocks C(Phi_n) of
     orders n with lcm s, led by a repeated C(Phi_n) (derogatory, TAME), by
     J_2(1) or C(Phi_n^2) (UNTAME, NON_SQUAREFREE), or by one hyperbolic
     block, the cat map or C(x^m - x - 1) (UNTAME, ORDER_BOUND_EXHAUSTED)."""
-    d = draw(st.integers(4, 16))
+    d = draw(st.integers(least_d, most_d))
     kind = draw(st.sampled_from((TAME, NON_SQUAREFREE, ORDER_BOUND_EXHAUSTED)))
     k = draw(st.integers(0, 2))
     n = draw(st.sampled_from([n for n in range(1, 31) if 2 * euler_phi(n) <= d - k]))
@@ -1361,13 +1377,27 @@ def _block_family(draw):
 
 
 class TestBlockFamilies:
-    """The decider and certificate_check at d = 4..16 on derogatory tame,
-    non-squarefree and hyperbolic families, against what their blocks
-    predict."""
+    """The decider and certificate_check at d = 4..MAX_DECIDE_DIMENSION on
+    derogatory tame, non-squarefree and hyperbolic families, against what
+    their blocks predict."""
 
     @settings(max_examples=100, deadline=None)
-    @given(_block_family())
+    @given(_block_family(4, 16))
     def test_verdict_witness_and_certify(self, family):
+        self._check(family)
+
+    @settings(max_examples=8, deadline=None)
+    @given(_block_family(17, MAX_DECIDE_DIMENSION - 1))
+    def test_verdict_witness_and_certify_up_to_the_cap(self, family):
+        self._check(family)
+
+    @settings(max_examples=6, deadline=None)
+    @given(_block_family(MAX_DECIDE_DIMENSION, MAX_DECIDE_DIMENSION))
+    def test_verdict_witness_and_certify_at_the_cap(self, family):
+        self._check(family)
+
+    @staticmethod
+    def _check(family):
         a, kind, k, s = family
         cert = decide_semicascade(a)
         if kind == TAME:
