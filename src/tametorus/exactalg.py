@@ -12,6 +12,7 @@ integers within a few dozen steps.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
@@ -120,20 +121,27 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     )
 
 
+def _ladder(a: IntMatrix, top: int) -> list[IntMatrix]:
+    """The squaring ladder A, A^2, A^4, ..., up to the top bit of top >= 1."""
+    rungs = [a]
+    for _ in range(top.bit_length() - 1):
+        rungs.append(mat_mul(rungs[-1], rungs[-1]))
+    return rungs
+
+
+def _power(rungs: list[IntMatrix], n: int) -> IntMatrix:
+    """A^n for 1 <= n < 2^len(rungs): the product of the rungs of A's
+    ladder at the set bits of n, lowest bit first."""
+    return functools.reduce(mat_mul, [rung for i, rung in enumerate(rungs) if n >> i & 1])
+
+
 def mat_pow(a: IntMatrix, n: int) -> IntMatrix:
-    """Exact n-th power by binary exponentiation; a**0 is the identity."""
+    """Exact n-th power by binary exponentiation: the product of the rungs
+    of the squaring ladder at the set bits of n; a**0 is the identity."""
     n = operator.index(n)
     if n < 0:
         raise ValueError("exponent must be nonnegative, got %d" % n)
-    result = None
-    base = a
-    while n:
-        if n & 1:
-            result = base if result is None else mat_mul(result, base)
-        n >>= 1
-        if n:
-            base = mat_mul(base, base)
-    return IntMatrix.identity(a.d) if result is None else result
+    return _power(_ladder(a, n), n) if n else IntMatrix.identity(a.d)
 
 
 class IntPoly:

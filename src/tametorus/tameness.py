@@ -25,9 +25,9 @@ representative. That proof builds one squaring ladder A, A^2, A^4, ..., takes
 A^s from its rungs and proves its inequalities by matrix-vector
 products through them, so it costs O(log(k + s)) matrix products. A
 certificate re-checker makes every verdict self-validating; an
-independent brute-force oracle (exact power enumeration, batched in
-int64 under a proven overflow bound for sweep_box) backs sweep and the
-tests.
+independent brute-force oracle (exact power enumeration, batched for
+sweep_box in int64 where a proven bound rules out overflow, and in
+Python ints otherwise) backs sweep and the tests.
 """
 
 from __future__ import annotations
@@ -37,12 +37,12 @@ import operator
 from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import permutations, product
 
 from .errors import DeterminantNotUnitError
-from .exactalg import (IntMatrix, IntPoly, _witnesses, mat_mul, min_poly, poly_divmod, poly_gcd,
-                       strip_x_factor)
+from .exactalg import (IntMatrix, IntPoly, _ladder, _power, _witnesses, mat_mul, min_poly,
+                       poly_divmod, poly_gcd, strip_x_factor)
 
 __all__ = [
     "TAME",
@@ -433,12 +433,13 @@ _INT64_MAX = 2 ** 63 - 1
 
 
 def oracle_semicascade_batch(matrices: Sequence[IntMatrix]) -> list:
-    """oracle_semicascade for each of a chunk of d x d matrices, in order.
+    """oracle_semicascade for each of a chunk of d x d matrices, in order,
+    by one enumeration of A^0..A^Q, Q = d + s_max(d), over the whole chunk.
 
-    Let Q = d + s_max(d) and ||A|| the maximum absolute row sum. A matrix
-    with ||A||^Q <= 2^63 - 1 (checked on Python ints, before any numpy
-    conversion) has A^0..A^Q enumerated in int64 numpy products, and no
-    value formed on the way overflows:
+    Let ||A|| be the maximum absolute row sum. The bound ||A||^Q <= 2^63 - 1,
+    checked on Python ints for every matrix of the chunk, picks its dtype:
+    when all of them meet it, int64, where no value formed on the way
+    overflows:
       1. No entry of a matrix exceeds its norm, and ||.|| is
          submultiplicative, so every entry of A^k is bounded by
          ||A^k|| <= ||A||^k (and A^0 = I by 1).
@@ -448,35 +449,29 @@ def oracle_semicascade_batch(matrices: Sequence[IntMatrix]) -> list:
       3. So for k + 1 <= Q every value, in whatever order numpy
          accumulates, is at most max(1, ||A||)^Q <= 2^63 - 1 in absolute
          value: int64 computes the same powers as bigints.
-    Every other matrix goes through oracle_semicascade unchanged.
+    Otherwise the chunk's arrays hold Python ints (numpy's object dtype),
+    where nothing can overflow.
 
-    The int64 powers are stacked as (Q + 1, n, d*d); for each matrix the
-    first power index q equal to an earlier index p gives the pair (p, q).
-    The powers before the first repetition are distinct, so p is unique.
+    The powers are stacked as (Q + 1, n, d*d); for each matrix the first
+    power index q equal to an earlier index p gives the pair (p, q). The
+    powers before the first repetition are distinct, so p is unique.
     """
-    results: list = [None] * len(matrices)
     if not matrices:
-        return results
+        return []
     d = matrices[0].d
     if any(a.d != d for a in matrices):
         raise ValueError("a batch needs matrices of one dimension")
     limit = d + order_bound(d).s_max
-    fast = []
-    for i, a in enumerate(matrices):
-        norm = max(sum(map(abs, row)) for row in a.entries)
-        if norm ** limit <= _INT64_MAX:
-            fast.append(i)
-        else:
-            results[i] = oracle_semicascade(a)
-    if not fast:
-        return results
 
     import numpy as np
 
-    n = len(fast)
-    a = np.array([matrices[i].entries for i in fast], dtype=np.int64)
-    powers = np.empty((limit + 1, n, d * d), dtype=np.int64)
-    powers[0] = np.eye(d, dtype=np.int64).reshape(d * d)
+    fits = all(max(sum(map(abs, row)) for row in a.entries) ** limit <= _INT64_MAX
+               for a in matrices)
+    dtype = np.int64 if fits else object
+    n = len(matrices)
+    a = np.array([m.entries for m in matrices], dtype=dtype)
+    powers = np.empty((limit + 1, n, d * d), dtype=dtype)
+    powers[0] = np.eye(d, dtype=dtype).reshape(d * d)
     power = a
     powers[1] = power.reshape(n, d * d)
     for q in range(2, limit + 1):
@@ -490,13 +485,14 @@ def oracle_semicascade_batch(matrices: Sequence[IntMatrix]) -> list:
         hit = (first_q < 0) & equal.any(axis=0)
         first_p[hit] = equal.argmax(axis=0)[hit]
         first_q[hit] = q
-    for i, p, q in zip(fast, first_p.tolist(), first_q.tolist()):
-        results[i] = (TAME, (p, q)) if q >= 0 else (UNTAME, None)
-    return results
+    return [(TAME, (p, q)) if q >= 0 else (UNTAME, None)
+            for p, q in zip(first_p.tolist(), first_q.tolist())]
 
 
 # Representatives per oracle_semicascade_batch call in sweep_box; at d = 4
-# their int64 powers take (4 + s_max(4) + 1) * 1024 * 16 * 8 bytes, about 2.2 MB.
+# their int64 powers take (4 + s_max(4) + 1) * 1024 * 16 * 8 bytes, about 2.2 MB,
+# and a chunk beyond the int64 bound, of Python ints, about 16 MB with entries
+# near 10^6.
 _SWEEP_CHUNK = 1024
 
 
@@ -570,8 +566,8 @@ def sweep_box(d: int, lo: int, hi: int) -> Iterator[tuple]:
             cert = by_mu.get(mu)
             if cert is None:
                 cert = by_mu[mu] = _semicascade_certificate(mu, d)
-            verdict, pair = oracle
-            agree = cert.verdict == verdict and (cert.verdict != TAME or cert.minimal_pair == pair)
+            # An UNTAME certificate and an UNTAME oracle answer both carry no pair.
+            agree = (cert.verdict, cert.minimal_pair) == oracle
             outcomes.append((_proved(a, cert), oracle, agree))
 
     # Tuples of d rows, in the same lexicographic order as the walk.
@@ -589,8 +585,9 @@ def _has_index_and_period(a: IntMatrix, k: int, s: int) -> bool:
 
     Every power comes from one squaring ladder A, A^2, A^4, ..., up to the
     top bit of max(k, s): A^n is the product of the rungs at the set bits
-    of n. The equality is proved on whole matrices, as A^s = I when k = 0
-    and as A^k A^s = A^k otherwise. Each inequality states M != 0 for
+    of n, the ladder and product of mat_pow (exactalg._ladder, _power). The
+    equality is proved on whole matrices, as A^s = I when k = 0 and as
+    A^k A^s = A^k otherwise. Each inequality states M != 0 for
     M = A^{j+t} - A^j, with (j, t) = (k - 1, s) or (k, s/r), and is proved
     by matrix-vector products through the ladder: A^t commutes with A^j,
     so Mv = A^t (A^j v) - A^j v. The vectors tried are (1, ..., d) and
@@ -600,12 +597,7 @@ def _has_index_and_period(a: IntMatrix, k: int, s: int) -> bool:
     what comparing the whole matrices A^{j+t} and A^j decides, for every
     A, k and s: the accepted (k, s) are those of the whole-matrix proof.
     """
-    ladder = [a]
-    for _ in range(max(k, s).bit_length() - 1):
-        ladder.append(mat_mul(ladder[-1], ladder[-1]))
-
-    def power(n: int) -> IntMatrix:
-        return reduce(mat_mul, [rung for i, rung in enumerate(ladder) if n >> i & 1])
+    ladder = _ladder(a, max(k, s))
 
     def apply_power(n: int, v: tuple[int, ...]) -> tuple[int, ...]:
         for i, rung in enumerate(ladder):
@@ -620,12 +612,12 @@ def _has_index_and_period(a: IntMatrix, k: int, s: int) -> bool:
                 return True
         return False
 
-    period = power(s)
+    period = _power(ladder, s)
     if k == 0:
         if period != IntMatrix.identity(a.d):
             return False
     else:
-        head = power(k)
+        head = _power(ladder, k)
         if mat_mul(head, period) != head or not moves_some_vector(k - 1, s):
             return False
     return all(moves_some_vector(k, s // r) for r in _prime_divisors(s))

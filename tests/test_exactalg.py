@@ -92,6 +92,29 @@ class TestIntMatrix:
     def test_pow_catmap(self):
         assert mat_pow(IntMatrix([[2, 1], [1, 1]]), 3) == IntMatrix([[13, 8], [8, 5]])
 
+    @pytest.mark.parametrize("a", [
+        IntMatrix([[2, 1], [1, 1]]),                    # hyperbolic
+        IntMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]]),   # nilpotent
+        IntMatrix([[0, -1], [1, 1]]),                   # rotation of order 6
+    ])
+    def test_pow_equals_repeated_product(self, a, monkeypatch):
+        products = [IntMatrix.identity(a.d)]
+        for _ in range(64):
+            products.append(mat_mul(products[-1], a))
+        calls = []
+        real_mul = tametorus.exactalg.mat_mul
+
+        def counting_mul(x, y):
+            calls.append(1)
+            return real_mul(x, y)
+
+        monkeypatch.setattr(tametorus.exactalg, "mat_mul", counting_mul)
+        for n, expected in enumerate(products):
+            calls.clear()
+            assert mat_pow(a, n) == expected, n
+            # one squaring per bit below the top one, one product per further set bit
+            assert len(calls) == max(n.bit_length() - 1, 0) + max(bin(n).count("1") - 1, 0)
+
     def test_pow_negative_rejected(self):
         with pytest.raises(ValueError):
             mat_pow(IntMatrix.identity(2), -1)

@@ -51,7 +51,9 @@ def _jobs(named) -> dict:
         "minimal_pair": [0, 8]}))
     add("frequencies-catmap", ["frequencies", "--iters", "50"], _matrix_job(named["catmap"]))
     add("frequencies-rot6", ["frequencies"], _matrix_job(named["rot6"]))
-    for d, lo, hi in ((1, -3, 3), (2, -2, 2), (2, -3, 0), (3, 0, 1)):
+    # The last three boxes hold matrices with ||A||^(d + s_max(d)) > 2^63 - 1.
+    for d, lo, hi in ((1, -3, 3), (2, -2, 2), (2, -3, 0), (3, 0, 1),
+                      (1, 2 ** 21 - 1, 2 ** 21), (2, 117, 118), (3, 10 ** 9, 10 ** 9 + 1)):
         add("sweep-d%d-%d..%d" % (d, lo, hi), ["sweep", "--range=%d..%d" % (lo, hi)],
             json.dumps({"d": d}))
     add("simulate-rot4", ["simulate", "--iters", "20", "--grid", "8"],
@@ -153,12 +155,18 @@ DIGESTS = {
     "simulate-rot4-json": (0, "7984838f0d06b536c35863db705419dce5569517a8085adf3426b5c25c284c8c"),
     "sweep-d1--3..3-json": (0, "25496f7c93c358051b7ff3ef03e25b19d0bd54cbd5143e5c46ff281fa47110d3"),
     "sweep-d1--3..3-text": (0, "3281084599c7251a96b784858067af59bf44b8c9d6c8992b8049486258a159fa"),
+    "sweep-d1-2097151..2097152-json": (0, "9c33da074aaf1863b14d556a0b2abf03db01b7eff8e800e8a95d28c2b39eee96"),
+    "sweep-d1-2097151..2097152-text": (0, "6f7888935dbe3f01d4fb5ccee4358e6082458b45fd5bde4d23c04c0b52fbdfde"),
     "sweep-d2--2..2-json": (0, "d10f642384b915820037cf06487a24c4c13d784579d467c4e931f8c616d6d4d0"),
     "sweep-d2--2..2-text": (0, "53a8086a0b0120047cf4c29de055c681c928964cdd2d21dda6416003f67ce3b9"),
     "sweep-d2--3..0-json": (0, "03a36e59f957907de1e1d8ca815ce359e7910cbb97390070398e5bdfc930956c"),
     "sweep-d2--3..0-text": (0, "e6236bc162e359d9faa3086b3c4151befc4954fcebafa13b975c4aed600a6e5b"),
+    "sweep-d2-117..118-json": (0, "0d8641ee2e6b5955105bfb4d2d6482ecbf1a5e113aae3d902e5478e61c89611c"),
+    "sweep-d2-117..118-text": (0, "d86a114c0901433439af3eb07f04b942057f435b74d8a95b764845de5d0ab08e"),
     "sweep-d3-0..1-json": (0, "69425c9174566651d463ec7d9481ef395be0f36eb2e821f551391d44b81d029e"),
     "sweep-d3-0..1-text": (0, "5b404792049506bfc638926ee6691f3a0d1c562d0a35ac857f3ab89bf0a4bdd2"),
+    "sweep-d3-1000000000..1000000001-json": (0, "403a75bea37ee25d18c4a152c2c2dacf8c5fd7b7f90921e3b008cf2ee8787609"),
+    "sweep-d3-1000000000..1000000001-text": (0, "fd6e6cb071fe4a79a3c6660287c2d53ecaf8991b95593778ab6d305209137409"),
 }
 
 

@@ -384,6 +384,19 @@ class TestSweepBox:
         assert list(sweep_box(2, -1, 1)) == first
         assert len(orders) == 2 * distinct_mu
 
+    @pytest.mark.parametrize("d, lo, hi", [(2, 117, 118), (3, 10 ** 9, 10 ** 9 + 1)])
+    def test_boxes_beyond_the_int64_bound_match_per_matrix_decisions(self, d, lo, hi):
+        # The matrix of all hi has norm d * hi, and ||A||^(d + s_max(d)) > 2^63 - 1.
+        assert (d * hi) ** (d + order_bound(d).s_max) > 2 ** 63 - 1
+        matrices = [IntMatrix([c[i * d : (i + 1) * d] for i in range(d)])
+                    for c in product(range(lo, hi + 1), repeat=d * d)]
+        swept = list(sweep_box(d, lo, hi))
+        assert [IntMatrix(rows) for rows, _, _, _ in swept] == matrices
+        for a, (_, cert, oracle, agree) in zip(matrices, swept, strict=True):
+            assert cert == decide_semicascade(a), a
+            assert oracle == oracle_semicascade(a), a
+            assert agree, a
+
 
 class TestDecideCascade:
     def test_rotation_order_four(self, named):
@@ -458,7 +471,8 @@ class TestOracle:
         assert oracle_semicascade_batch([]) == []
 
     @staticmethod
-    def _record_fallback(monkeypatch):
+    def _record_oracle_calls(monkeypatch):
+        """Record every call the batch makes to the per-matrix oracle."""
         calls = []
 
         def recording(a):
@@ -469,14 +483,15 @@ class TestOracle:
         return calls
 
     def test_batch_guard_boundary_d1(self, monkeypatch):
-        # d = 1: Q = 1 + s_max(1) = 3, so the int64 path needs |a|^3 <= 2^63 - 1
+        # d = 1: Q = 1 + s_max(1) = 3, so a chunk is int64 only when |a|^3 <= 2^63 - 1
         assert 1 + order_bound(1).s_max == 3
-        calls = self._record_fallback(monkeypatch)
+        calls = self._record_oracle_calls(monkeypatch)
         inside, outside = IntMatrix([[2 ** 21 - 1]]), IntMatrix([[2 ** 21]])
         assert oracle_semicascade_batch([inside]) == [oracle_semicascade(inside)]
-        assert calls == []
         assert oracle_semicascade_batch([outside]) == [oracle_semicascade(outside)]
-        assert calls == [outside]
+        assert oracle_semicascade_batch([inside, outside]) == [oracle_semicascade(inside),
+                                                               oracle_semicascade(outside)]
+        assert calls == []
 
     def test_batch_guard_keeps_wrapping_values_out_of_int64(self):
         # Unguarded, int64 wraps (2^32)^2 to 0 and A^2 = A^3 would read as TAME (2, 3).
@@ -495,11 +510,30 @@ class TestOracle:
         matrices = small + wide * 3
         rng.shuffle(matrices)
         expected = [oracle_semicascade(a) for a in matrices]
-        calls = self._record_fallback(monkeypatch)
+        calls = self._record_oracle_calls(monkeypatch)
         assert oracle_semicascade_batch(matrices) == expected
-        assert calls == [a for a in matrices if a in wide]
+        assert calls == []
         assert {result for a, result in zip(matrices, expected) if a in wide} == {
             (TAME, (1, 2)), (TAME, (2, 3)), (UNTAME, None)}
+
+    def test_batch_straddling_the_bound_d2(self, monkeypatch):
+        # d = 2: Q = 2 + s_max(2) = 8, and 234^8 <= 2^63 - 1 < 235^8
+        assert 2 + order_bound(2).s_max == 8
+        assert 234 ** 8 <= 2 ** 63 - 1 < 235 ** 8
+        box = [IntMatrix([c[:2], c[2:]]) for c in product((117, 118), repeat=4)]
+        norms = [max(sum(map(abs, row)) for row in a.entries) for a in box]
+        assert sorted(set(norms)) == [234, 235, 236] and norms.count(234) == 1
+        beyond = [IntMatrix([[1, 235], [0, 0]]),   # idempotent: TAME (1, 2)
+                  IntMatrix([[0, 236], [0, 0]])]   # nilpotent: TAME (2, 3)
+        small = [IntMatrix([c[:2], c[2:]]) for c in product((-1, 0, 1), repeat=4)]
+        matrices = box + beyond + small
+        random.Random(22).shuffle(matrices)
+        expected = [oracle_semicascade(a) for a in matrices]
+        calls = self._record_oracle_calls(monkeypatch)
+        assert oracle_semicascade_batch(matrices) == expected
+        assert oracle_semicascade_batch(box) == [oracle_semicascade(a) for a in box]
+        assert calls == []
+        assert [oracle_semicascade(a) for a in beyond] == [(TAME, (1, 2)), (TAME, (2, 3))]
 
     def test_batch_rejects_mixed_dimensions(self):
         with pytest.raises(ValueError):
