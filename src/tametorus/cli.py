@@ -32,7 +32,10 @@ import os
 import re
 import sys
 import time
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
+from itertools import product
 from typing import Callable
 
 from . import __version__
@@ -393,6 +396,60 @@ def _text_sidon(result: dict) -> list[str]:
     ]
 
 
+# A sweep entry sits at depth 4 of a json report (result, exact, entries,
+# the entry), so each line that emit's indent=2 starts inside it begins
+# with 8 spaces.
+_ENTRY_NEWLINE = "\n" + " " * 8
+
+
+def _as_entry(obj) -> str:
+    """obj as emit writes it in the place of one sweep entry."""
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", _ENTRY_NEWLINE)
+
+
+class _SweepEntries:
+    """result.exact.entries of a sweep as tameness.sweep_box returns them:
+    the matrices of the box lo..hi in itertools.product order, each with
+    the outcome of its orbit's class. emit writes them; no dict is built
+    per matrix. A plain class: a dataclass would cost every CLI process
+    ~0.4 ms at import."""
+
+    def __init__(self, d: int, lo: int, hi: int, classes: Sequence[int], outcomes: list):
+        self.d, self.lo, self.hi = d, lo, hi
+        self.classes, self.outcomes = classes, outcomes
+
+    def json_items(self) -> str:
+        """The entries as json.dumps(report, sort_keys=True, indent=2)
+        writes the dicts {"A": rows, "agree", "minimal_pair", "oracle_pair",
+        "oracle_verdict", "verdict"}, joined by its item separator.
+
+        Every entry of one outcome fills the same template: the layout of
+        A, with a %d for each of its d * d entries, then the rest of the
+        entry, written once per distinct outcome. A %d beyond CPython's
+        int-to-str digit limit raises ValueError, as json.dumps does."""
+        d = self.d
+        shape = _as_entry({"A": [[0] * d] * d})
+        head = shape[: shape.rindex("\n")].replace("0", "%d")
+        templates: dict[tuple, str] = {}
+        by_class = []
+        for cert, (oracle_verdict, oracle_pair), agree in self.outcomes:
+            key = (cert.verdict, cert.minimal_pair, oracle_verdict, oracle_pair, agree)
+            template = templates.get(key)
+            if template is None:
+                rest = _as_entry({
+                    "verdict": cert.verdict,
+                    "minimal_pair": list(cert.minimal_pair) if cert.minimal_pair else None,
+                    "oracle_verdict": oracle_verdict,
+                    "oracle_pair": list(oracle_pair) if oracle_pair else None,
+                    "agree": agree,
+                })
+                template = templates[key] = head + "," + rest[1:]
+            by_class.append(template)
+        values = product(range(self.lo, self.hi + 1), repeat=d * d)
+        return ("," + _ENTRY_NEWLINE).join(
+            map(str.__mod__, map(by_class.__getitem__, self.classes), values))
+
+
 def _result_sweep(job: JobSpec) -> dict:
     opts = job.options
     d = job.payload["d"]
@@ -402,19 +459,9 @@ def _result_sweep(job: JobSpec) -> dict:
         raise CapExceededError(
             "sweep of %d matrices exceeds the cap of %d" % (total, MAX_SWEEP_ENTRIES)
         )
-    entries = []
-    for rows, cert, (oracle_verdict, oracle_pair), agree in sweep_box(d, lo, hi):
-        entries.append(
-            {
-                "A": [list(row) for row in rows],
-                "verdict": cert.verdict,
-                "minimal_pair": list(cert.minimal_pair) if cert.minimal_pair else None,
-                "oracle_verdict": oracle_verdict,
-                "oracle_pair": list(oracle_pair) if oracle_pair else None,
-                "agree": agree,
-            }
-        )
-    tame = sum(entry["verdict"] == TAME for entry in entries)
+    classes, outcomes = sweep_box(d, lo, hi)
+    sizes = Counter(classes)
+    tame = sum(sizes[c] for c, (cert, _, _) in enumerate(outcomes) if cert.verdict == TAME)
     return {
         "exact": {
             "d": d,
@@ -422,8 +469,8 @@ def _result_sweep(job: JobSpec) -> dict:
             "total": total,
             "tame_count": tame,
             "untame_count": total - tame,
-            "all_agree": all(entry["agree"] for entry in entries),
-            "entries": entries,
+            "all_agree": all(agree for _, _, agree in outcomes),
+            "entries": _SweepEntries(d, lo, hi, classes, outcomes),
         }
     }
 
@@ -523,13 +570,29 @@ def run(job: JobSpec) -> Report:
 def emit(report: Report, fmt: str = "json") -> str:
     """Serialize a report; json is stable and diff-friendly.
 
+    The entries of a sweep report, which run leaves as a _SweepEntries,
+    are written by its formatter: the report is dumped with "entries": []
+    in their place, and the formatted entries are spliced in at the last
+    occurrence of that text. The keys sort, so every key that follows
+    result.exact.entries is a count of the sweep, timing_ms or tool, and
+    none holds the text. The bytes are those json.dumps writes for the
+    same entries as lists, which is how parse_report returns them.
+
     Raises CapExceededError when the report holds an integer beyond
     CPython's int-to-str digit limit.
     """
     result = report.result
     try:
         if fmt == "json":
-            return json.dumps(report.to_dict(), sort_keys=True, indent=2)
+            entries = result.get("exact", {}).get("entries")
+            if not isinstance(entries, _SweepEntries):
+                return json.dumps(report.to_dict(), sort_keys=True, indent=2)
+            data = report.to_dict()
+            data["result"] = {**result, "exact": {**result["exact"], "entries": []}}
+            head, _, tail = json.dumps(data, sort_keys=True, indent=2).rpartition(
+                '"entries": []')
+            return "".join((head, '"entries": [', _ENTRY_NEWLINE, entries.json_items(),
+                            "\n      ]", tail))
         if fmt == "text":
             if "error" in result:
                 body = ["error: %s" % result["error"]["code"], result["error"]["message"]]

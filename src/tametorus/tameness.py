@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import operator
 from array import array
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import permutations, product
@@ -515,14 +515,17 @@ def _image_index_weights(d: int, width: int) -> set[tuple[int, ...]]:
     return weights
 
 
-def sweep_box(d: int, lo: int, hi: int) -> Iterator[tuple]:
+def sweep_box(d: int, lo: int, hi: int) -> tuple[array, list[tuple]]:
     """Decide every d x d matrix with entries in lo..hi, and check each
     verdict against the brute-force oracle, once per symmetry orbit.
 
-    Yields (rows, cert, (verdict, pair), agree) for each matrix of the box,
-    in itertools.product order: its d rows, the semicascade certificate of
-    its orbit, the oracle's verdict and least pair, and whether the two
-    agree (the same verdict and, for TAME, the same pair).
+    Returns (classes, outcomes). classes[i] is the class number of the
+    i-th matrix of the box in itertools.product order over its row-major
+    entries, and outcomes[c] is (cert, (verdict, pair), agree) for the
+    orbit of class c: its semicascade certificate, the oracle's verdict
+    and least pair, and whether the two agree (the same verdict and, for
+    TAME, the same pair). Nothing is built per matrix beyond its class
+    number.
 
     Lemma. Let B = P A P^T for a permutation matrix P, or B = (P A P^T)^T.
     Then B^n = P A^n P^T, or (P A^n P^T)^T, for every n >= 0, because
@@ -569,10 +572,7 @@ def sweep_box(d: int, lo: int, hi: int) -> Iterator[tuple]:
             # An UNTAME certificate and an UNTAME oracle answer both carry no pair.
             agree = (cert.verdict, cert.minimal_pair) == oracle
             outcomes.append((_proved(a, cert), oracle, agree))
-
-    # Tuples of d rows, in the same lexicographic order as the walk.
-    for rows, c in zip(product(product(range(lo, hi + 1), repeat=d), repeat=d), classes):
-        yield (rows, *outcomes[c])
+    return classes, outcomes
 
 
 def _has_index_and_period(a: IntMatrix, k: int, s: int) -> bool:

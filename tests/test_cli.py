@@ -8,7 +8,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -40,7 +40,7 @@ from tametorus.errors import (
     StreamExhaustedError,
     TameTorusError,
 )
-from tametorus.tameness import decide_semicascade, min_poly, oracle_semicascade_batch
+from tametorus.tameness import min_poly, oracle_semicascade_batch
 
 
 def run_cli(argv, capsys):
@@ -1132,19 +1132,16 @@ class TestTextReports:
 
 
 def _orbit_sweep(d, lo, hi):
-    return run(parse_input(json.dumps({"d": d}), "sweep", {"range": [lo, hi]})).result["exact"]
+    """The exact block of a sweep's json report, as a user reads it."""
+    job = parse_input(json.dumps({"d": d}), "sweep", {"range": [lo, hi]})
+    return json.loads(emit(run(job)))["result"]["exact"]
 
 
-def _per_matrix_sweep(d, lo, hi):
+def _per_matrix_sweep(reference, d, lo, hi):
     """The exact block of a sweep that decides every matrix of the box, the
     reference for the orbit sweep: decide_semicascade and
     oracle_semicascade_batch run on each matrix, in product order."""
-    matrices = [IntMatrix([combo[i * d : (i + 1) * d] for i in range(d)])
-                for combo in product(range(lo, hi + 1), repeat=d * d)]
-    certs = [decide_semicascade(a) for a in matrices]
-    oracle = []
-    for start in range(0, len(matrices), 2048):
-        oracle += oracle_semicascade_batch(matrices[start : start + 2048])
+    matrices, certs, oracle = reference(d, lo, hi)
     entries = []
     for a, cert, (verdict, pair) in zip(matrices, certs, oracle, strict=True):
         entries.append({
@@ -1173,18 +1170,29 @@ def _orbit(a):
     return images
 
 
+def _plant_untame_oracle(monkeypatch, a):
+    """Make sweep's oracle call the orbit of A UNTAME."""
+    orbit = _orbit(a)
+
+    def planted(matrices):
+        return [(UNTAME, None) if m.entries in orbit else result
+                for m, result in zip(matrices, oracle_semicascade_batch(matrices))]
+
+    monkeypatch.setattr(tametorus.tameness, "oracle_semicascade_batch", planted)
+
+
 class TestOrbitSweep:
     """sweep decides one representative per orbit of A -> P A P^T, A -> A^T."""
 
     @pytest.mark.parametrize("box", [(2, -2, 2), (3, -1, 1), (3, -2, -1), (3, -1, 0), (3, 0, 1),
                                      (3, 1, 2), (2, -3, 0), (1, -3, 3)])
-    def test_equals_per_matrix_reference(self, box):
-        assert _orbit_sweep(*box) == _per_matrix_sweep(*box)
+    def test_equals_per_matrix_reference(self, box_reference, box):
+        assert _orbit_sweep(*box) == _per_matrix_sweep(box_reference, *box)
 
-    def test_exhaustive_d4_agreement(self):
+    def test_exhaustive_d4_agreement(self, box_reference):
         # all 65,536 4x4 matrices with entries in {0, 1}, each decided and
         # checked against the oracle on its own
-        reference = _per_matrix_sweep(4, 0, 1)
+        reference = _per_matrix_sweep(box_reference, 4, 0, 1)
         assert reference["total"] == 65536
         assert all(entry["agree"] for entry in reference["entries"])
         assert reference["all_agree"] is True
@@ -1194,18 +1202,13 @@ class TestOrbitSweep:
     def test_planted_disagreement_marks_every_member_of_its_orbit(self, monkeypatch):
         # The nilpotent [[0,1],[0,0]] is TAME with pair (2, 3); an oracle that
         # calls its orbit UNTAME disagrees on both members, and on no other.
-        orbit = _orbit(IntMatrix([[0, 1], [0, 0]]))
-
-        def planted(matrices):
-            return [(UNTAME, None) if a.entries in orbit else result
-                    for a, result in zip(matrices, oracle_semicascade_batch(matrices))]
-
-        monkeypatch.setattr(tametorus.tameness, "oracle_semicascade_batch", planted)
+        _plant_untame_oracle(monkeypatch, IntMatrix([[0, 1], [0, 0]]))
         exact = _orbit_sweep(2, 0, 1)
         assert exact["all_agree"] is False
-        assert [(entry["A"], entry["verdict"], entry["minimal_pair"], entry["oracle_verdict"])
-                for entry in exact["entries"] if not entry["agree"]] == [
-            ([[0, 0], [1, 0]], TAME, [2, 3], UNTAME), ([[0, 1], [0, 0]], TAME, [2, 3], UNTAME)]
+        assert [entry for entry in exact["entries"] if not entry["agree"]] == [
+            {"A": a, "agree": False, "minimal_pair": [2, 3], "oracle_pair": None,
+             "oracle_verdict": UNTAME, "verdict": TAME}
+            for a in ([[0, 0], [1, 0]], [[0, 1], [0, 0]])]
 
     @pytest.mark.parametrize(("d", "lo", "hi", "orbits"),
                              [(3, 0, 1, 74), (2, -2, 2, 225), (4, 0, 1, 1740)])
@@ -1237,3 +1240,42 @@ class TestOrbitSweep:
             assert min(images) == entries
             covered += len(images)
         assert covered == exact["total"] == (hi - lo + 1) ** (d * d)
+
+
+class TestSweepReportBytes:
+    """emit writes a sweep's entries with its own formatter, while a parsed
+    report holds plain lists and goes through json.dumps: both writers give
+    the same bytes."""
+
+    @staticmethod
+    def _round_trip(job_input, lo, hi):
+        report = run(parse_input(json.dumps(job_input), "sweep", {"range": [lo, hi]}))
+        assert not isinstance(report.result["exact"]["entries"], list)
+        text = emit(report)
+        assert emit(parse_report(text)) == text
+        return json.loads(text)
+
+    @pytest.mark.parametrize(("d", "lo", "hi"), [(1, -3, 3), (2, -2, 2), (2, -12, -10),
+                                                 (3, -1, 1), (2, 117, 118)])
+    def test_formatter_equals_json_dumps(self, d, lo, hi):
+        exact = self._round_trip({"d": d}, lo, hi)["result"]["exact"]
+        assert len(exact["entries"]) == exact["total"] == (hi - lo + 1) ** (d * d)
+        assert exact["entries"][-1]["A"] == [[hi] * d] * d
+
+    def test_planted_disagreement(self, monkeypatch):
+        _plant_untame_oracle(monkeypatch, IntMatrix([[0, 1], [0, 0]]))
+        exact = self._round_trip({"d": 2}, 0, 1)["result"]["exact"]
+        assert sum(not entry["agree"] for entry in exact["entries"]) == 2
+
+    @pytest.mark.parametrize("job_input", [
+        {"d": 2, "entries": []},
+        {"d": 2, "x": {"entries": []}},
+        {"d": 2, "x": {"y": {"entries": []}}},
+        {"d": 2, "note": '"entries": []'},
+    ])
+    def test_entries_in_the_input_echo_stay_there(self, job_input):
+        # Only result.exact.entries takes the formatted entries.
+        report = self._round_trip(job_input, -1, 1)
+        assert report["input"] == job_input
+        exact = report["result"]["exact"]
+        assert len(exact["entries"]) == exact["total"] == 81

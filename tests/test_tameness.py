@@ -342,6 +342,14 @@ def _representatives(d, lo, hi):
     return [IntMatrix(rows) for rows in sorted(least)]
 
 
+def _swept(d, lo, hi):
+    """sweep_box's (classes, outcomes) expanded to one (rows, cert, oracle,
+    agree) per matrix of the box, in itertools.product order."""
+    classes, outcomes = sweep_box(d, lo, hi)
+    rows = product(product(range(lo, hi + 1), repeat=d), repeat=d)
+    return [(r, *outcomes[c]) for r, c in zip(rows, classes, strict=True)]
+
+
 class TestSweepBox:
     @staticmethod
     def _count(monkeypatch, name):
@@ -363,7 +371,7 @@ class TestSweepBox:
         expected = [decide_semicascade(a) for a in representatives]
         proofs = self._count(monkeypatch, "_has_index_and_period")
         orders = self._count(monkeypatch, "order_of_x_mod")
-        swept = list(sweep_box(2, -2, 2))
+        swept = _swept(2, -2, 2)
         assert len(swept) == 625
         assert len(orders) == distinct_mu < len(representatives)
         tame = [(a, cert.index_k, cert.period_s)
@@ -379,9 +387,9 @@ class TestSweepBox:
         distinct_mu = len({min_poly(a) for a in representatives})
         assert distinct_mu == 19
         orders = self._count(monkeypatch, "order_of_x_mod")
-        first = list(sweep_box(2, -1, 1))
+        first = _swept(2, -1, 1)
         assert len(orders) == distinct_mu
-        assert list(sweep_box(2, -1, 1)) == first
+        assert _swept(2, -1, 1) == first
         assert len(orders) == 2 * distinct_mu
 
     @pytest.mark.parametrize("d, lo, hi", [(2, 117, 118), (3, 10 ** 9, 10 ** 9 + 1)])
@@ -390,7 +398,7 @@ class TestSweepBox:
         assert (d * hi) ** (d + order_bound(d).s_max) > 2 ** 63 - 1
         matrices = [IntMatrix([c[i * d : (i + 1) * d] for i in range(d)])
                     for c in product(range(lo, hi + 1), repeat=d * d)]
-        swept = list(sweep_box(d, lo, hi))
+        swept = _swept(d, lo, hi)
         assert [IntMatrix(rows) for rows, _, _, _ in swept] == matrices
         for a, (_, cert, oracle, agree) in zip(matrices, swept, strict=True):
             assert cert == decide_semicascade(a), a
@@ -443,12 +451,12 @@ class TestOracle:
     def test_catmap(self, named):
         assert oracle_semicascade(named["catmap"]) == (UNTAME, None)
 
-    def test_exhaustive_agreement_d3(self):
-        # all 19,683 3x3 matrices with entries in {-1, 0, 1}
-        matrices = [IntMatrix([c[:3], c[3:6], c[6:]]) for c in product((-1, 0, 1), repeat=9)]
-        batched = [result for i in range(0, len(matrices), 2048)
-                   for result in oracle_semicascade_batch(matrices[i : i + 2048])]
-        certs = [decide_semicascade(a) for a in matrices]
+    def test_exhaustive_agreement_d3(self, box_reference):
+        # all 19,683 3x3 matrices with entries in {-1, 0, 1}, each decided
+        # with decide_semicascade and batched by oracle_semicascade_batch
+        matrices, certs, batched = box_reference(3, -1, 1)
+        assert matrices == [IntMatrix([c[:3], c[3:6], c[6:]])
+                            for c in product((-1, 0, 1), repeat=9)]
         tame = 0
         for a, cert, batch_result in zip(matrices, certs, batched, strict=True):
             verdict, pair = oracle_semicascade(a)
@@ -457,7 +465,7 @@ class TestOracle:
             tame += verdict == TAME
         assert tame == 5383
         # whole certificates, witness and detail included, from the orbit walk
-        swept = list(sweep_box(3, -1, 1))
+        swept = _swept(3, -1, 1)
         assert [IntMatrix(rows) for rows, _, _, _ in swept] == matrices
         assert [cert for _, cert, _, _ in swept] == certs
         assert [oracle for _, _, oracle, _ in swept] == batched
