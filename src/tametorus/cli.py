@@ -250,11 +250,9 @@ def parse_input(text: str, command: str = "semicascade", options: dict | None = 
         else:
             payload["u"] = tuple(1 if i == 0 else 0 for i in range(d))
     if command == "certify":
-        if "certificate" not in data or not isinstance(data["certificate"], dict):
-            raise MalformedInputError("certify needs a 'certificate' object")
         try:
-            payload["certificate"] = TamenessCertificate.from_dict(data["certificate"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            payload["certificate"] = TamenessCertificate.from_dict(data.get("certificate"))
+        except (TypeError, ValueError, OverflowError) as exc:
             raise MalformedInputError("bad certificate: %s" % exc) from exc
 
     return JobSpec(command=command, input=data, options=dict(options or {}), payload=payload)

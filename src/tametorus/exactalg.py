@@ -122,7 +122,8 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def _ladder(a: IntMatrix, top: int) -> list[IntMatrix]:
-    """The squaring ladder A, A^2, A^4, ..., up to the top bit of top >= 1."""
+    """The squaring ladder A, A^2, A^4, ..., up to the top bit of top; for
+    top <= 1 it is A alone."""
     rungs = [a]
     for _ in range(top.bit_length() - 1):
         rungs.append(mat_mul(rungs[-1], rungs[-1]))
@@ -130,18 +131,22 @@ def _ladder(a: IntMatrix, top: int) -> list[IntMatrix]:
 
 
 def _power(rungs: list[IntMatrix], n: int) -> IntMatrix:
-    """A^n for 1 <= n < 2^len(rungs): the product of the rungs of A's
-    ladder at the set bits of n, lowest bit first."""
-    return functools.reduce(mat_mul, [rung for i, rung in enumerate(rungs) if n >> i & 1])
+    """A^n for 0 <= n < 2^len(rungs): the product of the rungs of A's
+    ladder at the set bits of n, lowest bit first; A^0 is the empty
+    product, the identity."""
+    factors = [rung for i, rung in enumerate(rungs) if n >> i & 1]
+    return functools.reduce(mat_mul, factors) if factors else IntMatrix.identity(rungs[0].d)
 
 
 def mat_pow(a: IntMatrix, n: int) -> IntMatrix:
     """Exact n-th power by binary exponentiation: the product of the rungs
-    of the squaring ladder at the set bits of n; a**0 is the identity."""
+    of the squaring ladder at the set bits of n (_power): a**0 is the
+    identity, built with no product, and a**n for n >= 1 costs
+    floor(log2 n) + popcount(n) - 1 products."""
     n = operator.index(n)
     if n < 0:
         raise ValueError("exponent must be nonnegative, got %d" % n)
-    return _power(_ladder(a, n), n) if n else IntMatrix.identity(a.d)
+    return _power(_ladder(a, n), n)
 
 
 class IntPoly:

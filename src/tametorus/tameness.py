@@ -21,9 +21,10 @@ it; decide_cascade and the simulate probe go through it, a cascade order
 m being the pair (0, m). sweep_box decides a whole box of matrices, one
 per symmetry orbit: it derives each certificate once per distinct mu,
 while the exact power proof of a TAME certificate runs on every orbit
-representative. That proof builds one squaring ladder A, A^2, A^4, ..., takes
-A^s from its rungs and proves its inequalities by matrix-vector
-products through them, so it costs O(log(k + s)) matrix products. A
+representative. That proof builds one squaring ladder A, A^2, A^4, ..., up
+to k + s, compares A^{k+s} with A^k, both products of its rungs (A^0 = I
+the empty one), and proves its inequalities by matrix-vector products
+through them, so it costs O(log(k + s)) matrix products. A
 certificate re-checker makes every verdict self-validating; an
 independent brute-force oracle (exact power enumeration, batched for
 sweep_box in int64 where a proven bound rules out overflow, and in
@@ -81,6 +82,13 @@ def _exact_int(value, name: str) -> int:
     return value
 
 
+def _required(data, key: str, owner: str):
+    if isinstance(data, dict) and key in data:
+        return data[key]
+    raise TypeError("%s is missing %r" % (owner, key) if isinstance(data, dict)
+                    else "%s must be a JSON object, got %r" % (owner, data))
+
+
 def _optional_int(data: dict, key: str) -> int | None:
     value = data.get(key)
     return None if value is None else _exact_int(value, key)
@@ -119,13 +127,14 @@ class UntameWitness:
 
     @classmethod
     def from_dict(cls, data: dict) -> "UntameWitness":
-        """Rebuild a witness; raises TypeError unless the polynomial is a
-        list of integers and s_max an integer or absent."""
-        coeffs = data["stripped_min_poly"]
+        """Rebuild a witness; raises TypeError unless data is an object
+        holding a reason and a polynomial, the polynomial a list of
+        integers and s_max an integer or absent."""
+        coeffs = _required(data, "stripped_min_poly", "witness")
         if not isinstance(coeffs, list):
             raise TypeError("stripped_min_poly must be a list of integers, got %r" % (coeffs,))
         return cls(
-            reason=data["reason"],
+            reason=_required(data, "reason", "witness"),
             stripped_min_poly=IntPoly(_exact_int(c, "coefficient") for c in coeffs),
             s_max=_optional_int(data, "s_max"),
             detail=data.get("detail", ""),
@@ -160,8 +169,10 @@ class TamenessCertificate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TamenessCertificate":
-        """Rebuild a certificate; raises TypeError or ValueError when an
-        exponent field is not an integer or the pair has not two entries."""
+        """Rebuild a certificate; raises TypeError or ValueError unless data
+        is an object holding a verdict and a kind, each exponent field an
+        integer or absent, the pair two integers and the witness well formed."""
+        verdict = _required(data, "verdict", "certificate")
         pair = data.get("minimal_pair")
         if pair is not None:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
@@ -169,8 +180,8 @@ class TamenessCertificate:
             pair = tuple(_exact_int(v, "minimal_pair entry") for v in pair)
         witness = data.get("witness")
         return cls(
-            verdict=data["verdict"],
-            kind=data["kind"],
+            verdict=verdict,
+            kind=_required(data, "kind", "certificate"),
             index_k=_optional_int(data, "index_k"),
             period_s=_optional_int(data, "period_s"),
             minimal_pair=pair,
@@ -584,10 +595,10 @@ def _has_index_and_period(a: IntMatrix, k: int, s: int) -> bool:
     index and every proper divisor of s (see certificate_check).
 
     Every power comes from one squaring ladder A, A^2, A^4, ..., up to the
-    top bit of max(k, s): A^n is the product of the rungs at the set bits
-    of n, the ladder and product of mat_pow (exactalg._ladder, _power). The
-    equality is proved on whole matrices, as A^s = I when k = 0 and as
-    A^k A^s = A^k otherwise. Each inequality states M != 0 for
+    top bit of k + s: A^n is the product of the rungs at the set bits of
+    n, A^0 = I the empty one, the ladder and product of mat_pow
+    (exactalg._ladder, _power). The equality is proved on whole matrices,
+    as A^{k+s} = A^k. Each inequality states M != 0 for
     M = A^{j+t} - A^j, with (j, t) = (k - 1, s) or (k, s/r), and is proved
     by matrix-vector products through the ladder: A^t commutes with A^j,
     so Mv = A^t (A^j v) - A^j v. The vectors tried are (1, ..., d) and
@@ -597,7 +608,7 @@ def _has_index_and_period(a: IntMatrix, k: int, s: int) -> bool:
     what comparing the whole matrices A^{j+t} and A^j decides, for every
     A, k and s: the accepted (k, s) are those of the whole-matrix proof.
     """
-    ladder = _ladder(a, max(k, s))
+    ladder = _ladder(a, k + s)
 
     def apply_power(n: int, v: tuple[int, ...]) -> tuple[int, ...]:
         for i, rung in enumerate(ladder):
@@ -612,15 +623,9 @@ def _has_index_and_period(a: IntMatrix, k: int, s: int) -> bool:
                 return True
         return False
 
-    period = _power(ladder, s)
-    if k == 0:
-        if period != IntMatrix.identity(a.d):
-            return False
-    else:
-        head = _power(ladder, k)
-        if mat_mul(head, period) != head or not moves_some_vector(k - 1, s):
-            return False
-    return all(moves_some_vector(k, s // r) for r in _prime_divisors(s))
+    return (_power(ladder, k + s) == _power(ladder, k)
+            and (k == 0 or moves_some_vector(k - 1, s))
+            and all(moves_some_vector(k, s // r) for r in _prime_divisors(s)))
 
 
 def certificate_check(a: IntMatrix, cert: TamenessCertificate) -> bool:
@@ -651,10 +656,10 @@ def certificate_check(a: IntMatrix, cert: TamenessCertificate) -> bool:
     k > 0, and A^{k+s/r} != A^k for every prime r | s. By 1 the power
     proof alone accepts exactly that pair, so the comparison changes no
     verdict; made before any power, it keeps a false claim from raising
-    A, perhaps untame, to a large power. The proof takes A^s and A^k from
-    one squaring ladder, at most 3 floor(log2 max(k, s)) + 1 matrix
-    products (2 floor(log2 s) when k = 0), and proves each inequality by
-    matrix-vector products alone.
+    A, perhaps untame, to a large power. The proof takes A^{k+s} and A^k
+    from one squaring ladder up to k + s, at most 3 floor(log2(k + s))
+    matrix products (2 floor(log2 s) when k = 0, A^0 = I being no
+    product), and proves each inequality by matrix-vector products alone.
 
     An UNTAME claim needs a witness and a known kind, and a CASCADE one
     |det A| = 1 (a TAME one implies it through A^m = I). For an integer A

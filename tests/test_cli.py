@@ -883,6 +883,44 @@ class TestCommands:
         assert code == 2
         assert json.loads(out)["result"]["error"]["code"] == "MALFORMED"
 
+    @pytest.mark.parametrize(
+        "certificate, message",
+        [
+            ("oops", "certificate must be a JSON object, got 'oops'"),
+            (None, "certificate must be a JSON object, got None"),
+            ({"verdict": "UNTAME", "kind": "SEMICASCADE", "witness": 5},
+             "witness must be a JSON object, got 5"),
+            ({"verdict": "UNTAME", "kind": "SEMICASCADE", "witness": ["a"]},
+             "witness must be a JSON object, got ['a']"),
+            ({"verdict": "UNTAME", "kind": "SEMICASCADE", "witness": "oops"},
+             "witness must be a JSON object, got 'oops'"),
+            ({"verdict": "UNTAME", "kind": "SEMICASCADE", "witness": True},
+             "witness must be a JSON object, got True"),
+            ({"kind": "SEMICASCADE", "index_k": 0, "period_s": 4, "minimal_pair": [0, 4]},
+             "certificate is missing 'verdict'"),
+            ({"verdict": "TAME", "index_k": 0, "period_s": 4, "minimal_pair": [0, 4]},
+             "certificate is missing 'kind'"),
+            ({"verdict": "UNTAME", "kind": "SEMICASCADE",
+              "witness": {"stripped_min_poly": [1, 0, 1]}},
+             "witness is missing 'reason'"),
+            ({"verdict": "UNTAME", "kind": "SEMICASCADE",
+              "witness": {"reason": "NON_SQUAREFREE"}},
+             "witness is missing 'stripped_min_poly'"),
+        ],
+        ids=["certificate_string", "certificate_null", "witness_int", "witness_list",
+             "witness_string", "witness_bool", "no_verdict", "no_kind", "no_reason",
+             "no_polynomial"],
+    )
+    def test_certify_malformed_certificate_names_the_field(
+        self, capsys, tmp_path, certificate, message
+    ):
+        path = tmp_path / "claim.json"
+        path.write_text(json.dumps({"d": 2, "A": [[0, -1], [1, 0]], "certificate": certificate}))
+        code, out = run_cli(["certify", "--input", str(path)], capsys)
+        assert code == 2
+        error = json.loads(out)["result"]["error"]
+        assert error == {"code": "MALFORMED", "message": "bad certificate: " + message}
+
     def test_certify_strips_trailing_zero_coefficients(self, capsys, tmp_path):
         witness = {"reason": "ORDER_BOUND_EXHAUSTED", "stripped_min_poly": [1, -3, 1, 0, 0],
                    "s_max": 6}

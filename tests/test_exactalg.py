@@ -115,6 +115,26 @@ class TestIntMatrix:
             # one squaring per bit below the top one, one product per further set bit
             assert len(calls) == max(n.bit_length() - 1, 0) + max(bin(n).count("1") - 1, 0)
 
+    def test_power_takes_every_exponent_below_the_ladder_from_its_rungs(self, monkeypatch):
+        # one ladder A, ..., A^32 serves every exponent 0..63, A^0 = I the empty product
+        a = IntMatrix([[2, 1], [1, 1]])
+        rungs = tametorus.exactalg._ladder(a, 40)
+        assert len(rungs) == 6
+        expected = IntMatrix.identity(2)
+        calls = []
+        real_mul = tametorus.exactalg.mat_mul
+
+        def counting_mul(x, y):
+            calls.append(1)
+            return real_mul(x, y)
+
+        monkeypatch.setattr(tametorus.exactalg, "mat_mul", counting_mul)
+        for n in range(64):
+            calls.clear()
+            assert tametorus.exactalg._power(rungs, n) == expected, n
+            assert len(calls) == max(bin(n).count("1") - 1, 0), n
+            expected = real_mul(expected, a)
+
     def test_pow_negative_rejected(self):
         with pytest.raises(ValueError):
             mat_pow(IntMatrix.identity(2), -1)

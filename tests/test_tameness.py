@@ -1062,6 +1062,34 @@ class TestPowerProofEqualsReference:
         assert drawn.count(ones) < len(drawn)
         assert all(v == ones or sorted(v) == [0] * (d - 1) + [1] for v in drawn)
 
+    # (k, cyclotomic orders): k + s crosses a power of two, as for (2, 30),
+    # (1, 7) and (3, 2), or k is 0 or one
+    _LADDER_CASES = [(2, (2, 3, 5)), (1, (7,)), (3, (2,)), (0, (5, 7, 8)), (1, (3, 4))]
+
+    @staticmethod
+    def _with_pair(k, orders):
+        """U * diag(C(Phi_n) for n in orders, J_k(0)) * U^-1 and its period."""
+        blocks = [_companion(_cyclotomic(n)) for n in orders]
+        if k:
+            blocks.append(_nilpotent_block(k))
+        return _conjugated(random.Random(15300 + k), blocks), math.lcm(*orders)
+
+    @pytest.mark.parametrize("k, orders", _LADDER_CASES)
+    def test_pairs_whose_sum_crosses_a_power_of_two(self, k, orders):
+        a, s = self._with_pair(k, orders)
+        self._assert_equal(a, k, s)
+
+    @pytest.mark.parametrize("k, orders", _LADDER_CASES)
+    def test_products_are_the_ladder_to_k_plus_s_and_its_two_powers(self, monkeypatch, k, orders):
+        a, s = self._with_pair(k, orders)
+        products = _count_products(monkeypatch)
+        assert tametorus.tameness._has_index_and_period(a, k, s)
+        n = k + s
+        # floor(log2(k + s)) squarings, then A^{k+s} and A^k from the rungs
+        # at their set bits; A^0 = I is the empty product
+        expected = n.bit_length() - 1 + bin(n).count("1") - 1
+        assert len(products) == expected + (bin(k).count("1") - 1 if k else 0)
+
     def test_landau_cascade_proof_uses_a_logarithmic_number_of_products(self, monkeypatch):
         # d = 16, orders {3, 5, 7, 8}: s = 840 = s_max(16); one power per
         # check took 51 products, the ladder 9 squarings and 3 products
