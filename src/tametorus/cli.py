@@ -96,9 +96,11 @@ _DIMENSION_CAPS = {
 # value.
 MAX_SIMULATE_ITERS = 100_000
 # Largest (--iters + 1) * grid points * d of a simulate job: the convergence
-# probe moves every grid coordinate once per iterate of its chain, and the
-# chain can hold all of them. At the cap a job takes 8-10 s of CLI wall
-# time at every d measured (README's exit-code section).
+# probe moves every grid coordinate once per distinct translation along its
+# chain. The worst case is a chain of every iterate whose translations are
+# distinct but share all coordinates save one, as the identity with
+# b = (1e-12, 0, ..., 0) gives: at the cap it takes 4-5.2 s of CLI wall time
+# at every d measured (README's exit-code section).
 MAX_SIMULATE_WORK = 10 ** 8
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+/[1-9]\d*$")

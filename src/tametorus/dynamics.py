@@ -5,6 +5,10 @@ d-torus live in [0, 2*pi)^d as float64 arrays. Frequencies stay exact
 (Python ints via exactalg), and this layer consumes the decider: the
 power structure of A comes from tameness.decide_semicascade.
 
+convergence_probe builds one image of its grid per distinct translation
+along its chain: the chain shares one A^n, so equal translations give
+identical images, whose deviation is exactly 0.0.
+
 numpy is imported inside the functions that compute with it, never at
 module level: importing this module, or running the exact
 frequency_orbit and escape_probe, loads no numpy, so the exact CLI
@@ -217,6 +221,11 @@ def frequency_orbit(a: IntMatrix, u: Sequence[int], n: int) -> FrequencyOrbit:
         raise ValueError("orbit length must be >= 1")
     limit = sys.get_int_max_str_digits()  # 0: no limit
     at = a.transpose()
+    # No term has more bits than n * bits(N) + bits(max |u_i|), N = ||A^T||_inf:
+    # within 3 * limit bits every term prints, so no term needs the check.
+    norm = max(sum(map(abs, row)) for row in at.entries)
+    if n * norm.bit_length() + max(map(abs, u)).bit_length() <= 3 * limit:
+        limit = 0  # skips the per-term check below
     terms = [u]
     while True:
         # An integer of at most 3 * limit bits is below 8^limit < 10^limit,
@@ -256,6 +265,12 @@ def convergence_probe(phi: AffineMap, indices: Sequence[int], grid: np.ndarray, 
     consecutive images over the whole grid. The chain's A^n is applied in
     double precision, so an entry of it, or an image of a grid point,
     beyond double range raises CapExceededError.
+
+    Every index of the chain shares A^n, so an image of the grid is built
+    once per distinct translation along the chain, not once per index:
+    consecutive indices with equal translations have identical images,
+    whose deviation is exactly 0.0 and cannot raise the maximum, which
+    starts at 0.0. A b = 0 chain builds no image at all.
 
     The groups come from the certificate of decide_semicascade(A); no power
     is built but the chain's A^n. By item 1 of certificate_check, A^i = A^j
@@ -302,10 +317,15 @@ def convergence_probe(phi: AffineMap, indices: Sequence[int], grid: np.ndarray, 
     mat = float_array(mat_pow(phi.a, chain[0]).entries, "A^%d" % chain[0])
     with np.errstate(over="ignore"):
         moved = finite_array(grid @ mat.T, "the image of a grid point")
+    # Equal translations give identical images (docstring): only the first
+    # index and each change of translation along the chain get an image.
+    t = translations[chain]
+    changed = (t[1:] != t[:-1]).any(axis=1)
+    distinct = [chain[0], *(n for n, new in zip(chain[1:], changed) if new)]
     # moved is finite and each translation lies in [0, 2*pi), so no sum overflows.
-    images = (reduce_angles(moved + translations[n]) for n in chain)  # a pair at a time
-    devs = [torus_dist(prev, cur) for prev, cur in pairwise(images)] if grid.size else []
-    return sorted(chain), max([0.0, *devs])
+    images = (reduce_angles(moved + translations[n]) for n in distinct)  # a pair at a time
+    pairs = pairwise(images) if grid.size and len(distinct) > 1 else ()
+    return sorted(chain), max([0.0, *(torus_dist(prev, cur) for prev, cur in pairs)])
 
 
 @dataclass

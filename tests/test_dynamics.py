@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import sys
 import warnings
@@ -155,6 +156,20 @@ class TestFrequencyOrbit:
                 frequency_orbit(nilpotent, (10 ** 300, 0), 2)
             sys.set_int_max_str_digits(0)
             assert frequency_orbit(ten, (1,), 700).terms[-1] == (10 ** 700,)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_terms_beyond_the_bit_bound_that_all_print(self):
+        # n * bits(||A^T||_inf) + bits(max |u_i|) exceeds 3 * 640 bits, so
+        # every term is checked, yet none trips: -I keeps |u|, and the
+        # shear's terms grow linearly
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            fo = frequency_orbit(IntMatrix([[-1]]), (5,), 1920)
+            assert fo.terms == tuple(((-1) ** j * 5,) for j in range(1921))
+            fo = frequency_orbit(IntMatrix([[1, 1], [0, 1]]), (1, 0), 1000)
+            assert fo.terms == tuple((1, j) for j in range(1001))
         finally:
             sys.set_int_max_str_digits(limit)
 
@@ -376,6 +391,89 @@ class TestConvergenceProbeGrouping:
         sub, dev = convergence_probe(phi, range(5001), torus_grid(2, 2), 1e-9)
         assert (sub, dev) == ([0], 0.0)
         assert len(products) <= 2 * (5000).bit_length()
+
+    # Chains whose translations repeat exactly: the probe builds one image
+    # per change of translation, and must still match the reference bit for
+    # bit, float.hex telling 0.0 from -0.0.
+    def _assert_matches_reference(self, phi, index_lists, grid, tol):
+        for indices in index_lists:
+            sub, dev = convergence_probe(phi, indices, grid, tol)
+            ref_sub, ref_dev = _reference_probe(phi, indices, grid, tol)
+            assert (sub, dev.hex()) == (ref_sub, ref_dev.hex()), (phi, indices, tol)
+
+    def test_minus_identity_with_nonzero_b(self):
+        for b in ((1.0, 2.0), (1.0, 2.0, 3.0), (TWO_PI - 1e-13, 0.5)):
+            d = len(b)
+            phi = AffineMap(_block_diag([[[-1]]] * d), b)
+            translations = phi.orbit((0.0,) * d, 12)
+            assert not translations[0::2].any()  # the even indices: exactly 0
+            assert (translations[1::2] == phi.b).all()  # the odd ones: exactly b
+            self._assert_matches_reference(
+                phi, (*_INDEX_LISTS, [1, 3, 5, 7, 0, 2]), torus_grid(d, 4), 1e-9)
+
+    def test_finite_order_with_zero_b(self):
+        for a, grid in ((IntMatrix(_CYCLOTOMIC_COMPANIONS[6]), torus_grid(2, 16)),
+                        (IntMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]), torus_grid(3, 16)),
+                        (_block_diag([_CYCLOTOMIC_COMPANIONS[4], [[1]]]), torus_grid(3, 16))):
+            self._assert_matches_reference(AffineMap(a), _INDEX_LISTS, grid, 1e-9)
+
+    def test_repeating_translations_inside_a_chain(self):
+        # order 3 with b = (1, 0): the translations repeat (0,0), (1,0),
+        # (1,1) exactly; under the identity, b = pi flips a coordinate
+        # between exactly 0 and pi, and tol = 4 joins both in one chain;
+        # the idempotent [[0, 0], [0, 1]] holds 0.5 fixed beside the flip
+        cases = ((IntMatrix(_CYCLOTOMIC_COMPANIONS[3]), (1.0, 0.0), 1e-9),
+                 (IntMatrix.identity(2), (math.pi, 0.0), 4.0),
+                 (IntMatrix.identity(2), (0.0, math.pi), 4.0),
+                 (IntMatrix([[0, 0], [0, 1]]), (0.5, math.pi), 4.0))
+        for a, b, tol in cases:
+            self._assert_matches_reference(AffineMap(a, b), _INDEX_LISTS, torus_grid(2, 8), tol)
+
+    def test_seam_translation_beside_exact_zeros(self):
+        # 2*pi - 1e-13 snaps to the key of 0.0, yet its image is 1e-13 away
+        seam = TWO_PI - 1e-13
+        phi = AffineMap(IntMatrix([[1]]), [seam])
+        assert phi.orbit([0.0], 1).tolist() == [[0.0], [seam]]
+        sub, dev = convergence_probe(phi, [0, 1], torus_grid(1, 8), 1e-9)
+        assert sub == [0, 1] and 0.0 < dev < 1e-12
+        self._assert_matches_reference(phi, ([0, 1], [1, 0, 2]), torus_grid(1, 8), 1e-9)
+        # exact zeros in the second coordinate at even indices, a seam
+        # drifting by 1e-13 per step in the first
+        phi = AffineMap(IntMatrix.identity(2), [seam, math.pi])
+        self._assert_matches_reference(phi, _INDEX_LISTS, torus_grid(2, 8), 1e-9)
+        self._assert_matches_reference(phi, _INDEX_LISTS, torus_grid(2, 8), 4.0)
+
+    def test_one_grid_image_per_change_of_translation(self, monkeypatch):
+        built = []
+        real_reduce = tametorus.dynamics.reduce_angles
+
+        def counting_reduce(x):
+            out = real_reduce(x)
+            if out.ndim == 2:  # an image of the grid, not a translation
+                built.append(1)
+            return out
+
+        monkeypatch.setattr(tametorus.dynamics, "reduce_angles", counting_reduce)
+        cases = (
+            # b = 0: no image
+            (IntMatrix(_CYCLOTOMIC_COMPANIONS[6]), (0.0, 0.0), range(13), 1e-9, 0),
+            (IntMatrix.identity(3), (0.0, 0.0, 0.0), range(13), 1e-9, 0),
+            # one nonzero translation along the whole chain: no image
+            (IntMatrix(_CYCLOTOMIC_COMPANIONS[3]), (1.0, 0.0), [1, 4, 7, 10], 1e-9, 0),
+            (_block_diag([[[-1]]] * 2), (1.0, 2.0), [1, 3, 5, 7, 0], 1e-9, 0),
+            # the evens at 0 and the odds at pi, in either coordinate: one change
+            (IntMatrix.identity(2), (math.pi, 0.0), range(13), 4.0, 2),
+            (IntMatrix.identity(2), (0.0, math.pi), range(13), 4.0, 2),
+            # 0.0 and 2*pi - 1e-13 share a key: one change
+            (IntMatrix([[1]]), (TWO_PI - 1e-13,), [0, 1], 1e-9, 2),
+            # 13 translations 1e-12 apart: 12 changes
+            (IntMatrix.identity(2), (1e-12, 2e-12), range(13), 1e-9, 13),
+        )
+        for a, b, indices, tol, images in cases:
+            phi = AffineMap(a, b)
+            built.clear()
+            convergence_probe(phi, indices, torus_grid(a.d, 4), tol)
+            assert len(built) == images, (a, b, indices)
 
 
 class TestIndependenceCheck:
