@@ -410,9 +410,9 @@ def _as_entry(obj) -> str:
 class _SweepEntries:
     """result.exact.entries of a sweep as tameness.sweep_box returns them:
     the matrices of the box lo..hi in itertools.product order, each with
-    the outcome of its orbit's class. emit writes them; no dict is built
-    per matrix. A plain class: a dataclass would cost every CLI process
-    ~0.4 ms at import."""
+    the outcome of its orbit's class, ((verdict, pair), (oracle_verdict,
+    oracle_pair)). emit writes them; no dict is built per matrix. A plain
+    class: a dataclass would cost every CLI process ~0.4 ms at import."""
 
     def __init__(self, d: int, lo: int, hi: int, classes: Sequence[int], outcomes: list):
         self.d, self.lo, self.hi = d, lo, hi
@@ -425,26 +425,25 @@ class _SweepEntries:
 
         Every entry of one outcome fills the same template: the layout of
         A, with a %d for each of its d * d entries, then the rest of the
-        entry, written once per distinct outcome. A %d beyond CPython's
+        entry, written once per distinct outcome, which is its key. The
+        pairs are tuples, which json writes as lists. A %d beyond CPython's
         int-to-str digit limit raises ValueError, as json.dumps does."""
         d = self.d
         shape = _as_entry({"A": [[0] * d] * d})
         head = shape[: shape.rindex("\n")].replace("0", "%d")
-        templates: dict[tuple, str] = {}
-        by_class = []
-        for cert, (oracle_verdict, oracle_pair), agree in self.outcomes:
-            key = (cert.verdict, cert.minimal_pair, oracle_verdict, oracle_pair, agree)
-            template = templates.get(key)
-            if template is None:
-                rest = _as_entry({
-                    "verdict": cert.verdict,
-                    "minimal_pair": list(cert.minimal_pair) if cert.minimal_pair else None,
-                    "oracle_verdict": oracle_verdict,
-                    "oracle_pair": list(oracle_pair) if oracle_pair else None,
-                    "agree": agree,
-                })
-                template = templates[key] = head + "," + rest[1:]
-            by_class.append(template)
+        templates = {}
+        for decided, oracle in set(self.outcomes):
+            rest = _as_entry({
+                "verdict": decided[0],
+                "minimal_pair": decided[1],
+                "oracle_verdict": oracle[0],
+                "oracle_pair": oracle[1],
+                # An UNTAME decision and an UNTAME oracle answer both carry the
+                # pair None, so the two agree exactly when they are equal.
+                "agree": decided == oracle,
+            })
+            templates[decided, oracle] = head + "," + rest[1:]
+        by_class = [templates[outcome] for outcome in self.outcomes]
         values = product(range(self.lo, self.hi + 1), repeat=d * d)
         return ("," + _ENTRY_NEWLINE).join(
             map(str.__mod__, map(by_class.__getitem__, self.classes), values))
@@ -461,7 +460,7 @@ def _result_sweep(job: JobSpec) -> dict:
         )
     classes, outcomes = sweep_box(d, lo, hi)
     sizes = Counter(classes)
-    tame = sum(sizes[c] for c, (cert, _, _) in enumerate(outcomes) if cert.verdict == TAME)
+    tame = sum(sizes[c] for c, ((verdict, _), _) in enumerate(outcomes) if verdict == TAME)
     return {
         "exact": {
             "d": d,
@@ -469,7 +468,8 @@ def _result_sweep(job: JobSpec) -> dict:
             "total": total,
             "tame_count": tame,
             "untame_count": total - tame,
-            "all_agree": all(agree for _, _, agree in outcomes),
+            # Agreement is equality: both halves carry the pair None when UNTAME.
+            "all_agree": all(decided == oracle for decided, oracle in outcomes),
             "entries": _SweepEntries(d, lo, hi, classes, outcomes),
         }
     }

@@ -19,16 +19,17 @@ test only names the witness: a repeated factor of g, or else the
 exhausted order bound. decide_semicascade derives a verdict and proves
 it; decide_cascade and the simulate probe go through it, a cascade order
 m being the pair (0, m). sweep_box decides a whole box of matrices, one
-per symmetry orbit: it derives each certificate once per distinct mu,
-while the exact power proof of a TAME certificate runs on every orbit
-representative. That proof builds one squaring ladder A, A^2, A^4, ..., up
-to k + s, compares A^{k+s} with A^k, both products of its rungs (A^0 = I
-the empty one), and proves its inequalities by matrix-vector products
-through them, so it costs O(log(k + s)) matrix products. A
-certificate re-checker makes every verdict self-validating; an
-independent brute-force oracle (exact power enumeration, batched for
-sweep_box in int64 where a proven bound rules out overflow, and in
-Python ints otherwise) backs sweep and the tests.
+per symmetry orbit, into a verdict and a pair, with no certificate and no
+witness: it derives each decision once per distinct mu, while the exact
+power proof of a TAME decision runs on every orbit representative. That
+proof builds one squaring ladder A, A^2, A^4, ..., up to k + s, compares
+A^{k+s} with A^k, both products of its rungs (A^0 = I the empty one), and
+proves its inequalities by matrix-vector products through them, so it
+costs O(log(k + s)) matrix products. A certificate re-checker makes
+every verdict self-validating; an independent brute-force oracle (exact
+power enumeration, batched for sweep_box, in int64 for each matrix where
+a proven bound rules out overflow, and in Python ints for the rest)
+backs sweep and the tests.
 """
 
 from __future__ import annotations
@@ -365,15 +366,11 @@ def _untame_witness(g: IntPoly, d: int) -> UntameWitness:
     )
 
 
-def _semicascade_certificate(mu: IntPoly, d: int) -> TamenessCertificate:
-    """The semicascade certificate of every d x d matrix with minimal
-    polynomial mu, before any self-check."""
-    k, g, s = _index_and_order(mu, d)
-    if s is None:
-        return TamenessCertificate(verdict=UNTAME, kind=SEMICASCADE, witness=_untame_witness(g, d))
-    return TamenessCertificate(
-        verdict=TAME, kind=SEMICASCADE, index_k=k, period_s=s, minimal_pair=(k, k + s)
-    )
+def _prove(a: IntMatrix, k: int, q: int) -> None:
+    """Run the power proof of the least pair (k, q), index k and period
+    s = q - k, on A; its failure is a defect of the derivation, never of A."""
+    if not _has_index_and_period(a, k, q - k):
+        raise AssertionError("internal error: power proof of (%d, %d) failed on %r" % (k, q, a))
 
 
 def decide_semicascade(a: IntMatrix) -> TamenessCertificate:
@@ -386,14 +383,14 @@ def decide_semicascade(a: IntMatrix) -> TamenessCertificate:
     modulo the x-stripped part; they are re-verified against exact matrix
     powers (the power proof of certificate_check) before being returned.
     """
-    return _proved(a, _semicascade_certificate(min_poly(a), a.d))
-
-
-def _proved(a: IntMatrix, cert: TamenessCertificate) -> TamenessCertificate:
-    """cert, once the power proof has passed on A when it is TAME."""
-    if cert.verdict == TAME and not _has_index_and_period(a, cert.index_k, cert.period_s):
-        raise AssertionError("internal error: certificate failed self-check: %r" % (cert,))
-    return cert
+    k, g, s = _index_and_order(min_poly(a), a.d)
+    if s is None:
+        return TamenessCertificate(verdict=UNTAME, kind=SEMICASCADE,
+                                   witness=_untame_witness(g, a.d))
+    _prove(a, k, k + s)
+    return TamenessCertificate(
+        verdict=TAME, kind=SEMICASCADE, index_k=k, period_s=s, minimal_pair=(k, k + s)
+    )
 
 
 def decide_cascade(a: IntMatrix) -> TamenessCertificate:
@@ -445,11 +442,13 @@ _INT64_MAX = 2 ** 63 - 1
 
 def oracle_semicascade_batch(matrices: Sequence[IntMatrix]) -> list:
     """oracle_semicascade for each of a chunk of d x d matrices, in order,
-    by one enumeration of A^0..A^Q, Q = d + s_max(d), over the whole chunk.
+    by enumerating A^0..A^Q, Q = d + s_max(d), over the chunk at once: one
+    enumeration in int64 and one in Python ints, each over the matrices of
+    its dtype.
 
     Let ||A|| be the maximum absolute row sum. The bound ||A||^Q <= 2^63 - 1,
-    checked on Python ints for every matrix of the chunk, picks its dtype:
-    when all of them meet it, int64, where no value formed on the way
+    checked on Python ints for each matrix, picks that matrix's dtype: when
+    A meets it, int64, where no value formed on the way to A's powers
     overflows:
       1. No entry of a matrix exceeds its norm, and ||.|| is
          submultiplicative, so every entry of A^k is bounded by
@@ -459,13 +458,16 @@ def oracle_semicascade_batch(matrices: Sequence[IntMatrix]) -> list:
          ||A^k|| * max |a_lj| <= ||A||^k * ||A|| = ||A||^(k+1).
       3. So for k + 1 <= Q every value, in whatever order numpy
          accumulates, is at most max(1, ||A||)^Q <= 2^63 - 1 in absolute
-         value: int64 computes the same powers as bigints.
-    Otherwise the chunk's arrays hold Python ints (numpy's object dtype),
+         value: int64 computes the same powers of A as bigints.
+    The matrix products act on each stacked matrix alone, so the values of
+    one matrix's powers never meet another's. A matrix beyond the bound goes
+    to the enumeration whose arrays hold Python ints (numpy's object dtype),
     where nothing can overflow.
 
-    The powers are stacked as (Q + 1, n, d*d); for each matrix the first
-    power index q equal to an earlier index p gives the pair (p, q). The
-    powers before the first repetition are distinct, so p is unique.
+    Each enumeration stacks its powers as (Q + 1, n, d*d); for each matrix
+    the first power index q equal to an earlier index p gives the pair
+    (p, q). The powers before the first repetition are distinct, so p is
+    unique.
     """
     if not matrices:
         return []
@@ -476,34 +478,35 @@ def oracle_semicascade_batch(matrices: Sequence[IntMatrix]) -> list:
 
     import numpy as np
 
-    fits = all(max(sum(map(abs, row)) for row in a.entries) ** limit <= _INT64_MAX
-               for a in matrices)
-    dtype = np.int64 if fits else object
-    n = len(matrices)
-    a = np.array([m.entries for m in matrices], dtype=dtype)
-    powers = np.empty((limit + 1, n, d * d), dtype=dtype)
-    powers[0] = np.eye(d, dtype=dtype).reshape(d * d)
-    power = a
-    powers[1] = power.reshape(n, d * d)
-    for q in range(2, limit + 1):
-        power = power @ a
-        powers[q] = power.reshape(n, d * d)
-
-    first_p = np.full(n, -1)
-    first_q = np.full(n, -1)
-    for q in range(1, limit + 1):
-        equal = (powers[:q] == powers[q]).all(axis=2)
-        hit = (first_q < 0) & equal.any(axis=0)
-        first_p[hit] = equal.argmax(axis=0)[hit]
-        first_q[hit] = q
-    return [(TAME, (p, q)) if q >= 0 else (UNTAME, None)
-            for p, q in zip(first_p.tolist(), first_q.tolist())]
+    by_dtype: dict = {}
+    for i, a in enumerate(matrices):
+        fits = max(sum(map(abs, row)) for row in a.entries) ** limit <= _INT64_MAX
+        by_dtype.setdefault(np.int64 if fits else object, []).append(i)
+    answers = [None] * len(matrices)
+    for dtype, indices in by_dtype.items():
+        n = len(indices)
+        a = np.array([matrices[i].entries for i in indices], dtype=dtype)
+        powers = np.empty((limit + 1, n, d * d), dtype=dtype)
+        powers[0] = np.eye(d, dtype=dtype).reshape(d * d)
+        powers[1] = a.reshape(n, d * d)
+        for q in range(2, limit + 1):
+            powers[q] = (powers[q - 1].reshape(n, d, d) @ a).reshape(n, d * d)
+        first_p = np.full(n, -1)
+        first_q = np.full(n, -1)
+        for q in range(1, limit + 1):
+            equal = (powers[:q] == powers[q]).all(axis=2)
+            hit = (first_q < 0) & equal.any(axis=0)
+            first_p[hit] = equal.argmax(axis=0)[hit]
+            first_q[hit] = q
+        for i, p, q in zip(indices, first_p.tolist(), first_q.tolist()):
+            answers[i] = (TAME, (p, q)) if q >= 0 else (UNTAME, None)
+    return answers
 
 
 # Representatives per oracle_semicascade_batch call in sweep_box; at d = 4
 # their int64 powers take (4 + s_max(4) + 1) * 1024 * 16 * 8 bytes, about 2.2 MB,
-# and a chunk beyond the int64 bound, of Python ints, about 16 MB with entries
-# near 10^6.
+# and those beyond the int64 bound, of Python ints, at most about 16 MB with
+# entries near 10^6.
 _SWEEP_CHUNK = 1024
 
 
@@ -532,22 +535,22 @@ def sweep_box(d: int, lo: int, hi: int) -> tuple[array, list[tuple]]:
 
     Returns (classes, outcomes). classes[i] is the class number of the
     i-th matrix of the box in itertools.product order over its row-major
-    entries, and outcomes[c] is (cert, (verdict, pair), agree) for the
-    orbit of class c: its semicascade certificate, the oracle's verdict
-    and least pair, and whether the two agree (the same verdict and, for
-    TAME, the same pair). Nothing is built per matrix beyond its class
-    number.
+    entries, and outcomes[c] is ((verdict, pair), (oracle_verdict,
+    oracle_pair)) for the orbit of class c: the decided verdict and least
+    pair, then the oracle's. Both pairs are None when UNTAME, so the two
+    agree (the same verdict and, for TAME, the same pair) exactly when the
+    halves are equal. Nothing is built per matrix beyond its class number,
+    and no certificate is built at all.
 
     Lemma. Let B = P A P^T for a permutation matrix P, or B = (P A P^T)^T.
     Then B^n = P A^n P^T, or (P A^n P^T)^T, for every n >= 0, because
     P^T P = I and (A^T)^n = (A^n)^T; more generally f(B) is the same image
     of f(A) for every polynomial f. Both images are injective, so
     A^p = A^q <=> B^p = B^q: A and B have the same minimal pair, or none,
-    and mu_B = mu_A. The certificate depends on A only through mu and d,
-    so it is the same for A and B, and so are the oracle's (verdict, pair)
-    and their agreement. The TAME power proof, run on the representative
-    of an orbit, together with this lemma proves every member's
-    certificate: a proof, not a sample.
+    and mu_B = mu_A. The decision depends on A only through mu and d, so
+    it is the same for A and B, and so is the oracle's (verdict, pair).
+    The TAME power proof, run on the representative of an orbit, together
+    with this lemma proves every member's decision: a proof, not a sample.
 
     These 2 * d! maps only permute a matrix's entries, so every image of a
     box matrix lies in the box, and the box is a union of orbits. The walk
@@ -556,7 +559,7 @@ def sweep_box(d: int, lo: int, hi: int) -> tuple[array, list[tuple]]:
     lexicographic minimum: that member is the representative. Each box
     index (its position in the walk) gets its class number in an
     array('i'), 4 bytes per matrix. Each representative gets its own exact
-    mu, and its certificate is derived once per distinct mu in the call;
+    mu, and its decision is derived once per distinct mu in the call;
     the oracle runs on the representatives in chunks of _SWEEP_CHUNK.
     """
     width = hi - lo + 1
@@ -570,19 +573,22 @@ def sweep_box(d: int, lo: int, hi: int) -> tuple[array, list[tuple]]:
                 classes[sum(map(operator.mul, digits, w))] = len(representatives)
             representatives.append(digits)
 
-    by_mu: dict[IntPoly, TamenessCertificate] = {}
+    # The memo holds the decided (verdict, pair), not the derivation: one tuple
+    # per distinct mu, shared by its outcomes, keeping no x-stripped g alive.
+    by_mu: dict[IntPoly, tuple] = {}
     outcomes = []
     for start in range(0, len(representatives), _SWEEP_CHUNK):
         chunk = [IntMatrix([[lo + x for x in digits[i * d : (i + 1) * d]] for i in range(d)])
                  for digits in representatives[start : start + _SWEEP_CHUNK]]
         for a, oracle in zip(chunk, oracle_semicascade_batch(chunk)):
             mu = min_poly(a)
-            cert = by_mu.get(mu)
-            if cert is None:
-                cert = by_mu[mu] = _semicascade_certificate(mu, d)
-            # An UNTAME certificate and an UNTAME oracle answer both carry no pair.
-            agree = (cert.verdict, cert.minimal_pair) == oracle
-            outcomes.append((_proved(a, cert), oracle, agree))
+            if mu not in by_mu:
+                k, _, s = _index_and_order(mu, d)
+                by_mu[mu] = (UNTAME, None) if s is None else (TAME, (k, k + s))
+            decided = by_mu[mu]
+            if decided[1]:
+                _prove(a, *decided[1])
+            outcomes.append((decided, oracle))
     return classes, outcomes
 
 

@@ -343,8 +343,8 @@ def _representatives(d, lo, hi):
 
 
 def _swept(d, lo, hi):
-    """sweep_box's (classes, outcomes) expanded to one (rows, cert, oracle,
-    agree) per matrix of the box, in itertools.product order."""
+    """sweep_box's (classes, outcomes) expanded to one (rows, decided,
+    oracle) per matrix of the box, in itertools.product order."""
     classes, outcomes = sweep_box(d, lo, hi)
     rows = product(product(range(lo, hi + 1), repeat=d), repeat=d)
     return [(r, *outcomes[c]) for r, c in zip(rows, classes, strict=True)]
@@ -356,9 +356,9 @@ class TestSweepBox:
         calls = []
         real = getattr(tametorus.tameness, name)
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             calls.append(args)
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(tametorus.tameness, name, counting)
         return calls
@@ -377,8 +377,9 @@ class TestSweepBox:
         tame = [(a, cert.index_k, cert.period_s)
                 for a, cert in zip(representatives, expected) if cert.verdict == TAME]
         assert proofs == tame
-        by_rows = {rows: cert for rows, cert, _, _ in swept}
-        assert [by_rows[a.entries] for a in representatives] == expected
+        by_rows = {rows: decided for rows, decided, _ in swept}
+        assert [by_rows[a.entries] for a in representatives] == [
+            (cert.verdict, cert.minimal_pair) for cert in expected]
 
     def test_second_call_starts_with_an_empty_memo(self, monkeypatch):
         # {-1, 0, 1}^4 has 36 orbits, 19 distinct mu among their representatives
@@ -399,11 +400,34 @@ class TestSweepBox:
         matrices = [IntMatrix([c[i * d : (i + 1) * d] for i in range(d)])
                     for c in product(range(lo, hi + 1), repeat=d * d)]
         swept = _swept(d, lo, hi)
-        assert [IntMatrix(rows) for rows, _, _, _ in swept] == matrices
-        for a, (_, cert, oracle, agree) in zip(matrices, swept, strict=True):
-            assert cert == decide_semicascade(a), a
+        assert [IntMatrix(rows) for rows, _, _ in swept] == matrices
+        for a, (_, decided, oracle) in zip(matrices, swept, strict=True):
+            cert = decide_semicascade(a)
+            assert decided == (cert.verdict, cert.minimal_pair), a
             assert oracle == oracle_semicascade(a), a
-            assert agree, a
+            assert decided == oracle, a
+
+    @pytest.mark.parametrize("d, lo, hi", [(2, -2, 2), (3, -1, 1)])
+    def test_builds_no_certificate_and_names_no_witness(self, monkeypatch, box_reference,
+                                                        d, lo, hi):
+        # Both boxes hold UNTAME matrices of both witness reasons, yet a sweep
+        # prints no witness, so it makes none and runs no squarefree test.
+        _, certs, _ = box_reference(d, lo, hi)
+        reasons = {cert.witness.reason for cert in certs if cert.verdict == UNTAME}
+        assert reasons == {NON_SQUAREFREE, ORDER_BOUND_EXHAUSTED}
+        names = ("_untame_witness", "poly_gcd", "TamenessCertificate", "UntameWitness")
+        calls = {name: self._count(monkeypatch, name) for name in names}
+        swept = _swept(d, lo, hi)
+        assert calls == {name: [] for name in names}
+        assert [decided for _, decided, _ in swept] == [
+            (cert.verdict, cert.minimal_pair) for cert in certs]
+
+    def test_a_failing_power_proof_raises(self, monkeypatch):
+        monkeypatch.setattr(tametorus.tameness, "_has_index_and_period", lambda a, k, s: False)
+        with pytest.raises(AssertionError, match="power proof"):
+            sweep_box(2, -1, 1)
+        # The proof runs on TAME decisions only: x - 2 and x - 3 have no order.
+        assert sweep_box(1, 2, 3)[1] == [((UNTAME, None), (UNTAME, None))] * 2
 
 
 class TestDecideCascade:
@@ -464,12 +488,13 @@ class TestOracle:
             assert batch_result == (verdict, pair), a
             tame += verdict == TAME
         assert tame == 5383
-        # whole certificates, witness and detail included, from the orbit walk
+        # verdicts and least pairs from the orbit walk
         swept = _swept(3, -1, 1)
-        assert [IntMatrix(rows) for rows, _, _, _ in swept] == matrices
-        assert [cert for _, cert, _, _ in swept] == certs
-        assert [oracle for _, _, oracle, _ in swept] == batched
-        assert all(agree for _, _, _, agree in swept)
+        assert [IntMatrix(rows) for rows, _, _ in swept] == matrices
+        assert [decided for _, decided, _ in swept] == [
+            (cert.verdict, cert.minimal_pair) for cert in certs]
+        assert [oracle for _, _, oracle in swept] == batched
+        assert all(decided == oracle for _, decided, oracle in swept)
 
     def test_batch_equals_bigint_oracle_d4_sample(self):
         rng = random.Random(4)
@@ -542,6 +567,33 @@ class TestOracle:
         assert oracle_semicascade_batch(box) == [oracle_semicascade(a) for a in box]
         assert calls == []
         assert [oracle_semicascade(a) for a in beyond] == [(TAME, (1, 2)), (TAME, (2, 3))]
+
+    @pytest.mark.parametrize("place", ["first", "middle", "last"])
+    def test_batch_runs_the_matrices_within_the_bound_in_int64(self, monkeypatch, place):
+        # d = 2: Q = 8, and each of these has ||A|| >= 235 > 234, beyond the bound
+        wide = [IntMatrix([[1, 235], [0, 0]]),    # idempotent: TAME (1, 2)
+                IntMatrix([[0, 236], [0, 0]]),    # nilpotent: TAME (2, 3)
+                IntMatrix([[1, 235], [0, 1]]),    # shear: UNTAME
+                IntMatrix([[0, -235], [1, 0]])]   # A^2 = -235 I: UNTAME
+        small = [IntMatrix([c[:2], c[2:]]) for c in product((-1, 0, 1), repeat=4)]
+        cut = {"first": 0, "middle": 40, "last": len(small)}[place]
+        matrices = small[:cut] + wide + small[cut:]
+        expected = [oracle_semicascade(a) for a in matrices]
+        assert [oracle_semicascade(a) for a in wide] == [
+            (TAME, (1, 2)), (TAME, (2, 3)), (UNTAME, None), (UNTAME, None)]
+        calls = self._record_oracle_calls(monkeypatch)
+        stacks = []
+        real_empty = np.empty
+
+        def recording_empty(shape, dtype=float, *args, **kwargs):
+            stacks.append((shape, np.dtype(dtype)))
+            return real_empty(shape, dtype, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", recording_empty)
+        assert oracle_semicascade_batch(matrices) == expected
+        assert calls == []
+        assert sorted(stacks, key=str) == [((9, 4, 4), np.dtype(object)),
+                                           ((9, 81, 4), np.dtype(np.int64))]
 
     def test_batch_rejects_mixed_dimensions(self):
         with pytest.raises(ValueError):
