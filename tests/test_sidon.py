@@ -3,6 +3,8 @@ import operator
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tametorus import (
     CapExceededError,
@@ -29,6 +31,30 @@ def _reference_quasi_independence(vectors):
         if any(coeffs) and not any(sum(map(operator.mul, coeffs, col)) for col in columns):
             return False
     return True
+
+
+def _reference_sups(vectors, trials, grid_per_axis, seed):
+    """Reference: every trial's max |P| from its own full-grid product."""
+    import numpy as np
+
+    from tametorus.dynamics import torus_grid
+
+    grid = torus_grid(len(vectors[0]), grid_per_axis)
+    basis = np.exp(1j * (grid @ np.array(vectors, dtype=float).T))
+    sups = []
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        coeffs = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, len(vectors)))
+        sups.append(float(np.abs(basis @ coeffs).max()))
+    return sups
+
+
+def _reference_ratio(vectors, trials, grid_per_axis, seed):
+    """Reference: the maximum of k / sup over every trial."""
+    best = 0.0
+    for sup in _reference_sups(vectors, trials, grid_per_axis, seed):
+        best = max(best, len(vectors) / sup)
+    return best
 
 
 def _random_sidon_selection(rng, d, count):
@@ -243,6 +269,92 @@ class TestEstimateRatio:
             estimate_sidon_ratio([(1,), (1,)], trials=1, grid_per_axis=8, seed=0)
         with pytest.raises(ValueError):
             estimate_sidon_ratio([(1,)], trials=0, grid_per_axis=8, seed=0)
+
+
+def _count_exact_trials(monkeypatch):
+    """Record every full-grid product the estimate computes."""
+    calls = []
+    real = sidon._grid_sup
+
+    def recording(basis, coeffs):
+        calls.append(len(basis))
+        return real(basis, coeffs)
+
+    monkeypatch.setattr(sidon, "_grid_sup", recording)
+    return calls
+
+
+class TestPrunedEstimate:
+    """The estimate computes full-grid products only for trials whose
+    sub-grid bound can attain the least sup, and returns the bytes of the
+    plain loop over every trial."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_reference_on_growing_streams(self, d):
+        rng = random.Random(2700 + d)
+        for seed in range(3):
+            vs = _random_sidon_selection(rng, d, 12)
+            got = estimate_sidon_ratio(vs, trials=200, grid_per_axis=32, seed=seed)
+            assert got.hex() == _reference_ratio(vs, 200, 32, seed).hex(), (vs, seed)
+
+    @pytest.mark.parametrize("trials", [1, 24, 25, 26, 200, 500])
+    def test_matches_reference_at_chunk_edges(self, trials):
+        vs = _random_sidon_selection(random.Random(2710), 2, 12)
+        got = estimate_sidon_ratio(vs, trials=trials, grid_per_axis=32, seed=4)
+        assert got.hex() == _reference_ratio(vs, trials, 32, 4).hex()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 3),
+        data=st.data(),
+        trials=st.integers(1, 80),
+        grid=st.integers(8, 32),
+        seed=st.integers(0, 2 ** 32),
+    )
+    def test_matches_reference_on_small_sets(self, d, data, trials, grid, seed):
+        vector = st.tuples(*[st.integers(-40, 40)] * d)
+        vs = data.draw(st.lists(vector, min_size=1, max_size=12, unique=True))
+        got = estimate_sidon_ratio(vs, trials=trials, grid_per_axis=grid, seed=seed)
+        assert got.hex() == _reference_ratio(vs, trials, grid, seed).hex()
+
+    def test_a_single_frequency_ties_every_trial(self, monkeypatch):
+        # |P| = |c| |e^{i<v,x>}| is 1 up to rounding at every point of every
+        # trial, so no bound rises above the least sup by the margin
+        calls = _count_exact_trials(monkeypatch)
+        got = estimate_sidon_ratio([(5, 3, 1)], trials=200, grid_per_axis=32, seed=0)
+        assert got.hex() == "0x1.ffffffffffffep-1"
+        assert got.hex() == _reference_ratio([(5, 3, 1)], 200, 32, 0).hex()
+        assert calls == [32 ** 3] * 200
+
+    def test_exact_when_a_bound_exceeds_its_sup_by_nearly_the_margin(self, monkeypatch):
+        # The proof allows a sub-grid bound up to the margin m above its
+        # trial's sup, as when the batched product rounds up and the per-trial
+        # one down. Every trial attaining the least sup gets a bound m/2 above
+        # it, the others their own sup. At k = 1 the sups lie within ulps of
+        # each other, so a trial with a larger sup comes first in bound order.
+        vs = [(5, 3, 1)]
+        sups = _reference_sups(vs, 200, 32, 0)
+        least = min(sups)
+        margin = (8 * 1 + 4) * 1 * 2.0 ** -53
+        bounds = [sup + margin / 2 if sup == least else sup for sup in sups]
+        assert min(bounds) < least + margin / 2
+        monkeypatch.setattr(sidon, "_sub_grid_bounds", lambda sub, coeffs: bounds)
+        got = estimate_sidon_ratio(vs, trials=200, grid_per_axis=32, seed=0)
+        assert got.hex() == _reference_ratio(vs, 200, 32, 0).hex()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_aliased_frequencies_share_a_column(self, seed):
+        # 1 and 33 agree modulo a 32-point grid: P = (c1 + c2) e^{ix}
+        got = estimate_sidon_ratio([(1,), (33,)], trials=200, grid_per_axis=32, seed=seed)
+        assert got.hex() == _reference_ratio([(1,), (33,)], 200, 32, seed).hex()
+
+    def test_prunes_trials_that_cannot_set_the_answer(self, monkeypatch):
+        calls = _count_exact_trials(monkeypatch)
+        vs = _random_sidon_selection(random.Random(2720), 3, 12)
+        got = estimate_sidon_ratio(vs, trials=200, grid_per_axis=32, seed=0)
+        assert got.hex() == _reference_ratio(vs, 200, 32, 0).hex()
+        assert 1 <= len(calls) < 100
+        assert set(calls) == {32 ** 3}
 
 
 class TestStreamFormat:
