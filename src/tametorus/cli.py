@@ -87,7 +87,7 @@ _DIMENSION_CAPS = {
     "semicascade": MAX_DECIDE_DIMENSION,
     "cascade": MAX_DECIDE_DIMENSION,
     "certify": MAX_DECIDE_DIMENSION,
-    "simulate": MAX_DECIDE_DIMENSION,  # convergence_probe runs decide_semicascade
+    "simulate": MAX_DECIDE_DIMENSION,  # convergence_probe decides A
     "sweep": MAX_SWEEP_DIMENSION,
 }
 
@@ -332,7 +332,7 @@ def _result_simulate(job: JobSpec) -> dict:
         "exact": {"subsequence": sub},
         "floating": {
             "max_deviation": dev,
-            "orbit": [[float(c) for c in point] for point in orbit],
+            "orbit": orbit.tolist(),
         },
     }
 

@@ -3,7 +3,8 @@
 This is the only floating-point layer in the package: points on the
 d-torus live in [0, 2*pi)^d as float64 arrays. Frequencies stay exact
 (Python ints via exactalg), and this layer consumes the decider: the
-power structure of A comes from tameness.decide_semicascade.
+power structure of A comes from its derivation and power proof in
+tameness (_decided), with no certificate built.
 
 convergence_probe builds one image of its grid per distinct translation
 along its chain: the chain shares one A^n, so equal translations give
@@ -26,7 +27,7 @@ from typing import Sequence
 
 from .errors import CapExceededError, DimensionMismatchError
 from .exactalg import IntMatrix, mat_pow
-from .tameness import TAME, decide_semicascade
+from .tameness import _decided
 
 __all__ = [
     "AffineMap",
@@ -221,11 +222,6 @@ def frequency_orbit(a: IntMatrix, u: Sequence[int], n: int) -> FrequencyOrbit:
         raise ValueError("orbit length must be >= 1")
     limit = sys.get_int_max_str_digits()  # 0: no limit
     at = a.transpose()
-    # No term has more bits than n * bits(N) + bits(max |u_i|), N = ||A^T||_inf:
-    # within 3 * limit bits every term prints, so no term needs the check.
-    norm = max(sum(map(abs, row)) for row in at.entries)
-    if n * norm.bit_length() + max(map(abs, u)).bit_length() <= 3 * limit:
-        limit = 0  # skips the per-term check below
     terms = [u]
     while True:
         # An integer of at most 3 * limit bits is below 8^limit < 10^limit,
@@ -272,10 +268,12 @@ def convergence_probe(phi: AffineMap, indices: Sequence[int], grid: np.ndarray, 
     whose deviation is exactly 0.0 and cannot raise the maximum, which
     starts at 0.0. A b = 0 chain builds no image at all.
 
-    The groups come from the certificate of decide_semicascade(A); no power
-    is built but the chain's A^n. By item 1 of certificate_check, A^i = A^j
-    (i < j) exactly when A is TAME with pair (k, k + s), i >= k and s | j - i,
-    so any s + 1 indices from k on of a tame A hold a group of size >= 2.
+    The groups come from the decision of A, its index k and period s, as
+    tameness derives and proves it for decide_semicascade (_decided); no
+    certificate or UNTAME witness is built, and no power but the chain's
+    A^n. By item 1 of certificate_check, A^i = A^j (i < j) exactly when A
+    is TAME with pair (k, k + s), i >= k and s | j - i, so any s + 1
+    indices from k on of a tame A hold a group of size >= 2.
     """
     import numpy as np
 
@@ -290,9 +288,9 @@ def convergence_probe(phi: AffineMap, indices: Sequence[int], grid: np.ndarray, 
     if grid.ndim != 2 or grid.shape[1] != phi.d:
         raise DimensionMismatchError("grid must have shape (npoints, %d)" % phi.d)
 
-    cert = decide_semicascade(phi.a)
+    k, _, s = _decided(phi.a)
     # The powers of an UNTAME A never repeat: every n lies below an infinite index.
-    k, s = (cert.index_k, cert.period_s) if cert.verdict == TAME else (math.inf, 1)
+    k, s = (math.inf, 1) if s is None else (k, s)
     translations = phi.orbit((0.0,) * phi.d, max(1, max(indices)))  # an orbit has n >= 1
 
     groups: dict[int, list[int]] = {}

@@ -16,20 +16,24 @@ which yields the least pair (k, k+s) respectively the least order m = s.
 Step 2 is one derivation, _index_and_order, from mu and d alone; it backs
 the deciders and every certificate check. For an untame A, a gcd(g, g')
 test only names the witness: a repeated factor of g, or else the
-exhausted order bound. decide_semicascade derives a verdict and proves
-it; decide_cascade and the simulate probe go through it, a cascade order
-m being the pair (0, m). sweep_box decides a whole box of matrices, one
-per symmetry orbit, into a verdict and a pair, with no certificate and no
-witness: it derives each decision once per distinct mu, while the exact
-power proof of a TAME decision runs on every orbit representative. That
-proof builds one squaring ladder A, A^2, A^4, ..., up to k + s, compares
-A^{k+s} with A^k, both products of its rungs (A^0 = I the empty one), and
-proves its inequalities by matrix-vector products through them, so it
-costs O(log(k + s)) matrix products. A certificate re-checker makes
-every verdict self-validating; an independent brute-force oracle (exact
-power enumeration, batched for sweep_box, in int64 for each matrix where
-a proven bound rules out overflow, and in Python ints for the rest)
-backs sweep and the tests.
+exhausted order bound. _decided derives a decision and proves it, and
+_certificate, the one builder of each certificate shape, turns it into a
+certificate: both deciders go through the two, a cascade order m being
+the pair (0, m), and certificate_check compares a TAME claim with the
+builder's certificate for the pair it states. The simulate probe reads
+the decision alone, with no certificate and no witness. sweep_box
+decides a whole box of matrices, one per symmetry orbit, into a verdict
+and a pair, with no certificate and no witness: it derives each decision
+once per distinct mu, while the exact power proof of a TAME decision
+runs on every orbit representative. That proof builds one squaring
+ladder A, A^2, A^4, ..., up to k + s, compares A^{k+s} with A^k, both
+products of its rungs (A^0 = I the empty one), and proves its
+inequalities by matrix-vector products through them, so it costs
+O(log(k + s)) matrix products. A certificate re-checker makes every
+verdict self-validating; an independent brute-force oracle (exact power
+enumeration, batched for sweep_box, in int64 for each matrix where a
+proven bound rules out overflow, and in Python ints for the rest) backs
+sweep and the tests.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import math
 import operator
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from itertools import permutations, product
 
@@ -95,6 +99,25 @@ def _optional_int(data: dict, key: str) -> int | None:
     return None if value is None else _exact_int(value, key)
 
 
+def _fields_dict(record) -> dict:
+    """The JSON object of a certificate or witness: every field that holds
+    a value, 0 included, but neither None nor an empty detail; a pair as a
+    list, a polynomial as its coefficients and a witness as its object."""
+    out = {}
+    for field in fields(record):
+        value = getattr(record, field.name)
+        if value is None or value == "":
+            continue
+        if isinstance(value, tuple):
+            value = list(value)
+        elif isinstance(value, IntPoly):
+            value = list(value.int_coeffs())
+        elif isinstance(value, UntameWitness):
+            value = value.to_dict()
+        out[field.name] = value
+    return out
+
+
 @dataclass(frozen=True)
 class UntameWitness:
     """Proof data for an UNTAME verdict.
@@ -116,15 +139,7 @@ class UntameWitness:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        out = {
-            "reason": self.reason,
-            "stripped_min_poly": list(self.stripped_min_poly.int_coeffs()),
-        }
-        if self.s_max is not None:
-            out["s_max"] = self.s_max
-        if self.detail:
-            out["detail"] = self.detail
-        return out
+        return _fields_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "UntameWitness":
@@ -155,18 +170,7 @@ class TamenessCertificate:
     witness: UntameWitness | None = None
 
     def to_dict(self) -> dict:
-        out = {"verdict": self.verdict, "kind": self.kind}
-        if self.index_k is not None:
-            out["index_k"] = self.index_k
-        if self.period_s is not None:
-            out["period_s"] = self.period_s
-        if self.minimal_pair is not None:
-            out["minimal_pair"] = list(self.minimal_pair)
-        if self.minimal_order_m is not None:
-            out["minimal_order_m"] = self.minimal_order_m
-        if self.witness is not None:
-            out["witness"] = self.witness.to_dict()
-        return out
+        return _fields_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "TamenessCertificate":
@@ -373,6 +377,28 @@ def _prove(a: IntMatrix, k: int, q: int) -> None:
         raise AssertionError("internal error: power proof of (%d, %d) failed on %r" % (k, q, a))
 
 
+def _decided(a: IntMatrix) -> tuple[int, IntPoly, int | None]:
+    """_index_and_order of A's minimal polynomial, (k, g, s); a TAME
+    decision (s not None) has passed the power proof of its pair (k, k + s)."""
+    k, g, s = _index_and_order(min_poly(a), a.d)
+    if s is not None:
+        _prove(a, k, k + s)
+    return k, g, s
+
+
+def _certificate(kind: str, k: int, g: IntPoly | None, s: int | None,
+                 d: int = 0) -> TamenessCertificate:
+    """The certificate of a derivation (k, g, s) of a d x d matrix, the one
+    place each shape is built: UNTAME with the witness of g when s is None;
+    else TAME with the least pair (k, k + s), a CASCADE as its order m = s."""
+    if s is None:
+        return TamenessCertificate(verdict=UNTAME, kind=kind, witness=_untame_witness(g, d))
+    if kind == CASCADE:
+        return TamenessCertificate(verdict=TAME, kind=kind, period_s=s, minimal_order_m=s)
+    return TamenessCertificate(verdict=TAME, kind=kind, index_k=k, period_s=s,
+                               minimal_pair=(k, k + s))
+
+
 def decide_semicascade(a: IntMatrix) -> TamenessCertificate:
     """Decide tameness of the iteration semigroup of x -> Ax + b.
 
@@ -383,14 +409,7 @@ def decide_semicascade(a: IntMatrix) -> TamenessCertificate:
     modulo the x-stripped part; they are re-verified against exact matrix
     powers (the power proof of certificate_check) before being returned.
     """
-    k, g, s = _index_and_order(min_poly(a), a.d)
-    if s is None:
-        return TamenessCertificate(verdict=UNTAME, kind=SEMICASCADE,
-                                   witness=_untame_witness(g, a.d))
-    _prove(a, k, k + s)
-    return TamenessCertificate(
-        verdict=TAME, kind=SEMICASCADE, index_k=k, period_s=s, minimal_pair=(k, k + s)
-    )
+    return _certificate(SEMICASCADE, *_decided(a), a.d)
 
 
 def decide_cascade(a: IntMatrix) -> TamenessCertificate:
@@ -399,21 +418,18 @@ def decide_cascade(a: IntMatrix) -> TamenessCertificate:
     Requires |det A| = 1 (otherwise the inverse is not an integer matrix
     and the cascade is undefined). The cascade is tame exactly when
     A^m = I for some m >= 1, that is when the semicascade has the pair
-    (0, m), so the verdict is decide_semicascade's, with its derivation
-    and power proof. An UNTAME witness depends only on mu and d and is
-    kept; a TAME certificate carries the least order m = s.
+    (0, m), so the verdict comes from decide_semicascade's derivation and
+    power proof (_decided). An UNTAME witness depends only on mu and d and
+    is the same; a TAME certificate carries the least order m = s.
     """
     det = abs(a.det())
     if det != 1:
         raise DeterminantNotUnitError("cascade undefined: |det A| = %d, need 1" % det)
-    cert = decide_semicascade(a)
-    if cert.verdict == UNTAME:
-        return replace(cert, kind=CASCADE)
-    if cert.index_k != 0:
+    k, g, s = _decided(a)
+    if k != 0:
         # |det A| = 1 keeps x out of the minimal polynomial.
-        raise AssertionError("internal error: |det A| = 1 but %r has an index" % (cert,))
-    return TamenessCertificate(verdict=TAME, kind=CASCADE, period_s=cert.period_s,
-                               minimal_order_m=cert.period_s)
+        raise AssertionError("internal error: |det A| = 1 but %r has index %d" % (a, k))
+    return _certificate(CASCADE, k, g, s, a.d)
 
 
 def oracle_semicascade(a: IntMatrix):
@@ -656,16 +672,19 @@ def certificate_check(a: IntMatrix, cert: TamenessCertificate) -> bool:
 
     A TAME claim states a pair (p, q): a SEMICASCADE one its minimal_pair,
     with index_k = p and period_s = q - p, and a CASCADE one of order m the
-    pair (0, m), with period_s = m, since A^m = I is A^0 = A^m. It is
-    accepted exactly when (p, q) = (k, k + s) and the power proof
-    (_has_index_and_period) passes: A^k = A^{k+s}, A^{k-1} != A^{k-1+s} if
-    k > 0, and A^{k+s/r} != A^k for every prime r | s. By 1 the power
-    proof alone accepts exactly that pair, so the comparison changes no
-    verdict; made before any power, it keeps a false claim from raising
-    A, perhaps untame, to a large power. The proof takes A^{k+s} and A^k
-    from one squaring ladder up to k + s, at most 3 floor(log2(k + s))
-    matrix products (2 floor(log2 s) when k = 0, A^0 = I being no
-    product), and proves each inequality by matrix-vector products alone.
+    pair (0, m), with period_s = m, since A^m = I is A^0 = A^m. Its fields
+    must be those of the decider's certificate for that pair (_certificate),
+    with no witness and no field of the other kind; a CASCADE one may add
+    index_k = 0. It is accepted exactly when (p, q) = (k, k + s) and the
+    power proof (_has_index_and_period) passes: A^k = A^{k+s},
+    A^{k-1} != A^{k-1+s} if k > 0, and A^{k+s/r} != A^k for every prime
+    r | s. By 1 the power proof alone accepts exactly that pair, so the
+    comparison changes no verdict; made before any power, it keeps a false
+    claim from raising A, perhaps untame, to a large power. The proof takes
+    A^{k+s} and A^k from one squaring ladder up to k + s, at most
+    3 floor(log2(k + s)) matrix products (2 floor(log2 s) when k = 0,
+    A^0 = I being no product), and proves each inequality by matrix-vector
+    products alone.
 
     An UNTAME claim needs a witness and a known kind, and a CASCADE one
     |det A| = 1 (a TAME one implies it through A^m = I). For an integer A
@@ -721,20 +740,14 @@ def certificate_check(a: IntMatrix, cert: TamenessCertificate) -> bool:
 
 
 def _claimed_pair(cert: TamenessCertificate) -> tuple[int, int] | None:
-    """The pair (p, q) a TAME claim states, (0, m) for a cascade order m;
-    None when its fields disagree or its kind is unknown."""
-    if cert.kind == SEMICASCADE:
-        if cert.minimal_pair is None or cert.witness is not None:
-            return None
+    """The pair (p, q) a TAME claim states, its minimal_pair or (0, m) for
+    a cascade order m, when the claim is _certificate's for that pair, which
+    it may extend by the index p; None otherwise."""
+    if cert.kind == SEMICASCADE and cert.minimal_pair is not None:
         p, q = cert.minimal_pair
-        if cert.minimal_order_m is not None or cert.index_k != p or cert.period_s != q - p:
-            return None
-        return p, q
-    if cert.kind == CASCADE:
-        m = cert.minimal_order_m
-        if m is None or cert.period_s != m:
-            return None
-        if cert.minimal_pair is not None or cert.index_k not in (None, 0):
-            return None
-        return 0, m
-    return None
+    elif cert.kind == CASCADE and cert.minimal_order_m is not None:
+        p, q = 0, cert.minimal_order_m
+    else:
+        return None
+    built = _certificate(cert.kind, p, None, q - p)
+    return (p, q) if cert in (built, replace(built, index_k=p)) else None

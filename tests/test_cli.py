@@ -452,6 +452,24 @@ class TestMainExitCodes:
         assert code == 4
         assert "CAP_EXCEEDED" in out
 
+    def test_simulate_prints_no_witness_beyond_the_digit_limit(self, capsys, tmp_path):
+        # g = mu of 10^250 I + B, B = [[2,1,0],[1,0,1],[0,1,-3]], has a coefficient
+        # of about 750 digits: semicascade prints it in the witness and fails,
+        # simulate decides the same untame A but builds no witness
+        big = 10 ** 250
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"d": 3, "A": [[big + 2, 1, 0], [1, big, 1], [0, 1, big - 3]]}))
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            code, out = run_cli(["simulate", "--input", str(path), "--iters", "3", "--grid", "2"],
+                                capsys)
+            assert code == 0 and json.loads(out)["result"]["exact"]["subsequence"] == [0]
+            code, out = run_cli(["semicascade", "--input", str(path)], capsys)
+            assert code == 4 and "640-digit limit" in json.loads(out)["result"]["error"]["message"]
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     @pytest.mark.parametrize(
         "a",
         [[[10 ** 400]], [[1, 2 ** 600, 0], [0, 0, 2 ** 600], [0, 0, 0]]],
@@ -800,6 +818,7 @@ class TestCommands:
             (_ROT4, {**_CASC, "period_s": 2}, False),
             (_ROT4, {**_CASC, "minimal_pair": [0, 4]}, False),
             (_ROT4, {**_CASC, "index_k": 1}, False),
+            (_ROT4, {**_CASC, "witness": _WITNESS}, False),
             (_ROT4, {**_CASC, "kind": "GROUP"}, False),
             (_ROT4, {**_UNTAME, "kind": "GROUP"}, False),
             (_ROT4, {"verdict": "UNTAME", "kind": "SEMICASCADE"}, False),
@@ -812,7 +831,7 @@ class TestCommands:
         ids=["semicascade", "semicascade_with_order", "semicascade_index_not_p",
              "semicascade_period_not_q_minus_p", "semicascade_with_witness",
              "cascade_index_zero", "cascade_period_not_m", "cascade_with_pair",
-             "cascade_index_one", "tame_group", "untame_group", "untame_without_witness",
+             "cascade_index_one", "cascade_with_witness", "tame_group", "untame_group", "untame_without_witness",
              "maybe", "catmap_untame", "catmap_untame_group", "catmap_untame_without_witness",
              "catmap_maybe"],
     )

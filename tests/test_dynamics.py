@@ -28,6 +28,7 @@ from tametorus import (
 )
 import tametorus.dynamics
 import tametorus.exactalg
+import tametorus.tameness
 from tametorus.dynamics import GRID_DIMENSION_CAP, TWO_PI
 
 
@@ -160,9 +161,8 @@ class TestFrequencyOrbit:
             sys.set_int_max_str_digits(limit)
 
     def test_terms_beyond_the_bit_bound_that_all_print(self):
-        # n * bits(||A^T||_inf) + bits(max |u_i|) exceeds 3 * 640 bits, so
-        # every term is checked, yet none trips: -I keeps |u|, and the
-        # shear's terms grow linearly
+        # every term is checked against the limit, yet none trips: -I keeps
+        # |u|, and the shear's terms grow linearly
         limit = sys.get_int_max_str_digits()
         try:
             sys.set_int_max_str_digits(640)
@@ -330,8 +330,9 @@ def _unimodular_pair(rng, d):
 
 
 class TestConvergenceProbeGrouping:
-    """convergence_probe groups the indices by decide_semicascade's
-    certificate; brute-force power equality must give the same report."""
+    """convergence_probe groups the indices by the index and period that
+    decide_semicascade would certify; brute-force power equality must give
+    the same report."""
 
     def test_all_d2_matrices(self):
         grid = torus_grid(2, 4)
@@ -391,6 +392,17 @@ class TestConvergenceProbeGrouping:
         sub, dev = convergence_probe(phi, range(5001), torus_grid(2, 2), 1e-9)
         assert (sub, dev) == ([0], 0.0)
         assert len(products) <= 2 * (5000).bit_length()
+
+    @pytest.mark.parametrize("a", [[[2, 1], [1, 1]], [[2, 1, 0], [1, 0, 1], [0, 1, -3]]],
+                             ids=["catmap", "untame_d3"])
+    def test_untame_probe_builds_no_witness(self, monkeypatch, a):
+        calls = []
+        for name in ("_untame_witness", "poly_gcd"):
+            monkeypatch.setattr(tametorus.tameness, name,
+                                lambda *args, name=name: calls.append(name))
+        phi = AffineMap(IntMatrix(a), [0.5] * len(a))
+        sub, _ = convergence_probe(phi, range(6), torus_grid(len(a), 2), 1e-9)
+        assert sub == [0] and calls == []
 
     # Chains whose translations repeat exactly: the probe builds one image
     # per change of translation, and must still match the reference bit for

@@ -645,6 +645,63 @@ class TestCertificateCheck:
             assert again == cert
             assert certificate_check(a, again) == certificate_check(a, cert)
 
+    def test_to_dict_keeps_zero_and_drops_none(self, named):
+        # 0 is a value (index_k, the pair's p); None and an empty detail are not
+        assert decide_semicascade(named["rot4"]).to_dict() == {
+            "verdict": TAME, "kind": SEMICASCADE, "index_k": 0, "period_s": 4,
+            "minimal_pair": [0, 4]}
+        assert decide_cascade(named["rot4"]).to_dict() == {
+            "verdict": TAME, "kind": CASCADE, "period_s": 4, "minimal_order_m": 4}
+        witness = decide_semicascade(named["catmap"]).witness
+        assert decide_cascade(named["catmap"]).to_dict() == {
+            "verdict": UNTAME, "kind": CASCADE, "witness": {
+                "reason": ORDER_BOUND_EXHAUSTED, "stripped_min_poly": [1, -3, 1], "s_max": 6,
+                "detail": witness.detail}}
+        bare = UntameWitness(reason=ZERO_EIGENVALUE, stripped_min_poly=IntPoly([0]), s_max=0)
+        assert bare.to_dict() == {"reason": ZERO_EIGENVALUE, "stripped_min_poly": [], "s_max": 0}
+
+
+def _reference_claimed_pair(cert):
+    """The claim rule of certificate_check that states each field: the pair
+    (p, q) a TAME claim states, (0, m) for a cascade order m; None when its
+    fields disagree or its kind is unknown. Unlike certificate_check, it
+    accepts a cascade claim that carries a witness."""
+    if cert.kind == SEMICASCADE:
+        if cert.minimal_pair is None or cert.witness is not None:
+            return None
+        p, q = cert.minimal_pair
+        if cert.minimal_order_m is not None or cert.index_k != p or cert.period_s != q - p:
+            return None
+        return p, q
+    if cert.kind == CASCADE:
+        m = cert.minimal_order_m
+        if m is None or cert.period_s != m:
+            return None
+        if cert.minimal_pair is not None or cert.index_k not in (None, 0):
+            return None
+        return 0, m
+    return None
+
+
+_CLAIM_EXPONENTS = st.sampled_from([None, 0, 1, 2, 4])
+_CLAIM_WITNESS = UntameWitness(reason=ORDER_BOUND_EXHAUSTED, stripped_min_poly=IntPoly([1, -3, 1]),
+                               s_max=6)
+
+
+class TestClaimedPair:
+    @settings(max_examples=400, deadline=None)
+    @given(kind=st.sampled_from([SEMICASCADE, CASCADE, "GROUP"]), index_k=_CLAIM_EXPONENTS,
+           period_s=_CLAIM_EXPONENTS, minimal_order_m=_CLAIM_EXPONENTS,
+           minimal_pair=st.sampled_from([None, (0, 4), (1, 3), (0, 2)]),
+           witness=st.sampled_from([None, _CLAIM_WITNESS]))
+    def test_equals_the_field_rule_but_for_a_cascade_witness(self, **claim):
+        cert = TamenessCertificate(verdict=TAME, **claim)
+        pair = tametorus.tameness._claimed_pair(cert)
+        if cert.kind == CASCADE and cert.witness is not None:
+            assert pair is None
+        else:
+            assert pair == _reference_claimed_pair(cert)
+
 
 def _random_unimodular(rng, d, steps=8):
     """Product of elementary integer matrices together with its inverse."""
