@@ -141,43 +141,45 @@ class AffineMap:
         import numpy as np
 
         self.a = a
-        if b is None:
-            b = np.zeros(a.d)
-        b = np.atleast_1d(np.asarray(b, dtype=float))
-        if b.shape != (a.d,):
-            raise DimensionMismatchError(
-                "translation of shape %s does not match dimension %d" % (b.shape, a.d)
-            )
-        self.b = reduce_angles(b)
+        self.b = reduce_angles(np.zeros(a.d) if b is None else self._vector(b, "translation"))
         self._a_float = float_array(a.entries, "A")
 
     @property
     def d(self) -> int:
         return self.a.d
 
+    def _vector(self, values, what: str) -> np.ndarray:
+        """values as a float vector of length d; DimensionMismatchError when
+        it has another shape."""
+        import numpy as np
+
+        x = np.atleast_1d(np.asarray(values, dtype=float))
+        if x.shape != (self.d,):
+            raise DimensionMismatchError(
+                "%s of shape %s does not match dimension %d" % (what, x.shape, self.d)
+            )
+        return x
+
     def apply(self, x) -> np.ndarray:
         """One application, reduced mod 2*pi; CapExceededError when A x + b
         is beyond double range."""
         import numpy as np
 
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (self.d,):
-            raise DimensionMismatchError(
-                "point of shape %s does not match dimension %d" % (x.shape, self.d)
-            )
+        x = self._vector(x, "point")
         with np.errstate(over="ignore"):
             image = self._a_float @ x + self.b
         return reduce_angles(finite_array(image, "an orbit point"))
 
     def orbit(self, x0, n: int) -> np.ndarray:
         """[x0, phi(x0), ..., phi^n(x0)] as an (n+1, d) array;
+        DimensionMismatchError when x0 is not a point of length d, and
         CapExceededError when a point is beyond double range."""
         import numpy as np
 
         if n < 1:
             raise ValueError("orbit length must be >= 1")
         out = np.empty((n + 1, self.d))
-        out[0] = reduce_angles(np.atleast_1d(np.asarray(x0, dtype=float)))
+        out[0] = reduce_angles(self._vector(x0, "point"))
         a, b = self._a_float, self.b
         # An overflow gives inf, reduced to nan, and every later point
         # inherits the nan, so one check of the whole orbit covers each step.

@@ -19,8 +19,9 @@ test only names the witness: a repeated factor of g, or else the
 exhausted order bound. _decided derives a decision and proves it, and
 _certificate, the one builder of each certificate shape, turns it into a
 certificate: both deciders go through the two, a cascade order m being
-the pair (0, m), and certificate_check compares a TAME claim with the
-builder's certificate for the pair it states. The simulate probe reads
+the pair (0, m). certificate_check derives (k, g, s) once, compares every
+claim with the builder's certificate for that derivation, and then proves
+it, by the power proof or the witness rule. The simulate probe reads
 the decision alone, with no certificate and no witness. sweep_box
 decides a whole box of matrices, one per symmetry orbit, into a verdict
 and a pair, with no certificate and no witness: it derives each decision
@@ -129,8 +130,10 @@ class UntameWitness:
     modulo a degree-<=d divisor of x^s - 1 is at most s_max(d). reason
     ZERO_EIGENVALUE: x divides the minimal polynomial; no decider emits
     it, and certificate_check accepts it only when A is also untame.
-    certificate_check re-derives each reason from the minimal polynomial
-    alone, without matrix powers.
+    Only an ORDER_BOUND_EXHAUSTED witness carries s_max; certificate_check
+    rejects one of another reason that does. It re-derives each reason
+    from the minimal polynomial alone, without matrix powers, and does
+    not read detail.
     """
 
     reason: str
@@ -386,8 +389,7 @@ def _decided(a: IntMatrix) -> tuple[int, IntPoly, int | None]:
     return k, g, s
 
 
-def _certificate(kind: str, k: int, g: IntPoly | None, s: int | None,
-                 d: int = 0) -> TamenessCertificate:
+def _certificate(kind: str, k: int, g: IntPoly, s: int | None, d: int) -> TamenessCertificate:
     """The certificate of a derivation (k, g, s) of a d x d matrix, the one
     place each shape is built: UNTAME with the witness of g when s is None;
     else TAME with the least pair (k, k + s), a CASCADE as its order m = s."""
@@ -670,33 +672,45 @@ def certificate_check(a: IntMatrix, cert: TamenessCertificate) -> bool:
          is untame, and otherwise (k, k + s) is the least pair, with
          k <= d and s <= s_max(d).
 
-    A TAME claim states a pair (p, q): a SEMICASCADE one its minimal_pair,
-    with index_k = p and period_s = q - p, and a CASCADE one of order m the
-    pair (0, m), with period_s = m, since A^m = I is A^0 = A^m. Its fields
-    must be those of the decider's certificate for that pair (_certificate),
-    with no witness and no field of the other kind; a CASCADE one may add
-    index_k = 0. It is accepted exactly when (p, q) = (k, k + s) and the
-    power proof (_has_index_and_period) passes: A^k = A^{k+s},
-    A^{k-1} != A^{k-1+s} if k > 0, and A^{k+s/r} != A^k for every prime
-    r | s. By 1 the power proof alone accepts exactly that pair, so the
-    comparison changes no verdict; made before any power, it keeps a false
-    claim from raising A, perhaps untame, to a large power. The proof takes
-    A^{k+s} and A^k from one squaring ladder up to k + s, at most
-    3 floor(log2(k + s)) matrix products (2 floor(log2 s) when k = 0,
-    A^0 = I being no product), and proves each inequality by matrix-vector
-    products alone.
+    Every claim is read in three steps: derive (k, g, s) once; compare the
+    claim with the certificate the deciders build for that derivation
+    (_certificate), before any power of A; then prove it, by the power
+    proof for TAME and by the witness rule for UNTAME.
 
-    An UNTAME claim needs a witness and a known kind, and a CASCADE one
-    |det A| = 1 (a TAME one implies it through A^m = I). For an integer A
-    that is mu(0) = +-1, i.e. k = 0 and |g(0)| = 1, so no determinant is
-    computed: if mu(0) = +-1, then A q(A) = -+I for an integral q, so A^-1
-    is integral and det A det A^-1 = 1; if A^-1 is integral, each root of
-    mu is a unit algebraic integer, so mu(0), a rational integer and a
-    product of units, is +-1. Beyond that the claim is accepted exactly
-    when s is None and the witness re-derives from mu: ZERO_EIGENVALUE
-    when k > 0, NON_SQUAREFREE when the claimed g is the x-stripped part
-    and has a repeated factor, ORDER_BOUND_EXHAUSTED when it is and the
-    claimed s_max is s_max(d). This accepts exactly the claims that the
+    Whatever its verdict, a claim needs a known kind, and a CASCADE one
+    |det A| = 1. For an integer A that is mu(0) = +-1, i.e. k = 0 and
+    |g(0)| = 1, so no determinant is computed: if mu(0) = +-1, then
+    A q(A) = -+I for an integral q, so A^-1 is integral and
+    det A det A^-1 = 1; if A^-1 is integral, each root of mu is a unit
+    algebraic integer, so mu(0), a rational integer and a product of
+    units, is +-1. This one rule also keeps a TAME cascade claim off a
+    matrix with k > 0, whose built cascade shape would read s alone.
+
+    A TAME claim needs s, and it must equal the built certificate: a
+    SEMICASCADE one index_k = k, period_s = s and minimal_pair (k, k + s),
+    a CASCADE one of order m, the pair (0, m) since A^m = I is A^0 = A^m,
+    period_s = minimal_order_m = s, and it may add index_k = k = 0; no
+    witness and no field of the other kind. Then the power proof
+    (_has_index_and_period) must pass: A^k = A^{k+s}, A^{k-1} != A^{k-1+s}
+    if k > 0, and A^{k+s/r} != A^k for every prime r | s. By 1 the power
+    proof alone accepts exactly the pair (k, k + s), so the comparison
+    changes no verdict; made before any power, it keeps a false claim
+    from raising A, perhaps untame, to a large power, and no claimed field
+    sets the size of a power. The proof takes A^{k+s} and A^k from one
+    squaring ladder up to k + s, at most 3 floor(log2(k + s)) matrix
+    products (2 floor(log2 s) when k = 0, A^0 = I being no product), and
+    proves each inequality by matrix-vector products alone.
+
+    An UNTAME claim must be the UNTAME shape: a witness and none of
+    index_k, period_s, minimal_pair or minimal_order_m. Its witness may
+    carry s_max only when its reason is ORDER_BOUND_EXHAUSTED, and its
+    detail is not read. It is accepted exactly when s is None and the
+    witness re-derives from mu: ZERO_EIGENVALUE when k > 0, NON_SQUAREFREE
+    when the claimed g is the x-stripped part and has a repeated factor,
+    ORDER_BOUND_EXHAUSTED when it is and the claimed s_max is s_max(d).
+    A true witness that the deciders would not choose, such as
+    ORDER_BOUND_EXHAUSTED on a g that is not squarefree, is accepted.
+    Among claims of this shape, this accepts exactly the claims that the
     exhaustive check (oracle_semicascade reports UNTAME and the witness
     re-derives) accepts: the oracle enumerates A^0..A^{d+s_max} and
     reports UNTAME exactly when they hold no repetition, which by 2 is
@@ -714,40 +728,24 @@ def certificate_check(a: IntMatrix, cert: TamenessCertificate) -> bool:
     exactly when g = prod_{n in S} Phi_n for a set S of divisors of s, so
     the least such s is lcm S, returned when it is at most s_max.
     """
+    k, g, s = _index_and_order(min_poly(a), a.d)
+    if not (cert.kind == SEMICASCADE or cert.kind == CASCADE and k == 0 and abs(g.coeffs[0]) == 1):
+        return False
     if cert.verdict == TAME:
-        pair = _claimed_pair(cert)
-        if pair is None:
+        if s is None:
             return False
-        k, _, s = _index_and_order(min_poly(a), a.d)
-        return s is not None and pair == (k, k + s) and _has_index_and_period(a, k, s)
+        built = _certificate(cert.kind, k, g, s, a.d)
+        return cert in (built, replace(built, index_k=k)) and _has_index_and_period(a, k, s)
 
-    if cert.verdict == UNTAME:
-        if cert.witness is None or cert.kind not in (SEMICASCADE, CASCADE):
-            return False
-        k, g, s = _index_and_order(min_poly(a), a.d)
-        if s is not None or cert.kind == CASCADE and (k > 0 or abs(g.coeffs[0]) != 1):
-            return False
-        witness = cert.witness
-        if witness.reason == ZERO_EIGENVALUE:
-            return k > 0
-        if witness.stripped_min_poly != g:
-            return False
-        if witness.reason == NON_SQUAREFREE:
-            return poly_gcd(g, g.derivative()).degree != 0
-        return witness.reason == ORDER_BOUND_EXHAUSTED and witness.s_max == order_bound(a.d).s_max
-
-    return False
-
-
-def _claimed_pair(cert: TamenessCertificate) -> tuple[int, int] | None:
-    """The pair (p, q) a TAME claim states, its minimal_pair or (0, m) for
-    a cascade order m, when the claim is _certificate's for that pair, which
-    it may extend by the index p; None otherwise."""
-    if cert.kind == SEMICASCADE and cert.minimal_pair is not None:
-        p, q = cert.minimal_pair
-    elif cert.kind == CASCADE and cert.minimal_order_m is not None:
-        p, q = 0, cert.minimal_order_m
-    else:
-        return None
-    built = _certificate(cert.kind, p, None, q - p)
-    return (p, q) if cert in (built, replace(built, index_k=p)) else None
+    witness = cert.witness
+    if (witness is None or s is not None
+            or cert != TamenessCertificate(verdict=UNTAME, kind=cert.kind, witness=witness)
+            or witness.s_max is not None and witness.reason != ORDER_BOUND_EXHAUSTED):
+        return False
+    if witness.reason == ZERO_EIGENVALUE:
+        return k > 0
+    if witness.stripped_min_poly != g:
+        return False
+    if witness.reason == NON_SQUAREFREE:
+        return poly_gcd(g, g.derivative()).degree != 0
+    return witness.reason == ORDER_BOUND_EXHAUSTED and witness.s_max == order_bound(a.d).s_max

@@ -805,6 +805,12 @@ class TestCommands:
     _CASC = {"verdict": "TAME", "kind": "CASCADE", "period_s": 4, "minimal_order_m": 4}
     _WITNESS = {"reason": "ORDER_BOUND_EXHAUSTED", "stripped_min_poly": [1, -3, 1], "s_max": 6}
     _UNTAME = {"verdict": "UNTAME", "kind": "SEMICASCADE", "witness": _WITNESS}
+    _SHEAR = [[1, 1], [0, 1]]
+    _NON_SQUAREFREE = {"verdict": "UNTAME", "kind": "SEMICASCADE", "witness": {
+        "reason": "NON_SQUAREFREE", "stripped_min_poly": [1, -2, 1]}}
+    _SINGULAR = [[2, 0], [0, 0]]  # mu = x (x - 2): untame, with a zero eigenvalue
+    _ZERO_EIGENVALUE = {"verdict": "UNTAME", "kind": "SEMICASCADE", "witness": {
+        "reason": "ZERO_EIGENVALUE", "stripped_min_poly": [-2, 1]}}
 
     @pytest.mark.parametrize(
         "a, certificate, valid",
@@ -827,13 +833,23 @@ class TestCommands:
             (_CATMAP, {**_UNTAME, "kind": "GROUP"}, False),
             (_CATMAP, {"verdict": "UNTAME", "kind": "SEMICASCADE"}, False),
             (_CATMAP, {**_UNTAME, "verdict": "MAYBE"}, False),
+            (_CATMAP, {**_UNTAME, "minimal_pair": [0, 4], "index_k": 0, "period_s": 4}, False),
+            (_CATMAP, {**_UNTAME, "kind": "CASCADE", "minimal_order_m": 4}, False),
+            (_SHEAR, _NON_SQUAREFREE, True),
+            (_SHEAR, {**_NON_SQUAREFREE,
+                      "witness": {**_NON_SQUAREFREE["witness"], "s_max": 12}}, False),
+            (_SINGULAR, _ZERO_EIGENVALUE, True),
+            (_SINGULAR, {**_ZERO_EIGENVALUE,
+                         "witness": {**_ZERO_EIGENVALUE["witness"], "s_max": 6}}, False),
         ],
         ids=["semicascade", "semicascade_with_order", "semicascade_index_not_p",
              "semicascade_period_not_q_minus_p", "semicascade_with_witness",
              "cascade_index_zero", "cascade_period_not_m", "cascade_with_pair",
              "cascade_index_one", "cascade_with_witness", "tame_group", "untame_group", "untame_without_witness",
              "maybe", "catmap_untame", "catmap_untame_group", "catmap_untame_without_witness",
-             "catmap_maybe"],
+             "catmap_maybe", "catmap_untame_with_pair", "catmap_untame_cascade_with_order",
+             "shear_non_squarefree", "shear_non_squarefree_with_s_max", "zero_eigenvalue",
+             "zero_eigenvalue_with_s_max"],
     )
     def test_certify_reads_every_claim_field(self, capsys, tmp_path, a, certificate, valid):
         path = tmp_path / "claim.json"

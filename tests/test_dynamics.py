@@ -104,6 +104,13 @@ class TestOrbit:
         with pytest.raises(ValueError):
             AffineMap(IntMatrix.identity(2)).orbit([0.0, 0.0], 0)
 
+    def test_start_point_of_wrong_length_raises(self):
+        # the shape check of apply: no broadcast of [0.5] to [0.5, 0.5]
+        phi = AffineMap(IntMatrix.identity(2))
+        for x0 in ([0.5], [1, 2, 3], [[0.5, 0.5]]):
+            with pytest.raises(DimensionMismatchError, match="point of shape"):
+                phi.orbit(x0, 2)
+
     def test_equals_iterated_apply(self):
         phi = AffineMap(IntMatrix([[2, 1, 0], [1, 1, -3], [0, 5, 1]]), [0.3, 6.0, 1.5])
         orb = phi.orbit([1.0, 2.0, 4.0], 30)

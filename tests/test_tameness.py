@@ -1,5 +1,7 @@
 import math
+import operator
 import random
+from dataclasses import replace
 from itertools import permutations, product
 
 import numpy as np
@@ -638,6 +640,17 @@ class TestCertificateCheck:
             TamenessCertificate(verdict=TAME, kind=SEMICASCADE),
         ) is False
 
+    @pytest.mark.parametrize("kind", [SEMICASCADE, CASCADE])
+    @pytest.mark.parametrize("field, value", [
+        ("minimal_pair", (0, 4)), ("index_k", 0), ("period_s", 4), ("minimal_order_m", 4)])
+    def test_untame_claim_with_an_exponent_field_is_invalid(self, named, kind, field, value):
+        # the claim must be the UNTAME shape: a witness and nothing else
+        a = named["catmap"]
+        claim = TamenessCertificate(verdict=UNTAME, kind=kind,
+                                    witness=decide_semicascade(a).witness)
+        assert certificate_check(a, claim)
+        assert certificate_check(a, replace(claim, **{field: value})) is False
+
     def test_roundtrip_dict(self, named):
         for a in (named["identity"], named["rot4"], named["shear"], named["catmap"]):
             cert = decide_semicascade(a)
@@ -688,19 +701,29 @@ _CLAIM_WITNESS = UntameWitness(reason=ORDER_BOUND_EXHAUSTED, stripped_min_poly=I
                                s_max=6)
 
 
+# Named matrices with their least pair (k, k + s); the claimed minimal_pair
+# values below include each of these pairs.
+_KNOWN_PAIRS = [("rot4", (0, 4)), ("projector", (1, 2)), ("nilpotent", (2, 3)),
+                ("identity", (0, 1))]
+
+
 class TestClaimedPair:
     @settings(max_examples=400, deadline=None)
-    @given(kind=st.sampled_from([SEMICASCADE, CASCADE, "GROUP"]), index_k=_CLAIM_EXPONENTS,
+    @given(known=st.sampled_from(_KNOWN_PAIRS),
+           kind=st.sampled_from([SEMICASCADE, CASCADE, "GROUP"]), index_k=_CLAIM_EXPONENTS,
            period_s=_CLAIM_EXPONENTS, minimal_order_m=_CLAIM_EXPONENTS,
-           minimal_pair=st.sampled_from([None, (0, 4), (1, 3), (0, 2)]),
+           minimal_pair=st.sampled_from([None, (0, 4), (1, 3), (0, 2), (1, 2), (2, 3), (0, 1)]),
            witness=st.sampled_from([None, _CLAIM_WITNESS]))
-    def test_equals_the_field_rule_but_for_a_cascade_witness(self, **claim):
-        cert = TamenessCertificate(verdict=TAME, **claim)
-        pair = tametorus.tameness._claimed_pair(cert)
-        if cert.kind == CASCADE and cert.witness is not None:
-            assert pair is None
-        else:
-            assert pair == _reference_claimed_pair(cert)
+    def test_certificate_check_equals_the_field_rule_on_a_known_pair(
+            self, named, known, kind, index_k, period_s, minimal_order_m, minimal_pair, witness):
+        # a cascade needs k = 0, and its claim no witness
+        name, pair = known
+        cert = TamenessCertificate(verdict=TAME, kind=kind, index_k=index_k, period_s=period_s,
+                                   minimal_order_m=minimal_order_m, minimal_pair=minimal_pair,
+                                   witness=witness)
+        expected = _reference_claimed_pair(cert) == pair and (
+            kind != CASCADE or pair[0] == 0 and witness is None)
+        assert certificate_check(named[name], cert) is expected, (name, cert)
 
 
 def _random_unimodular(rng, d, steps=8):
@@ -1595,3 +1618,94 @@ class TestBlockFamilies:
                 order = TamenessCertificate(verdict=TAME, kind=CASCADE, period_s=s2,
                                             minimal_order_m=s2)
                 assert certificate_check(a, order) is valid, (a, s2)
+
+
+_IDENTITY_PRIME = 2 ** 61 - 1
+
+
+def _identity_powers(a, p=None):
+    """(A^d, A^{d+L}), L = lcm(order_bound(d).admissible_orders), from one
+    squaring ladder to d + L; every entry is reduced mod p unless p is None."""
+    d = a.d
+    top = d + math.lcm(*order_bound(d).admissible_orders)
+
+    def mod(v):
+        return v if p is None else v % p
+
+    def mul(x, y):
+        cols = list(zip(*y))
+        return tuple(tuple(mod(sum(map(operator.mul, row, col))) for col in cols) for row in x)
+
+    rungs = [tuple(tuple(map(mod, row)) for row in a.entries)]
+    while 1 << len(rungs) <= top:
+        rungs.append(mul(rungs[-1], rungs[-1]))
+
+    def power(n):
+        out = IntMatrix.identity(d).entries
+        for i, rung in enumerate(rungs):
+            if n >> i & 1:
+                out = mul(out, rung)
+        return out
+
+    return power(d), power(top)
+
+
+def _identity_verdict(a):
+    """TAME or UNTAME by one identity, with neither mu, its order search
+    nor s_max(d): A is tame exactly when A^d = A^{d+L(d)}, where
+    L(d) = lcm{n : phi(n) <= d}.
+
+    Lemma. Let A be tame with least pair (k, k + s). Its index k is the
+    multiplicity of x in mu, so k <= deg mu <= d. Its period s is the order
+    of x modulo the x-stripped part g of mu, a product of distinct Phi_n of
+    total degree <= d, so s is the lcm of orders n with phi(n) <= d
+    (certificate_check, point 2) and divides L(d). From A^k on the powers
+    repeat with period s (the cyclic-monoid argument), and d >= k, so
+    A^d = A^{d+L(d)}. Conversely, A^d = A^{d+L(d)} is a repetition of
+    powers, so the power semigroup is finite: A is tame.
+
+    The powers are compared first mod the prime p = 2^61 - 1. If they
+    differ mod p they differ over Z, an exact proof of UNTAME, at a cost
+    that does not depend on the size of A's entries. Otherwise they are
+    compared over Z. For a tame A every rung of the ladder is one of its
+    finitely many powers, so the entries stay bounded; an untame A whose
+    powers agree mod p (an unlucky prime, such as A = (2^61) at d = 1,
+    where 2^61 = 1 mod p) is decided over Z too, at a cost that grows with
+    ||A||^(d+L)."""
+    low, high = _identity_powers(a, _IDENTITY_PRIME)
+    if low == high:
+        low, high = _identity_powers(a)
+    return TAME if low == high else UNTAME
+
+
+class TestIdentityOracle:
+    """decide_semicascade's verdict against _identity_verdict up to
+    d = MAX_DECIDE_DIMENSION, beyond the reach of sympy's factorization."""
+
+    def test_named_and_cyclotomic_companions(self, named):
+        # rot4 at d = 2 has A^2 != A^L(2) = I; C(Phi_5) at d = 4 has period
+        # 5, which divides L(4) = 60 but not s_max(4) = 12
+        matrices = list(named.values()) + [
+            IntMatrix(_companion(_cyclotomic(n))) for n in (5, 7, 8, 9, 12, 15)]
+        matrices += [IntMatrix(_block_diag([_companion(_cyclotomic(5)), _nilpotent_block(2)]))]
+        for a in matrices:
+            assert _identity_verdict(a) == decide_semicascade(a).verdict, a
+
+    def test_unlucky_prime_is_decided_over_the_integers(self):
+        a = IntMatrix([[2 ** 61]])
+        low, high = _identity_powers(a, _IDENTITY_PRIME)
+        assert low == high
+        assert _identity_verdict(a) == UNTAME == decide_semicascade(a).verdict
+
+    @settings(max_examples=40, deadline=None)
+    @given(_block_family(4, MAX_DECIDE_DIMENSION))
+    def test_block_families(self, family):
+        a, kind, _, _ = family
+        assert _identity_verdict(a) == decide_semicascade(a).verdict == (
+            TAME if kind == TAME else UNTAME), a
+
+    @pytest.mark.parametrize("d", [17, 23, 29])
+    def test_random_matrices_with_large_entries(self, d):
+        rng = random.Random(5000 + d)
+        a = IntMatrix([[rng.randint(-2 ** 16, 2 ** 16) for _ in range(d)] for _ in range(d)])
+        assert _identity_verdict(a) == decide_semicascade(a).verdict, a
