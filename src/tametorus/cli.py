@@ -371,7 +371,12 @@ def _text_frequencies(result: dict) -> list[str]:
 
 def _result_sidon(job: JobSpec) -> dict:
     opts = job.options
-    report = extract_sidon(job.payload["stream"], opts["count"], max_scan=opts["max_scan"])
+    stream = job.payload["stream"]
+    if stream:
+        # The ratio's grid caps, checked before the extraction's signed sums,
+        # whose memory grows with the vectors' length.
+        grid_per_axis(len(stream[0]), opts["grid"])
+    report = extract_sidon(stream, opts["count"], max_scan=opts["max_scan"])
     ratio = estimate_sidon_ratio(
         report.selected, opts["trials"], opts["grid"], opts["seed"]
     )
@@ -630,7 +635,7 @@ def _read_input(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedInputError("cannot read input %r: %s" % (path, exc)) from exc
 
 

@@ -22,11 +22,10 @@ certificate: both deciders go through the two, a cascade order m being
 the pair (0, m). certificate_check derives (k, g, s) once, compares every
 claim with the builder's certificate for that derivation, and then proves
 it, by the power proof or the witness rule. The simulate probe reads
-the decision alone, with no certificate and no witness. sweep_box
-decides a whole box of matrices, one per symmetry orbit, into a verdict
-and a pair, with no certificate and no witness: it derives each decision
-once per distinct mu, while the exact power proof of a TAME decision
-runs on every orbit representative. That proof builds one squaring
+the decision alone, with no certificate and no witness, and so does
+sweep_box, which decides a whole box of matrices through _decided, once
+per symmetry orbit, into a verdict and a pair: every TAME orbit
+representative runs the exact power proof. That proof builds one squaring
 ladder A, A^2, A^4, ..., up to k + s, compares A^{k+s} with A^k, both
 products of its rungs (A^0 = I the empty one), and proves its
 inequalities by matrix-vector products through them, so it costs
@@ -373,19 +372,13 @@ def _untame_witness(g: IntPoly, d: int) -> UntameWitness:
     )
 
 
-def _prove(a: IntMatrix, k: int, q: int) -> None:
-    """Run the power proof of the least pair (k, q), index k and period
-    s = q - k, on A; its failure is a defect of the derivation, never of A."""
-    if not _has_index_and_period(a, k, q - k):
-        raise AssertionError("internal error: power proof of (%d, %d) failed on %r" % (k, q, a))
-
-
 def _decided(a: IntMatrix) -> tuple[int, IntPoly, int | None]:
     """_index_and_order of A's minimal polynomial, (k, g, s); a TAME
-    decision (s not None) has passed the power proof of its pair (k, k + s)."""
+    decision (s not None) has passed the power proof of its pair (k, k + s),
+    whose failure is a defect of the derivation, never of A."""
     k, g, s = _index_and_order(min_poly(a), a.d)
-    if s is not None:
-        _prove(a, k, k + s)
+    if s is not None and not _has_index_and_period(a, k, s):
+        raise AssertionError("internal error: power proof of (%d, %d) failed on %r" % (k, k + s, a))
     return k, g, s
 
 
@@ -576,9 +569,9 @@ def sweep_box(d: int, lo: int, hi: int) -> tuple[array, list[tuple]]:
     the first member of an orbit that it meets is the orbit's
     lexicographic minimum: that member is the representative. Each box
     index (its position in the walk) gets its class number in an
-    array('i'), 4 bytes per matrix. Each representative gets its own exact
-    mu, and its decision is derived once per distinct mu in the call;
-    the oracle runs on the representatives in chunks of _SWEEP_CHUNK.
+    array('i'), 4 bytes per matrix. Each representative is decided on its
+    own by _decided, the derivation and power proof of decide_semicascade,
+    and the oracle runs on the representatives in chunks of _SWEEP_CHUNK.
     """
     width = hi - lo + 1
     size = d * d
@@ -591,22 +584,14 @@ def sweep_box(d: int, lo: int, hi: int) -> tuple[array, list[tuple]]:
                 classes[sum(map(operator.mul, digits, w))] = len(representatives)
             representatives.append(digits)
 
-    # The memo holds the decided (verdict, pair), not the derivation: one tuple
-    # per distinct mu, shared by its outcomes, keeping no x-stripped g alive.
-    by_mu: dict[IntPoly, tuple] = {}
     outcomes = []
     for start in range(0, len(representatives), _SWEEP_CHUNK):
-        chunk = [IntMatrix([[lo + x for x in digits[i * d : (i + 1) * d]] for i in range(d)])
+        chunk = [IntMatrix._trusted(tuple(tuple([lo + x for x in digits[i * d : (i + 1) * d]])
+                                          for i in range(d)))
                  for digits in representatives[start : start + _SWEEP_CHUNK]]
         for a, oracle in zip(chunk, oracle_semicascade_batch(chunk)):
-            mu = min_poly(a)
-            if mu not in by_mu:
-                k, _, s = _index_and_order(mu, d)
-                by_mu[mu] = (UNTAME, None) if s is None else (TAME, (k, k + s))
-            decided = by_mu[mu]
-            if decided[1]:
-                _prove(a, *decided[1])
-            outcomes.append((decided, oracle))
+            k, _, s = _decided(a)
+            outcomes.append(((UNTAME, None) if s is None else (TAME, (k, k + s)), oracle))
     return classes, outcomes
 
 

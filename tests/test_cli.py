@@ -650,6 +650,22 @@ class TestMainExitCodes:
         code, out = run_cli(["semicascade", "--input", "/does/not/exist.json"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("command, data", [
+        ("semicascade", b'{"d":1,"A":[[1]]}\xff'),
+        ("sidon", b"1 2\n\xff 3\n"),
+    ])
+    def test_file_that_is_not_utf8_is_2(self, capsys, tmp_path, command, data):
+        # the same bytes on stdin are read with surrogate escapes and fail to parse
+        path = tmp_path / "job"
+        path.write_bytes(data)
+        code = main([command, "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        error = json.loads(captured.out)["result"]["error"]
+        assert error["code"] == "MALFORMED"
+        assert error["message"].startswith("cannot read input %r: 'utf-8' codec" % str(path))
+        assert captured.err == ""
+
     def test_process_level_exit_codes(self, tmp_path):
         # one real subprocess round to pin the installed entry point behavior
         path = tmp_path / "job.json"
@@ -756,6 +772,32 @@ class TestCommands:
         code, out = run_cli(["sidon", "--input", str(path), "--iters", "4"], capsys)
         assert code == 4
         assert json.loads(out)["result"]["error"]["code"] == "CAP_EXCEEDED"
+
+    def test_sidon_stream_too_wide_for_the_grid_is_4_before_the_extraction(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import tametorus.sidon
+
+        checks = []
+        real_check = tametorus.sidon.verify_quasi_independence
+
+        def counting_check(vectors):
+            checks.append(vectors)
+            return real_check(vectors)
+
+        monkeypatch.setattr(tametorus.sidon, "verify_quasi_independence", counting_check)
+        width = 60_000
+        path = tmp_path / "stream.txt"
+        # enough vectors under the norm-growth rule, and then a stream too short
+        for lines in (4, 1):
+            path.write_text("".join(("%d " % 2 ** k) * width + "\n" for k in range(lines)))
+            code, out = run_cli(["sidon", "--input", str(path), "--iters", "4"], capsys)
+            assert code == 4
+            assert json.loads(out)["result"]["error"] == {
+                "code": "CAP_EXCEEDED",
+                "message": "grid of dimension %d exceeds the cap of 32" % width,
+            }
+        assert checks == []
 
     def test_sweep_small(self, capsys):
         code, out = run_cli(["sweep", "--range=-1..1", "--format", "json"], capsys)

@@ -365,35 +365,28 @@ class TestSweepBox:
         monkeypatch.setattr(tametorus.tameness, name, counting)
         return calls
 
-    def test_memo_on_min_poly_keeps_the_power_proof_per_representative(self, monkeypatch):
-        # all 625 2x2 matrices over {-2..2}, 225 orbit representatives
+    def test_decides_each_representative_with_its_power_proof(self, monkeypatch):
+        # all 625 2x2 matrices over {-2..2}, 225 orbit representatives; fewer
+        # distinct mu, yet each representative is decided on its own
         representatives = _representatives(2, -2, 2)
         assert len(representatives) == 225
-        distinct_mu = len({min_poly(a) for a in representatives})
+        assert len({min_poly(a) for a in representatives}) < len(representatives)
         expected = [decide_semicascade(a) for a in representatives]
         proofs = self._count(monkeypatch, "_has_index_and_period")
         orders = self._count(monkeypatch, "order_of_x_mod")
         swept = _swept(2, -2, 2)
         assert len(swept) == 625
-        assert len(orders) == distinct_mu < len(representatives)
+        assert len(orders) == len(representatives)
         tame = [(a, cert.index_k, cert.period_s)
                 for a, cert in zip(representatives, expected) if cert.verdict == TAME]
         assert proofs == tame
         by_rows = {rows: decided for rows, decided, _ in swept}
         assert [by_rows[a.entries] for a in representatives] == [
             (cert.verdict, cert.minimal_pair) for cert in expected]
-
-    def test_second_call_starts_with_an_empty_memo(self, monkeypatch):
-        # {-1, 0, 1}^4 has 36 orbits, 19 distinct mu among their representatives
-        representatives = _representatives(2, -1, 1)
-        assert len(representatives) == 36
-        distinct_mu = len({min_poly(a) for a in representatives})
-        assert distinct_mu == 19
-        orders = self._count(monkeypatch, "order_of_x_mod")
-        first = _swept(2, -1, 1)
-        assert len(orders) == distinct_mu
-        assert _swept(2, -1, 1) == first
-        assert len(orders) == 2 * distinct_mu
+        # a second call decides and proves every representative again, alike
+        assert _swept(2, -2, 2) == swept
+        assert len(orders) == 2 * len(representatives)
+        assert proofs == tame * 2
 
     @pytest.mark.parametrize("d, lo, hi", [(2, 117, 118), (3, 10 ** 9, 10 ** 9 + 1)])
     def test_boxes_beyond_the_int64_bound_match_per_matrix_decisions(self, d, lo, hi):
@@ -1709,3 +1702,25 @@ class TestIdentityOracle:
         rng = random.Random(5000 + d)
         a = IntMatrix([[rng.randint(-2 ** 16, 2 ** 16) for _ in range(d)] for _ in range(d)])
         assert _identity_verdict(a) == decide_semicascade(a).verdict, a
+
+    @pytest.mark.parametrize("d", [5, 9, 13])
+    def test_random_matrices_with_64_bit_entries(self, d):
+        rng = random.Random(6400 + d)
+        a = IntMatrix([[rng.randint(-2 ** 64, 2 ** 64) for _ in range(d)] for _ in range(d)])
+        assert _identity_verdict(a) == decide_semicascade(a).verdict, a
+
+    @pytest.mark.parametrize("d, lo, hi, orbits, tame",
+                             [(3, -1, 1, 1950, 503), (4, 0, 1, 1740, 147)])
+    def test_every_orbit_representative_of_a_box(self, d, lo, hi, orbits, tame):
+        # Both verdicts are the same on a whole symmetry orbit (sweep_box's
+        # lemma), so the representatives cover the box. sweep_box numbers the
+        # orbits in walk order: the first matrix of each class number is the
+        # representative of its orbit.
+        classes, _ = sweep_box(d, lo, hi)
+        representatives = []
+        for combo, c in zip(product(range(lo, hi + 1), repeat=d * d), classes, strict=True):
+            if c == len(representatives):
+                representatives.append(IntMatrix([combo[i * d : (i + 1) * d] for i in range(d)]))
+        verdicts = [_identity_verdict(a) for a in representatives]
+        assert verdicts == [decide_semicascade(a).verdict for a in representatives]
+        assert (len(verdicts), verdicts.count(TAME)) == (orbits, tame)
