@@ -6,7 +6,8 @@ sweep. Each is one entry of the _COMMANDS table: its help text, its
 flags, the function that runs a job into a result and the function that
 renders that result as text. Exit codes: 0 success, 2 input error,
 3 precondition error, 4 documented cap exceeded: _DIMENSION_CAPS,
-MAX_SWEEP_ENTRIES, MAX_SIMULATE_ITERS (simulate and frequencies --iters),
+MAX_SWEEP_ENTRIES, MAX_SWEEP_ENTRY_BITS (the bit length of a sweep
+--range bound), MAX_SIMULATE_ITERS (simulate and frequencies --iters),
 MAX_SIMULATE_WORK, dynamics' grid caps, CPython's int-to-str digit limit
 for a report integer, and double range for a simulate or sidon entry,
 orbit point, probe image or phase.
@@ -71,6 +72,17 @@ __all__ = ["JobSpec", "Report", "parse_input", "run", "emit", "parse_report", "m
 TOOL_NAME = "tametorus"
 
 MAX_SWEEP_ENTRIES = 1_000_000
+# Largest bit length of a sweep --range bound. A sweep's time and memory
+# grow with the size of its entries as well as with their number. At 64
+# bits the d = 1 box of 10^6 values and the d = 2 box of 31 values take at
+# most 1.3x the time and 1.15x the peak RSS of the same boxes with small
+# entries, in text and json; at 128 bits the d = 2 json sweep takes 1.76x
+# the RSS (1.4 GB). A d = 4 box of two values leaves the batch oracle's
+# int64 path within a few bits, so its RSS is 1.3x at 8 bits already and
+# 1.8x at 64 (60 MB in text), and its time 1.6x at 64 bits and 2.2x at 128.
+# 32 bits would not admit 2^32, the smallest value past the int64 guard at
+# d = 1. One CLI process per run on a 2-vCPU Xeon (BENCH_31.json).
+MAX_SWEEP_ENTRY_BITS = 64
 
 # Largest d that semicascade, cascade and certify accept. At d = 32 the
 # slowest measured family, a dense random matrix with entries in +-2^16,
@@ -462,6 +474,11 @@ def _result_sweep(job: JobSpec) -> dict:
     if total > MAX_SWEEP_ENTRIES:
         raise CapExceededError(
             "sweep of %d matrices exceeds the cap of %d" % (total, MAX_SWEEP_ENTRIES)
+        )
+    bits = max(abs(lo), abs(hi)).bit_length()
+    if bits > MAX_SWEEP_ENTRY_BITS:
+        raise CapExceededError(
+            "sweep range bound of %d bits exceeds the cap of %d bits" % (bits, MAX_SWEEP_ENTRY_BITS)
         )
     classes, outcomes = sweep_box(d, lo, hi)
     sizes = Counter(classes)

@@ -59,10 +59,6 @@ class IntMatrix:
     def identity(cls, d: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(d)] for i in range(d)])
 
-    @classmethod
-    def zero(cls, d: int) -> "IntMatrix":
-        return cls([[0] * d for _ in range(d)])
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.entries)))
 
@@ -165,10 +161,6 @@ class IntPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def zero(cls) -> "IntPoly":
-        return cls([])
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -191,8 +183,6 @@ class IntPoly:
     def __mul__(self, other):
         if not isinstance(other, IntPoly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return IntPoly.zero()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -319,38 +309,39 @@ def _first_dependency(vectors, n: int) -> IntPoly:
     """The monic c of least degree with c_0 u_0 + ... + c_k u_k = 0, where
     u_0, u_1, ... are the first vectors of an iterable of integer vectors.
 
-    Each new vector is reduced against the stored independent ones by
-    fraction-free elimination (Bareiss 1968): cross-multiply by the stored
-    pivot, carry the same combination of the u_i along, and divide the
-    reduced vector and its combination by their common gcd, so everything
-    stays in integers. The first vector that reduces to zero gives a
+    Each u_k enters as one augmented row: u_k, then its combination e_k of
+    u_0, ..., u_{n-1}. The row is reduced against the stored rows by
+    fraction-free elimination (Bareiss 1968): cross-multiply by a stored
+    row's pivot, so the vector part and the combination part change as one
+    list and everything stays in integers. The pivot is the row's first
+    nonzero entry. The combination part is never zero, since its entry k
+    is a product of nonzero pivots, so the pivot falls in the combination
+    part exactly when the vector part has reduced to zero. That row gives a
     relation with c_k != 0, and dividing by c_k makes it monic. The callers
     pass sequences whose least relation is a monic integer polynomial, so
-    that division is exact; a remainder raises ArithmeticError. The first n
-    vectors must be dependent.
+    that division is exact; a remainder raises ArithmeticError. Any other
+    row is divided by its content and stored with its pivot, which lies in
+    the vector part. The first n vectors must be dependent.
     """
-    # (pivot index, reduced u_i, its combination of u_0, ..., u_{n-1})
-    rows: list[tuple[int, list[int], list[int]]] = []
+    rows: list[tuple[int, list[int]]] = []  # (pivot index, reduced augmented row)
     for k, vec in zip(range(n), vectors):
-        comb = [0] * n
-        comb[k] = 1
-        for pivot, rvec, rcomb in rows:
-            c = vec[pivot]
+        m = len(vec)
+        row = [*vec, *[0] * k, 1, *[0] * (n - k - 1)]
+        for pivot, stored in rows:
+            c = row[pivot]
             if c:
-                p = rvec[pivot]
-                vec = [p * x - c * y for x, y in zip(vec, rvec)]
-                comb = [p * x - c * y for x, y in zip(comb, rcomb)]
-        if not any(vec):
-            lead = comb[k]
+                p = stored[pivot]
+                row = [p * x - c * y for x, y in zip(row, stored)]
+        pivot = next(i for i, x in enumerate(row) if x)
+        if pivot >= m:
+            comb, lead = row[m:], row[m + k]
             if any(c % lead for c in comb):
                 raise ArithmeticError(
                     "dependency %s is not a multiple of a monic integer polynomial" % (comb,)
                 )
             return IntPoly([c // lead for c in comb])
-        content = math.gcd(*vec, *comb)
-        vec = [x // content for x in vec]
-        comb = [x // content for x in comb]
-        rows.append((next(i for i, x in enumerate(vec) if x), vec, comb))
+        content = math.gcd(*row)
+        rows.append((pivot, [x // content for x in row]))
     raise ArithmeticError("no dependency among the first %d vectors" % n)
 
 

@@ -514,10 +514,14 @@ def oracle_semicascade_batch(matrices: Sequence[IntMatrix]) -> list:
     return answers
 
 
-# Representatives per oracle_semicascade_batch call in sweep_box; at d = 4
-# their int64 powers take (4 + s_max(4) + 1) * 1024 * 16 * 8 bytes, about 2.2 MB,
-# and those beyond the int64 bound, of Python ints, at most about 16 MB with
-# entries near 10^6.
+# Representatives per oracle_semicascade_batch call in sweep_box. At d = 4
+# their int64 powers take (4 + s_max(4) + 1) * 1024 * 16 * 8 bytes, about
+# 2.2 MB. Those beyond the int64 bound are Python ints: entries of at most
+# b bits give ||A|| < 2^(b + 2), so A^q's entries stay below 2^((b + 2) q),
+# and a chunk's 17 powers hold about 136 (b + 2) bits per entry position,
+# linear in b. With entries near 2^64, the sweep command's entry-bit cap,
+# a chunk's oracle call peaked at 28 MB under tracemalloc (18.5 MB near
+# 2^30); a library call beyond the cap grows with b, to 290 MB at 10^300.
 _SWEEP_CHUNK = 1024
 
 

@@ -12,6 +12,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import tametorus.cli
 import tametorus.tameness
@@ -22,6 +24,7 @@ from tametorus.cli import (
     MAX_SIMULATE_WORK,
     MAX_SWEEP_DIMENSION,
     MAX_SWEEP_ENTRIES,
+    MAX_SWEEP_ENTRY_BITS,
     JobSpec,
     Report,
     emit,
@@ -315,6 +318,46 @@ class TestMainExitCodes:
         exact = json.loads(out)["result"]["exact"]
         assert exact["untame_count"] == 1 and exact["all_agree"] is True
         assert exact["entries"][0]["oracle_verdict"] == "UNTAME"
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(d=st.integers(1, MAX_SWEEP_DIMENSION),
+           magnitude=st.integers(2 ** MAX_SWEEP_ENTRY_BITS, 2 ** (MAX_SWEEP_ENTRY_BITS + 1) - 1),
+           negative=st.booleans(), width=st.integers(1, 2))
+    def test_sweep_bound_beyond_bit_cap_is_4_before_any_work(self, capsys, tmp_path, monkeypatch,
+                                                             d, magnitude, negative, width):
+        def no_work(*args):
+            raise AssertionError("a sweep beyond the entry-bit cap did work")
+
+        monkeypatch.setattr(tametorus.cli, "sweep_box", no_work)
+        if negative:
+            lo, hi = -magnitude, -magnitude + width - 1
+        else:
+            lo, hi = magnitude - width + 1, magnitude
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"d": d}))
+        start = time.perf_counter()
+        code, out = run_cli(["sweep", "--range=%d..%d" % (lo, hi), "--input", str(path)], capsys)
+        assert time.perf_counter() - start < 0.5
+        assert code == 4
+        assert json.loads(out)["result"]["error"] == {
+            "code": "CAP_EXCEEDED",
+            "message": "sweep range bound of %d bits exceeds the cap of %d bits"
+            % (MAX_SWEEP_ENTRY_BITS + 1, MAX_SWEEP_ENTRY_BITS)}
+
+    @pytest.mark.parametrize("d, lo, hi", [
+        (1, 2 ** MAX_SWEEP_ENTRY_BITS - 1, 2 ** MAX_SWEEP_ENTRY_BITS - 1),
+        (2, 1 - 2 ** MAX_SWEEP_ENTRY_BITS, 2 - 2 ** MAX_SWEEP_ENTRY_BITS),
+        (MAX_SWEEP_DIMENSION, 2 ** MAX_SWEEP_ENTRY_BITS - 1, 2 ** MAX_SWEEP_ENTRY_BITS - 1),
+    ])
+    def test_sweep_bound_of_exactly_the_bit_cap_runs(self, capsys, tmp_path, d, lo, hi):
+        assert max(abs(lo), abs(hi)).bit_length() == MAX_SWEEP_ENTRY_BITS
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"d": d}))
+        code, out = run_cli(["sweep", "--range=%d..%d" % (lo, hi), "--input", str(path)], capsys)
+        assert code == 0
+        exact = json.loads(out)["result"]["exact"]
+        assert exact["total"] == (hi - lo + 1) ** (d * d) and exact["all_agree"] is True
 
     def test_closed_stdout_exits_1(self, capsys, monkeypatch):
         read_end, write_end = os.pipe()

@@ -4,7 +4,7 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tametorus import (
@@ -41,7 +41,7 @@ def _char_poly(a):
     """
     d = a.d
     coeffs = [0] * d + [1]
-    m = IntMatrix.zero(d)
+    m = IntMatrix([[0] * d] * d)
     for k in range(1, d + 1):
         m = mat_mul(a, m)
         ck = coeffs[d - k + 1]
@@ -83,7 +83,7 @@ class TestIntMatrix:
             IntMatrix([[1, 2], [3]])
 
     def test_pow_zero_is_identity(self):
-        for a in (IntMatrix([[2, 1], [1, 1]]), IntMatrix.zero(3), IntMatrix([[5]])):
+        for a in (IntMatrix([[2, 1], [1, 1]]), IntMatrix([[0] * 3] * 3), IntMatrix([[5]])):
             assert mat_pow(a, 0) == IntMatrix.identity(a.d)
 
     def test_pow_shear(self):
@@ -179,7 +179,7 @@ class TestRatPoly:
         f = IntPoly([1, 1])
         assert f * f == IntPoly([1, 2, 1])
         assert f * IntPoly([-1, 0, 2]) == IntPoly([-1, -1, 2, 2])
-        assert f * IntPoly.zero() == IntPoly.zero()
+        assert f * IntPoly([]) == IntPoly([]) * f == IntPoly([]) * IntPoly([]) == IntPoly([])
 
     def test_str(self):
         assert str(IntPoly([1, -3, 1])) == "x^2 - 3*x + 1"
@@ -196,11 +196,11 @@ class TestRatPoly:
 class TestPolyDivGcd:
     def test_divmod_exact(self):
         q, r = poly_divmod(IntPoly([-1, 0, 1]), IntPoly([-1, 1]))
-        assert (q, r) == (IntPoly([1, 1]), IntPoly.zero())
+        assert (q, r) == (IntPoly([1, 1]), IntPoly([]))
 
     def test_divmod_x3_by_x2(self):
         q, r = poly_divmod(IntPoly([0, 0, 0, 1]), IntPoly([0, 0, 1]))
-        assert (q, r) == (IntPoly([0, 1]), IntPoly.zero())
+        assert (q, r) == (IntPoly([0, 1]), IntPoly([]))
 
     def test_divmod_with_remainder(self):
         q, r = poly_divmod(IntPoly([1, 0, 0, 1]), IntPoly([1, 0, 1]))
@@ -208,7 +208,7 @@ class TestPolyDivGcd:
 
     def test_divmod_zero_divisor(self):
         with pytest.raises(ZeroDivisionError):
-            poly_divmod(IntPoly([1]), IntPoly.zero())
+            poly_divmod(IntPoly([1]), IntPoly([]))
 
     def test_divmod_rejects_non_monic_divisor(self):
         with pytest.raises(ValueError):
@@ -227,11 +227,11 @@ class TestPolyDivGcd:
     def test_gcd_is_primitive_with_positive_leading_coefficient(self):
         # gcd(-6x^2 + 6, 4x + 4) = x + 1 over Q, whatever the contents and signs
         assert poly_gcd(IntPoly([6, 0, -6]), IntPoly([4, 4])) == IntPoly([1, 1])
-        assert poly_gcd(IntPoly.zero(), IntPoly([-4, -6])) == IntPoly([2, 3])
+        assert poly_gcd(IntPoly([]), IntPoly([-4, -6])) == IntPoly([2, 3])
 
     def test_gcd_both_zero(self):
         with pytest.raises(ValueError):
-            poly_gcd(IntPoly.zero(), IntPoly.zero())
+            poly_gcd(IntPoly([]), IntPoly([]))
 
     def test_gcd_against_bruteforce_divisors(self):
         # all degree <= 2 candidates over a fixed small coefficient set
@@ -265,7 +265,7 @@ class TestStripXFactor:
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            strip_x_factor(IntPoly.zero())
+            strip_x_factor(IntPoly([]))
 
 
 class TestCharPoly:
@@ -291,7 +291,7 @@ class TestCharPoly:
     @settings(max_examples=40)
     @given(square_matrices(max_d=3))
     def test_cayley_hamilton(self, a):
-        assert _eval_at_matrix(_char_poly(a), a) == IntMatrix.zero(a.d)
+        assert _eval_at_matrix(_char_poly(a), a) == IntMatrix([[0] * a.d] * a.d)
 
 
 class TestMinPoly:
@@ -321,7 +321,7 @@ class TestMinPoly:
     @settings(max_examples=60)
     @given(square_matrices())
     def test_annihilates_matrix(self, a):
-        assert _eval_at_matrix(min_poly(a), a) == IntMatrix.zero(a.d)
+        assert _eval_at_matrix(min_poly(a), a) == IntMatrix([[0] * a.d] * a.d)
 
     @settings(max_examples=30)
     @given(square_matrices(max_d=3))
@@ -539,6 +539,49 @@ class TestMinPolyPaths:
         products = _count_mat_mul(monkeypatch)
         assert min_poly(IntMatrix(entries)) == IntPoly(mu)
         assert products == []
+
+
+_ENTRIES = st.integers(-9, 9) | st.integers(-2 ** 64, 2 ** 64)
+
+
+class TestFirstDependency:
+    """_first_dependency on planted relations: k independent integer vectors
+    u_0, ..., u_{k-1}, then u_k = -(c_0 u_0 + ... + c_{k-1} u_{k-1}). The
+    least relation among them is x^k + c_{k-1} x^(k-1) + ... + c_0: a relation
+    of lower degree would make the first k vectors dependent, and two monic
+    relations of degree k would differ by one of lower degree."""
+
+    @pytest.mark.parametrize("longer", [False, True],
+                             ids=["vectors-shorter-than-n", "vectors-longer-than-n"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_returns_the_planted_relation(self, longer, data):
+        k = data.draw(st.integers(0, 5), label="k")
+        if longer:
+            n = data.draw(st.integers(k + 1, k + 3), label="n")
+            m = data.draw(st.integers(max(k, n + 1), n + 3), label="vector length")
+        else:
+            m = data.draw(st.integers(max(k, 1), k + 2), label="vector length")
+            n = data.draw(st.integers(m + 1, m + 3), label="n")
+        vectors = [tuple(data.draw(st.lists(_ENTRIES, min_size=m, max_size=m)))
+                   for _ in range(k)]
+        assume(_rectangular_rank(vectors) == k)
+        c = data.draw(st.lists(_ENTRIES, min_size=k, max_size=k), label="c")
+        planted = tuple(-sum(ci * u[j] for ci, u in zip(c, vectors)) for j in range(m))
+        junk = tuple(range(m))
+        stream = iter([*vectors, planted, junk])
+        assert _first_dependency(stream, n) == IntPoly([*c, 1])
+        # the relation ends the search: the vector after u_k is never read
+        assert next(stream) == junk
+
+    def test_a_relation_that_is_not_monic_over_the_integers_raises(self):
+        # 2 u_1 = u_0: the least relation is x - 1/2, not integral
+        with pytest.raises(ArithmeticError, match="not a multiple"):
+            _first_dependency(iter([(2, 4), (1, 2)]), 3)
+
+    def test_independent_first_n_vectors_raise(self):
+        with pytest.raises(ArithmeticError, match="no dependency"):
+            _first_dependency(iter([(1, 0), (0, 1), (1, 1)]), 2)
 
 
 def _count_mat_mul(monkeypatch):

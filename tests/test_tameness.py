@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+from array import array
 from dataclasses import replace
 from itertools import permutations, product
 
@@ -182,7 +183,7 @@ class TestOrderOfXMod:
 
     def test_zero_poly_rejected(self):
         with pytest.raises(ValueError):
-            order_of_x_mod(IntPoly.zero(), 6)
+            order_of_x_mod(IntPoly([]), 6)
 
     def test_non_integral_poly_has_no_order(self):
         # 2x + 1 ~ x + 1/2 divides no x^s - 1: a monic divisor would be
@@ -296,7 +297,7 @@ class TestDecideSemicascade:
         assert cert.minimal_pair == (1, 2)
 
     def test_zero_matrix(self):
-        cert = decide_semicascade(IntMatrix.zero(2))
+        cert = decide_semicascade(IntMatrix([[0] * 2] * 2))
         assert cert.minimal_pair == (1, 2)
 
     def test_d1_scalars(self):
@@ -423,6 +424,90 @@ class TestSweepBox:
             sweep_box(2, -1, 1)
         # The proof runs on TAME decisions only: x - 2 and x - 3 have no order.
         assert sweep_box(1, 2, 3)[1] == [((UNTAME, None), (UNTAME, None))] * 2
+
+
+def _signed_image_maps(d, width):
+    """(offsets, weights) for the maps A -> Q A Q^T and A -> (Q A Q^T)^T,
+    Q = D P a signed permutation matrix (P a permutation matrix,
+    D = diag(+-1)), one row per map: the box index of A's image is
+    offsets + weights @ x for A's row-major digits x = a - lo, in a box
+    lo..hi with lo = -hi. (Q A Q^T)_ij = s_i s_j a_{pi(i) pi(j)}, and the
+    negated entry -a = lo + (width - 1 - x) has digit width - 1 - x.
+    D and -D give the same map, so there are 2 * d! * 2^(d-1) of them."""
+    size = d * d
+    places = [width ** (size - 1 - k) for k in range(size)]
+    maps = set()
+    for pi in permutations(range(d)):
+        for signs in product((1, -1), repeat=d):
+            for transposed in (False, True):
+                offset, weights = 0, [0] * size
+                for i, j in product(range(d), repeat=2):
+                    place = places[j * d + i if transposed else i * d + j]
+                    if signs[i] == signs[j]:
+                        weights[pi[i] * d + pi[j]] = place
+                    else:
+                        weights[pi[i] * d + pi[j]] = -place
+                        offset += (width - 1) * place
+                maps.add((offset, *weights))
+    assert len(maps) == 2 * math.factorial(d) * 2 ** (d - 1)
+    table = np.array(sorted(maps), dtype=np.int64)
+    return table[:, 0], table[:, 1:]
+
+
+class TestSignedPermutationBox:
+    """The d = 3 {-2..2} box, 5^9 = 1,953,125 matrices, beyond the sweep cap,
+    walked under the signed permutations as sweep_box walks a box under the
+    permutations.
+
+    Lemma. For a signed permutation matrix Q, Q^T = Q^-1, so
+    (Q A Q^T)^n = Q A^n Q^T, and (A^T)^n = (A^n)^T, for every n >= 0. Both
+    images are injective, so A^p = A^q exactly when B^p = B^q for an image B:
+    the verdict and least pair, and the oracle's answer, are the same on a
+    whole orbit. The maps only permute and negate entries, so they keep a box
+    with lo = -hi."""
+
+    def test_every_representative_against_the_oracle(self):
+        d, lo, hi = 3, -2, 2
+        width, size = hi - lo + 1, d * d
+        places = [width ** (size - 1 - k) for k in range(size)]
+        offsets, weights = _signed_image_maps(d, width)
+        classes = array("i", [-1]) * width ** size
+        representatives, sizes = [], []
+        index = 0
+        while True:
+            # the next matrix, in product order, that no orbit has reached
+            try:
+                index = classes.index(-1, index)
+            except ValueError:
+                break
+            digits = [index // place % width for place in places]
+            orbit = set((offsets + weights @ digits).tolist())
+            for image in orbit:
+                classes[image] = len(representatives)
+            representatives.append(IntMatrix([[lo + x for x in digits[i * d : (i + 1) * d]]
+                                              for i in range(d)]))
+            sizes.append(len(orbit))
+        # A walk whose maps were no group would give some matrix two orbits,
+        # and the sizes would then sum to more than the box.
+        assert sum(sizes) == width ** size
+        decided = []
+        for a in representatives:
+            k, _, s = tametorus.tameness._decided(a)
+            decided.append((UNTAME, None) if s is None else (TAME, (k, k + s)))
+        oracle = []
+        for start in range(0, len(representatives), 2048):
+            oracle += oracle_semicascade_batch(representatives[start : start + 2048])
+        assert decided == oracle
+        assert len(representatives) == 44575
+        assert sum(verdict == TAME for verdict, _ in decided) == 1139
+        # members of an orbit, each decided on its own, take its outcome
+        rng = random.Random(3225)
+        for index in rng.sample(range(width ** size), 400):
+            digits = [index // place % width for place in places]
+            a = IntMatrix([[lo + x for x in digits[i * d : (i + 1) * d]] for i in range(d)])
+            if a != representatives[classes[index]]:
+                cert = decide_semicascade(a)
+                assert (cert.verdict, cert.minimal_pair) == decided[classes[index]], a
 
 
 class TestDecideCascade:
