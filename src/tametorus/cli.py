@@ -6,11 +6,14 @@ sweep. Each is one entry of the _COMMANDS table: its help text, its
 flags, the function that runs a job into a result and the function that
 renders that result as text. Exit codes: 0 success, 2 input error,
 3 precondition error, 4 documented cap exceeded: _DIMENSION_CAPS,
-MAX_SWEEP_ENTRIES, MAX_SWEEP_ENTRY_BITS (the bit length of a sweep
---range bound), MAX_SIMULATE_ITERS (simulate and frequencies --iters),
-MAX_SIMULATE_WORK, dynamics' grid caps, CPython's int-to-str digit limit
-for a report integer, and double range for a simulate or sidon entry,
-orbit point, probe image or phase.
+MAX_DECIDE_ENTRY_WORK (the bit length of A's largest entry times d^4, for
+the commands that decide), MAX_SWEEP_ENTRIES, MAX_SWEEP_ENTRY_BITS (the
+bit length of a sweep --range bound), MAX_SIMULATE_ITERS (simulate and
+frequencies --iters), MAX_SIMULATE_WORK, dynamics' grid caps, CPython's
+int-to-str digit limit for a report integer, and double range for a
+simulate or sidon entry, orbit point, probe image or phase. Each cap is
+checked before the work it bounds; a sidon stream's grid caps after its
+first vector is parsed and before the rest of the stream is.
 Verdicts are report data, never exit codes.
 Matrix jobs are described by JSON: {"d": int, "A": [[int]], "b": [...]}
 where translation entries are either decimal angles or rational
@@ -90,6 +93,17 @@ MAX_SWEEP_ENTRY_BITS = 64
 # +-2 or an eigenvector start vector (BENCH_17.json). That cost grows
 # with the entry size, which no cap bounds, so d is held at 32.
 MAX_DECIDE_DIMENSION = 32
+# Largest (bit length of the largest |entry|) * d^4 of a semicascade,
+# cascade, certify or simulate job. Deciding a dense random matrix costs
+# about d^7.5 * bits^2 once its entries pass a few dozen bits, so at the
+# cap the cost falls slowly with d, and the slowest admitted job sits at the
+# smallest d whose cap a JSON integer can reach. At the cap, with one entry
+# exactly 2^bits - 1, semicascade took 5.6 s of CLI wall time at d = 32
+# (32 bits), 5.3 s at d = 24 (101 bits), 6.7 s at d = 16 (512 bits) and
+# 8.5 s at d = 8 (8,192 bits) and d = 7 (13,975 bits), on a 2-vCPU Xeon
+# (BENCH_32.json). Below d = 7 the cap passes 14,000 bits, and CPython's
+# 4300-digit limit on a JSON integer binds first.
+MAX_DECIDE_ENTRY_WORK = 2 ** 25
 # Largest d for which a sweep box of two values per entry, 2^(d*d)
 # matrices, fits MAX_SWEEP_ENTRIES. Beyond it only a one-value box fits,
 # and semicascade answers that single matrix. The cap also bounds the
@@ -213,7 +227,8 @@ def parse_input(text: str, command: str = "semicascade", options: dict | None = 
     DimensionInputError when A is not d x d or vectors have the wrong
     length, NonIntegerInputError when matrix entries are not integers,
     and CapExceededError when a semicascade, cascade, certify or simulate
-    job has d > MAX_DECIDE_DIMENSION or a sweep job d > MAX_SWEEP_DIMENSION.
+    job has d > MAX_DECIDE_DIMENSION or an entry of more than
+    MAX_DECIDE_ENTRY_WORK // d^4 bits, or a sweep job d > MAX_SWEEP_DIMENSION.
     """
     try:
         data = json.loads(text)
@@ -248,6 +263,12 @@ def parse_input(text: str, command: str = "semicascade", options: dict | None = 
         )
     entries = [[_require_int(e, "A[%d][%d]" % (i, j)) for j, e in enumerate(row)]
                for i, row in enumerate(a_rows)]
+    if command != "frequencies":
+        bits = max(abs(e) for row in entries for e in row).bit_length()
+        entry_cap = MAX_DECIDE_ENTRY_WORK // d ** 4
+        if bits > entry_cap:
+            raise CapExceededError("largest entry of A has %d bits, beyond the cap of %d bits "
+                                   "for d = %d" % (bits, entry_cap, d))
     payload["a"] = IntMatrix(entries)
 
     payload["b"] = _parse_angles(data["b"], d, "'b'") if "b" in data else (0.0,) * d
@@ -685,7 +706,13 @@ def _job_from_args(args) -> JobSpec:
             raise MalformedInputError("%s must be %s, got %r" % (flag, requirement, value))
     text = _read_input(args.input) if args.input or command.input_required else "{}"
     if args.command == "sidon":
-        stream = list(parse_stream(text.splitlines()))
+        vectors = parse_stream(text.splitlines())
+        first = next(vectors, None)
+        if first is not None:
+            # The ratio's grid caps, checked before the rest of the stream is
+            # parsed, whose cost grows with the file.
+            grid_per_axis(len(first), options["grid"])
+        stream = [] if first is None else [first, *vectors]
         # The flag vocabulary has no --trials; 200 is the documented default.
         options["trials"] = 200
         return JobSpec(

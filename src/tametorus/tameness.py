@@ -30,10 +30,12 @@ ladder A, A^2, A^4, ..., up to k + s, compares A^{k+s} with A^k, both
 products of its rungs (A^0 = I the empty one), and proves its
 inequalities by matrix-vector products through them, so it costs
 O(log(k + s)) matrix products. A certificate re-checker makes every
-verdict self-validating; an independent brute-force oracle (exact power
-enumeration, batched for sweep_box, in int64 for each matrix where a
-proven bound rules out overflow, and in Python ints for the rest) backs
-sweep and the tests.
+verdict self-validating; an independent brute-force oracle,
+oracle_semicascade_batch (exact power enumeration over a chunk of
+matrices, in int64 for each matrix where a proven bound rules out
+overflow, and in Python ints for the rest), backs sweep, and
+oracle_semicascade is its batch of one. The tests hold both to their own
+per-matrix reference loop.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ from functools import lru_cache
 from itertools import permutations, product
 
 from .errors import DeterminantNotUnitError
-from .exactalg import (IntMatrix, IntPoly, _ladder, _power, _witnesses, mat_mul, min_poly,
-                       poly_divmod, poly_gcd, strip_x_factor)
+from .exactalg import (IntMatrix, IntPoly, _ladder, _power, _witnesses, min_poly, poly_divmod,
+                       poly_gcd, strip_x_factor)
 
 __all__ = [
     "TAME",
@@ -428,34 +430,24 @@ def decide_cascade(a: IntMatrix) -> TamenessCertificate:
 
 
 def oracle_semicascade(a: IntMatrix):
-    """Brute-force tameness check by exact power enumeration.
-
-    Enumerates A^0, A^1, ..., A^Q with Q = d + s_max(d) and reports the
-    first repetition. The bound is complete: a finite power semigroup has
-    index at most d (the x-multiplicity of the minimal polynomial) and
-    period at most s_max(d), so a repetition, if any, occurs by A^{d+s_max}.
-    Returns (verdict, minimal_pair or None).
-    """
-    limit = a.d + order_bound(a.d).s_max
-    seen: dict[tuple, int] = {}
-    power = IntMatrix.identity(a.d)
-    for n in range(limit + 1):
-        key = power.entries
-        if key in seen:
-            return TAME, (seen[key], n)
-        seen[key] = n
-        power = mat_mul(power, a)
-    return UNTAME, None
+    """Brute-force tameness check of one matrix: oracle_semicascade_batch
+    on the batch of A alone. Returns (verdict, minimal_pair or None)."""
+    return oracle_semicascade_batch([a])[0]
 
 
 _INT64_MAX = 2 ** 63 - 1
 
 
 def oracle_semicascade_batch(matrices: Sequence[IntMatrix]) -> list:
-    """oracle_semicascade for each of a chunk of d x d matrices, in order,
-    by enumerating A^0..A^Q, Q = d + s_max(d), over the chunk at once: one
-    enumeration in int64 and one in Python ints, each over the matrices of
-    its dtype.
+    """Brute-force tameness check of each of a chunk of d x d matrices, in
+    order, by exact power enumeration: (verdict, minimal_pair or None).
+
+    It enumerates A^0, A^1, ..., A^Q with Q = d + s_max(d) and reports the
+    first repetition. The bound is complete: a finite power semigroup has
+    index at most d (the x-multiplicity of the minimal polynomial) and
+    period at most s_max(d), so a repetition, if any, occurs by A^{d+s_max}.
+    The chunk is enumerated at once: one enumeration in int64 and one in
+    Python ints, each over the matrices of its dtype.
 
     Let ||A|| be the maximum absolute row sum. The bound ||A||^Q <= 2^63 - 1,
     checked on Python ints for each matrix, picks that matrix's dtype: when

@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 
 import tametorus.cli
 import tametorus.tameness
-from tametorus import TAME, UNTAME, IntMatrix, __version__, order_bound
+from tametorus import TAME, UNTAME, IntMatrix, __version__, decide_semicascade, order_bound
 from tametorus.cli import (
     MAX_DECIDE_DIMENSION,
+    MAX_DECIDE_ENTRY_WORK,
     MAX_SIMULATE_ITERS,
     MAX_SIMULATE_WORK,
     MAX_SWEEP_DIMENSION,
@@ -358,6 +359,81 @@ class TestMainExitCodes:
         assert code == 0
         exact = json.loads(out)["result"]["exact"]
         assert exact["total"] == (hi - lo + 1) ** (d * d) and exact["all_agree"] is True
+
+    def test_entry_cap_values(self):
+        # bits * d^4 <= 2^25: 32 bits at d = 32, 512 at d = 16; from d = 7 down
+        # the cap passes what a JSON integer of at most 4300 digits can hold
+        caps = {d: MAX_DECIDE_ENTRY_WORK // d ** 4 for d in (32, 24, 16, 8, 7, 6)}
+        assert caps == {32: 32, 24: 101, 16: 512, 8: 8192, 7: 13975, 6: 25890}
+        limit = 10 ** sys.get_int_max_str_digits()
+        assert 2 ** caps[7] < limit <= 2 ** (caps[6] - 1)
+
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(d=st.integers(7, MAX_DECIDE_DIMENSION), negative=st.booleans(),
+           place=st.integers(0, 31), command=st.sampled_from(["semicascade", "certify"]))
+    def test_entry_of_exactly_the_cap_runs_and_one_bit_more_is_4(
+            self, capsys, tmp_path, monkeypatch, d, negative, place, command):
+        def no_algebra(a):
+            raise AssertionError("min_poly ran on a job beyond the entry cap")
+
+        cap = MAX_DECIDE_ENTRY_WORK // d ** 4
+        i, j = divmod(place % (d * d), d)
+        path = tmp_path / "job.json"
+        for bits in (cap, cap + 1):
+            entry = (1 - 2 ** bits) if negative else 2 ** bits - 1
+            a = [[0] * d for _ in range(d)]
+            a[i][j] = entry
+            path.write_text(json.dumps({"d": d, "A": a, "certificate": {
+                "verdict": "TAME", "kind": "SEMICASCADE", "index_k": 0, "period_s": 1,
+                "minimal_pair": [0, 1]}}))
+            with monkeypatch.context() as patch:
+                if bits > cap:
+                    patch.setattr(tametorus.tameness, "min_poly", no_algebra)
+                start = time.perf_counter()
+                code, out = run_cli([command, "--input", str(path)], capsys)
+                elapsed = time.perf_counter() - start
+            if bits == cap:
+                assert code == 0, out
+            else:
+                assert elapsed < 0.5
+                assert code == 4
+                assert json.loads(out)["result"]["error"] == {
+                    "code": "CAP_EXCEEDED",
+                    "message": "largest entry of A has %d bits, beyond the cap of %d bits "
+                               "for d = %d" % (cap + 1, cap, d)}
+
+    @pytest.mark.parametrize("command", ["semicascade", "cascade", "certify", "simulate"])
+    def test_every_deciding_command_has_the_entry_cap(self, capsys, tmp_path, monkeypatch,
+                                                      command):
+        def no_algebra(a):
+            raise AssertionError("min_poly ran on a job beyond the entry cap")
+
+        monkeypatch.setattr(tametorus.tameness, "min_poly", no_algebra)
+        d = MAX_DECIDE_DIMENSION
+        a = [[int(i == j) for j in range(d)] for i in range(d)]
+        a[d - 1][0] = -2 ** 32
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"d": d, "A": a, "certificate": {
+            "verdict": "UNTAME", "kind": "SEMICASCADE",
+            "witness": {"reason": "NON_SQUAREFREE", "stripped_min_poly": [1]}}}))
+        code, out = run_cli([command, "--input", str(path)], capsys)
+        assert code == 4
+        report = json.loads(out)
+        assert (report["input"], report["options"]) == ({}, {})
+        assert report["result"]["error"]["message"] == (
+            "largest entry of A has 33 bits, beyond the cap of 32 bits for d = 32")
+
+    def test_frequencies_has_no_entry_cap(self, capsys, tmp_path):
+        # frequencies decides nothing; its output has caps of its own
+        d = MAX_DECIDE_DIMENSION
+        a = [[int(i == j) for j in range(d)] for i in range(d)]
+        a[0][0] = 2 ** 40
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"d": d, "A": a}))
+        code, out = run_cli(["frequencies", "--input", str(path), "--iters", "3"], capsys)
+        assert code == 0
+        assert json.loads(out)["result"]["exact"]["terms"][-1][0] == 2 ** 120
 
     def test_closed_stdout_exits_1(self, capsys, monkeypatch):
         read_end, write_end = os.pipe()
@@ -842,6 +918,64 @@ class TestCommands:
             }
         assert checks == []
 
+    def test_sidon_grid_caps_come_after_the_first_vector(self, capsys, tmp_path, monkeypatch):
+        parsed = []
+        real_parse = tametorus.cli.parse_stream
+
+        def counting_parse(lines):
+            for vector in real_parse(lines):
+                parsed.append(vector)
+                yield vector
+
+        monkeypatch.setattr(tametorus.cli, "parse_stream", counting_parse)
+        width = 40
+        path = tmp_path / "stream.txt"
+        # too wide for the grid, after a blank line, and malformed further down
+        path.write_text("\n" + ("1 " * width + "\n") * 5 + "1 x\n")
+        code, out = run_cli(["sidon", "--input", str(path)], capsys)
+        assert code == 4
+        assert parsed == [(1,) * width]
+        report = json.loads(out)
+        assert (report["input"], report["options"]) == ({}, {})
+        assert report["result"]["error"] == {
+            "code": "CAP_EXCEEDED", "message": "grid of dimension 40 exceeds the cap of 32"}
+        # a job that reaches run without the command line meets the same check
+        job = JobSpec(command="sidon", input={}, payload={"stream": [(1,) * width] * 5},
+                      options={"count": 4, "max_scan": 10, "grid": 32, "seed": 0, "trials": 200})
+        with pytest.raises(CapExceededError, match="grid of dimension 40 exceeds the cap of 32"):
+            run(job)
+
+    def test_only_sweep_calls_an_oracle(self, capsys, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(name):
+            real = getattr(tametorus.tameness, name)
+
+            def oracle(arg):
+                calls.append(name)
+                return real(arg)
+
+            return oracle
+
+        for name in ("oracle_semicascade", "oracle_semicascade_batch"):
+            monkeypatch.setattr(tametorus.tameness, name, counting(name))
+        rot4, catmap = [[0, -1], [1, 0]], [[2, 1], [1, 1]]
+        untame = decide_semicascade(IntMatrix(catmap)).to_dict()
+        tame = {"verdict": "TAME", "kind": "SEMICASCADE", "index_k": 0, "period_s": 4,
+                "minimal_pair": [0, 4]}
+        jobs = [("semicascade", {"A": rot4}, []), ("cascade", {"A": rot4}, []),
+                ("certify", {"A": rot4, "certificate": tame}, []),
+                ("certify", {"A": catmap, "certificate": untame}, []),
+                ("simulate", {"A": rot4}, ["--iters", "8", "--grid", "4"]),
+                ("sweep", {}, ["--range=0..1"])]
+        path = tmp_path / "job.json"
+        for command, job, flags in jobs:
+            calls.clear()
+            path.write_text(json.dumps({"d": 2, **job}))
+            code, out = run_cli([command, "--input", str(path), *flags], capsys)
+            assert code == 0, out
+            assert calls == (["oracle_semicascade_batch"] if command == "sweep" else []), command
+
     def test_sweep_small(self, capsys):
         code, out = run_cli(["sweep", "--range=-1..1", "--format", "json"], capsys)
         assert code == 0
@@ -965,7 +1099,7 @@ class TestCommands:
             return real_mul(a, b)
 
         monkeypatch.setattr(tametorus.exactalg, "mat_mul", counting_mul)
-        monkeypatch.setattr(tametorus.tameness, "mat_mul", counting_mul)
+        monkeypatch.setattr(tametorus.tameness, "mat_mul", counting_mul, raising=False)
         path = tmp_path / "claim.json"
         path.write_text(json.dumps({"d": 2, "A": [[1, 0], [0, 1]], "certificate": certificate}))
         code, out = run_cli(["certify", "--input", str(path)], capsys)
@@ -1068,7 +1202,7 @@ class TestCommands:
             return real_mul(a, b)
 
         monkeypatch.setattr(tametorus.exactalg, "mat_mul", counting_mul)
-        monkeypatch.setattr(tametorus.tameness, "mat_mul", counting_mul)
+        monkeypatch.setattr(tametorus.tameness, "mat_mul", counting_mul, raising=False)
         rng = random.Random(16)
         d = 16
         a = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
@@ -1297,8 +1431,8 @@ def _orbit_sweep(d, lo, hi):
 
 def _per_matrix_sweep(reference, d, lo, hi):
     """The exact block of a sweep that decides every matrix of the box, the
-    reference for the orbit sweep: decide_semicascade and
-    oracle_semicascade_batch run on each matrix, in product order."""
+    reference for the orbit sweep: decide_semicascade and the tests'
+    reference oracle (box_reference) on each matrix, in product order."""
     matrices, certs, oracle = reference(d, lo, hi)
     entries = []
     for a, cert, (verdict, pair) in zip(matrices, certs, oracle, strict=True):

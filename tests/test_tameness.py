@@ -42,6 +42,8 @@ from tametorus import (
 )
 from tametorus.cli import MAX_DECIDE_DIMENSION
 
+from conftest import permutation_images, reference_oracle
+
 
 def euler_phi(n):
     """Euler's totient by trial-division factorization."""
@@ -202,7 +204,7 @@ class TestOrderOfXMod:
                     continue
                 g = IntPoly(low + (1,))
                 s = order_of_x_mod(g, s_max)
-                verdict, pair = oracle_semicascade(IntMatrix(_companion(g)))
+                verdict, pair = reference_oracle(IntMatrix(_companion(g)))
                 expected = (TAME, (0, s)) if s is not None else (UNTAME, None)
                 assert (verdict, pair) == expected, g
 
@@ -334,14 +336,8 @@ class TestDecideSemicascade:
 def _representatives(d, lo, hi):
     """The least member of each orbit of the box under A -> P A P^T and
     A -> (P A P^T)^T, P a permutation matrix, in product order."""
-    least = set()
-    for combo in product(range(lo, hi + 1), repeat=d * d):
-        rows = [combo[i * d : (i + 1) * d] for i in range(d)]
-        images = set()
-        for pi in permutations(range(d)):
-            b = tuple(tuple(rows[pi[i]][pi[j]] for j in range(d)) for i in range(d))
-            images.update((b, tuple(zip(*b))))
-        least.add(min(images))
+    least = {min(permutation_images([combo[i * d : (i + 1) * d] for i in range(d)]))
+             for combo in product(range(lo, hi + 1), repeat=d * d)}
     return [IntMatrix(rows) for rows in sorted(least)]
 
 
@@ -400,7 +396,7 @@ class TestSweepBox:
         for a, (_, decided, oracle) in zip(matrices, swept, strict=True):
             cert = decide_semicascade(a)
             assert decided == (cert.verdict, cert.minimal_pair), a
-            assert oracle == oracle_semicascade(a), a
+            assert oracle == reference_oracle(a), a
             assert decided == oracle, a
 
     @pytest.mark.parametrize("d, lo, hi", [(2, -2, 2), (3, -1, 1)])
@@ -494,10 +490,7 @@ class TestSignedPermutationBox:
         for a in representatives:
             k, _, s = tametorus.tameness._decided(a)
             decided.append((UNTAME, None) if s is None else (TAME, (k, k + s)))
-        oracle = []
-        for start in range(0, len(representatives), 2048):
-            oracle += oracle_semicascade_batch(representatives[start : start + 2048])
-        assert decided == oracle
+        assert decided == [reference_oracle(a) for a in representatives]
         assert len(representatives) == 44575
         assert sum(verdict == TAME for verdict, _ in decided) == 1139
         # members of an orbit, each decided on its own, take its outcome
@@ -557,15 +550,15 @@ class TestOracle:
 
     def test_exhaustive_agreement_d3(self, box_reference):
         # all 19,683 3x3 matrices with entries in {-1, 0, 1}, each decided
-        # with decide_semicascade and batched by oracle_semicascade_batch
-        matrices, certs, batched = box_reference(3, -1, 1)
+        # with decide_semicascade and run through the reference on its own
+        matrices, certs, oracle = box_reference(3, -1, 1)
         assert matrices == [IntMatrix([c[:3], c[3:6], c[6:]])
                             for c in product((-1, 0, 1), repeat=9)]
         tame = 0
-        for a, cert, batch_result in zip(matrices, certs, batched, strict=True):
-            verdict, pair = oracle_semicascade(a)
+        for a, cert, by_orbit in zip(matrices, certs, oracle, strict=True):
+            verdict, pair = reference_oracle(a)
             assert (cert.verdict, cert.minimal_pair) == (verdict, pair), a
-            assert batch_result == (verdict, pair), a
+            assert by_orbit == (verdict, pair), a
             tame += verdict == TAME
         assert tame == 5383
         # verdicts and least pairs from the orbit walk
@@ -573,14 +566,14 @@ class TestOracle:
         assert [IntMatrix(rows) for rows, _, _ in swept] == matrices
         assert [decided for _, decided, _ in swept] == [
             (cert.verdict, cert.minimal_pair) for cert in certs]
-        assert [oracle for _, _, oracle in swept] == batched
+        assert [batched for _, _, batched in swept] == oracle
         assert all(decided == oracle for _, decided, oracle in swept)
 
     def test_batch_equals_bigint_oracle_d4_sample(self):
         rng = random.Random(4)
         matrices = [IntMatrix([[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)])
                     for _ in range(2000)]
-        assert oracle_semicascade_batch(matrices) == [oracle_semicascade(a) for a in matrices]
+        assert oracle_semicascade_batch(matrices) == [reference_oracle(a) for a in matrices]
         assert oracle_semicascade_batch([]) == []
 
     @staticmethod
@@ -590,7 +583,7 @@ class TestOracle:
 
         def recording(a):
             calls.append(a)
-            return oracle_semicascade(a)
+            return reference_oracle(a)
 
         monkeypatch.setattr(tametorus.tameness, "oracle_semicascade", recording)
         return calls
@@ -600,10 +593,10 @@ class TestOracle:
         assert 1 + order_bound(1).s_max == 3
         calls = self._record_oracle_calls(monkeypatch)
         inside, outside = IntMatrix([[2 ** 21 - 1]]), IntMatrix([[2 ** 21]])
-        assert oracle_semicascade_batch([inside]) == [oracle_semicascade(inside)]
-        assert oracle_semicascade_batch([outside]) == [oracle_semicascade(outside)]
-        assert oracle_semicascade_batch([inside, outside]) == [oracle_semicascade(inside),
-                                                               oracle_semicascade(outside)]
+        assert oracle_semicascade_batch([inside]) == [reference_oracle(inside)]
+        assert oracle_semicascade_batch([outside]) == [reference_oracle(outside)]
+        assert oracle_semicascade_batch([inside, outside]) == [reference_oracle(inside),
+                                                               reference_oracle(outside)]
         assert calls == []
 
     def test_batch_guard_keeps_wrapping_values_out_of_int64(self):
@@ -622,7 +615,7 @@ class TestOracle:
         rng = random.Random(5)
         matrices = small + wide * 3
         rng.shuffle(matrices)
-        expected = [oracle_semicascade(a) for a in matrices]
+        expected = [reference_oracle(a) for a in matrices]
         calls = self._record_oracle_calls(monkeypatch)
         assert oracle_semicascade_batch(matrices) == expected
         assert calls == []
@@ -641,12 +634,12 @@ class TestOracle:
         small = [IntMatrix([c[:2], c[2:]]) for c in product((-1, 0, 1), repeat=4)]
         matrices = box + beyond + small
         random.Random(22).shuffle(matrices)
-        expected = [oracle_semicascade(a) for a in matrices]
+        expected = [reference_oracle(a) for a in matrices]
         calls = self._record_oracle_calls(monkeypatch)
         assert oracle_semicascade_batch(matrices) == expected
-        assert oracle_semicascade_batch(box) == [oracle_semicascade(a) for a in box]
+        assert oracle_semicascade_batch(box) == [reference_oracle(a) for a in box]
         assert calls == []
-        assert [oracle_semicascade(a) for a in beyond] == [(TAME, (1, 2)), (TAME, (2, 3))]
+        assert [reference_oracle(a) for a in beyond] == [(TAME, (1, 2)), (TAME, (2, 3))]
 
     @pytest.mark.parametrize("place", ["first", "middle", "last"])
     def test_batch_runs_the_matrices_within_the_bound_in_int64(self, monkeypatch, place):
@@ -658,8 +651,8 @@ class TestOracle:
         small = [IntMatrix([c[:2], c[2:]]) for c in product((-1, 0, 1), repeat=4)]
         cut = {"first": 0, "middle": 40, "last": len(small)}[place]
         matrices = small[:cut] + wide + small[cut:]
-        expected = [oracle_semicascade(a) for a in matrices]
-        assert [oracle_semicascade(a) for a in wide] == [
+        expected = [reference_oracle(a) for a in matrices]
+        assert [reference_oracle(a) for a in wide] == [
             (TAME, (1, 2)), (TAME, (2, 3)), (UNTAME, None), (UNTAME, None)]
         calls = self._record_oracle_calls(monkeypatch)
         stacks = []
@@ -683,7 +676,7 @@ class TestOracle:
         for combo in product((-1, 0, 1), repeat=4):
             a = IntMatrix([combo[:2], combo[2:]])
             cert = decide_semicascade(a)
-            verdict, pair = oracle_semicascade(a)
+            verdict, pair = reference_oracle(a)
             assert cert.verdict == verdict, a
             if verdict == TAME:
                 assert cert.minimal_pair == pair, a
@@ -914,7 +907,7 @@ def _exhaustive_certificate_check(a, cert):
         if cert.witness is None:
             return False
         if cert.kind == SEMICASCADE:
-            if oracle_semicascade(a)[0] != UNTAME:
+            if reference_oracle(a)[0] != UNTAME:
                 return False
         else:
             s_max = order_bound(a.d).s_max
@@ -1055,7 +1048,7 @@ class TestCertificateCheckEquivalence:
                 assert certificate_check(a, cert) is expected, (a, cert)
                 key = (cert.verdict, cert.kind)
                 accepted[key] = accepted.get(key, 0) + expected
-        tame = sum(oracle_semicascade(IntMatrix([c[:2], c[2:]]))[0] == TAME
+        tame = sum(reference_oracle(IntMatrix([c[:2], c[2:]]))[0] == TAME
                    for c in product((-1, 0, 1), repeat=4))
         # every tame matrix has exactly one valid pair inside the grid
         assert accepted[(TAME, SEMICASCADE)] == tame
@@ -1155,7 +1148,7 @@ def _count_products(monkeypatch):
         return real_mul(a, b)
 
     monkeypatch.setattr(tametorus.exactalg, "mat_mul", counting_mul)
-    monkeypatch.setattr(tametorus.tameness, "mat_mul", counting_mul)
+    monkeypatch.setattr(tametorus.tameness, "mat_mul", counting_mul, raising=False)
     return calls
 
 
@@ -1215,7 +1208,7 @@ class TestPowerProofEqualsReference:
         tame = 0
         for c in product(range(-2, 3), repeat=4):
             a = IntMatrix([c[:2], c[2:]])
-            verdict, pair = oracle_semicascade(a)
+            verdict, pair = reference_oracle(a)
             if verdict == TAME:
                 tame += 1
                 self._assert_equal(a, pair[0], pair[1] - pair[0])
@@ -1226,10 +1219,10 @@ class TestPowerProofEqualsReference:
                     assert _reference_has_index_and_period(a, k, s) is False
         assert tame == 109
 
-    def test_tame_three_by_three_matrices_in_box(self):
-        matrices = [IntMatrix([c[:3], c[3:6], c[6:]]) for c in product((-1, 0, 1), repeat=9)]
+    def test_tame_three_by_three_matrices_in_box(self, box_reference):
+        matrices, _, oracle = box_reference(3, -1, 1)
         tame = 0
-        for a, (verdict, pair) in zip(matrices, oracle_semicascade_batch(matrices)):
+        for a, (verdict, pair) in zip(matrices, oracle):
             if verdict == TAME:
                 tame += 1
                 self._assert_equal(a, pair[0], pair[1] - pair[0])
@@ -1345,7 +1338,7 @@ class TestUntameCertificateEquivalence:
         accepted = {}
         for combo in product(range(-2, 3), repeat=4):
             a = IntMatrix([combo[:2], combo[2:]])
-            untame = oracle_semicascade(a)[0] == UNTAME
+            untame = reference_oracle(a)[0] == UNTAME
             accepted[untame] = accepted.get(untame, 0) + self._assert_equal(a, _untame_claims(a))
         assert accepted[False] == 0 and accepted[True] > 625
 
@@ -1355,7 +1348,7 @@ class TestUntameCertificateEquivalence:
         for build in (_non_squarefree, _hyperbolic):
             for _ in range(3):
                 a = build(rng, d)
-                assert oracle_semicascade(a)[0] == UNTAME, a
+                assert reference_oracle(a)[0] == UNTAME, a
                 assert self._assert_equal(a, _untame_claims(a)) > 0, a
 
     @pytest.mark.parametrize("d", range(3, 9))
@@ -1403,13 +1396,19 @@ class TestUntameCertificateEquivalence:
         import tametorus.tameness
 
         calls = []
-        real_oracle = tametorus.tameness.oracle_semicascade
 
-        def counting_oracle(a):
-            calls.append(a)
-            return real_oracle(a)
+        def counting(name):
+            real = getattr(tametorus.tameness, name)
 
-        monkeypatch.setattr(tametorus.tameness, "oracle_semicascade", counting_oracle)
+            def oracle(arg):
+                calls.append(name)
+                return real(arg)
+
+            return oracle
+
+        # Either name enumerates powers: the batch, or its batch of one.
+        for name in ("oracle_semicascade", "oracle_semicascade_batch"):
+            monkeypatch.setattr(tametorus.tameness, name, counting(name))
         zero = IntMatrix(_block_diag([[[2, 1], [1, 1]], [[0]]]))
         claims = [
             (named["catmap"], decide_semicascade(named["catmap"])),
