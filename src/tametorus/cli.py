@@ -87,11 +87,12 @@ MAX_SWEEP_ENTRIES = 1_000_000
 # d = 1. One CLI process per run on a 2-vCPU Xeon (BENCH_31.json).
 MAX_SWEEP_ENTRY_BITS = 64
 
-# Largest d that semicascade, cascade and certify accept. At d = 32 the
-# slowest measured family, a dense random matrix with entries in +-2^16,
-# takes ~2.5 s of CLI wall time per job, against ~0.3 s for entries in
-# +-2 or an eigenvector start vector (BENCH_17.json). That cost grows
-# with the entry size, which no cap bounds, so d is held at 32.
+# Largest d that semicascade, cascade, certify and simulate accept, the
+# commands that decide A. At d = 32 the slowest measured family, a dense
+# random matrix with entries in +-2^16, takes ~2.5 s of CLI wall time per
+# job, against ~0.3 s for entries in +-2 or an eigenvector start vector
+# (BENCH_17.json). That cost grows with the entry size, which
+# MAX_DECIDE_ENTRY_WORK bounds for the same commands.
 MAX_DECIDE_DIMENSION = 32
 # Largest (bit length of the largest |entry|) * d^4 of a semicascade,
 # cascade, certify or simulate job. Deciding a dense random matrix costs
@@ -101,8 +102,11 @@ MAX_DECIDE_DIMENSION = 32
 # exactly 2^bits - 1, semicascade took 5.6 s of CLI wall time at d = 32
 # (32 bits), 5.3 s at d = 24 (101 bits), 6.7 s at d = 16 (512 bits) and
 # 8.5 s at d = 8 (8,192 bits) and d = 7 (13,975 bits), on a 2-vCPU Xeon
-# (BENCH_32.json). Below d = 7 the cap passes 14,000 bits, and CPython's
-# 4300-digit limit on a JSON integer binds first.
+# (BENCH_32.json). An eigenvector start vector and derogatory matrices, whose
+# min_poly runs more than one Krylov sequence, took at most 6.3 s at the cap
+# for d = 16, 24 and 32 and 9.0 s at d = 8, never clearly more than the
+# dense family at the same d. Below d = 7 the cap passes
+# 14,000 bits, and CPython's 4300-digit limit on a JSON integer binds first.
 MAX_DECIDE_ENTRY_WORK = 2 ** 25
 # Largest d for which a sweep box of two values per entry, 2^(d*d)
 # matrices, fits MAX_SWEEP_ENTRIES. Beyond it only a one-value box fits,
@@ -263,7 +267,7 @@ def parse_input(text: str, command: str = "semicascade", options: dict | None = 
         )
     entries = [[_require_int(e, "A[%d][%d]" % (i, j)) for j, e in enumerate(row)]
                for i, row in enumerate(a_rows)]
-    if command != "frequencies":
+    if cap == MAX_DECIDE_DIMENSION:
         bits = max(abs(e) for row in entries for e in row).bit_length()
         entry_cap = MAX_DECIDE_ENTRY_WORK // d ** 4
         if bits > entry_cap:

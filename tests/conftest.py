@@ -78,9 +78,9 @@ def box_reference():
     """(d, lo, hi) -> (matrices, certs, oracle): every d x d matrix with
     entries in lo..hi, in itertools.product order over its row-major
     entries, with its own decide_semicascade certificate and its
-    reference_oracle answer. Each matrix is decided on its own, with no
-    orbit and no memo, so the result is the per-matrix reference for
-    sweep_box and the sweep command.
+    reference_oracle answer. decide_semicascade runs on each matrix, with no
+    orbit and no memo, so the certificates are the per-matrix reference for
+    sweep_box and the sweep command; the oracle column is shared per orbit.
 
     reference_oracle runs once per orbit of A -> P A P^T, A -> A^T: the
     images B have B^n = P A^n P^T, or its transpose, so A^p = A^q exactly

@@ -1429,11 +1429,11 @@ def _orbit_sweep(d, lo, hi):
     return json.loads(emit(run(job)))["result"]["exact"]
 
 
-def _per_matrix_sweep(reference, d, lo, hi):
+def _per_matrix_sweep(d, lo, hi, matrices, certs, oracle):
     """The exact block of a sweep that decides every matrix of the box, the
-    reference for the orbit sweep: decide_semicascade and the tests'
-    reference oracle (box_reference) on each matrix, in product order."""
-    matrices, certs, oracle = reference(d, lo, hi)
+    reference for the orbit sweep: box_reference's matrices in product order,
+    each with its own decide_semicascade certificate and the tests' reference
+    oracle's answer, which box_reference shares per orbit."""
     entries = []
     for a, cert, (verdict, pair) in zip(matrices, certs, oracle, strict=True):
         entries.append({
@@ -1479,12 +1479,16 @@ class TestOrbitSweep:
     @pytest.mark.parametrize("box", [(2, -2, 2), (3, -1, 1), (3, -2, -1), (3, -1, 0), (3, 0, 1),
                                      (3, 1, 2), (2, -3, 0), (1, -3, 3)])
     def test_equals_per_matrix_reference(self, box_reference, box):
-        assert _orbit_sweep(*box) == _per_matrix_sweep(box_reference, *box)
+        assert _orbit_sweep(*box) == _per_matrix_sweep(*box, *box_reference(*box))
 
     def test_exhaustive_d4_agreement(self, box_reference):
-        # all 65,536 4x4 matrices with entries in {0, 1}, each decided and
-        # checked against the oracle on its own
-        reference = _per_matrix_sweep(box_reference, 4, 0, 1)
+        # all 65,536 4x4 matrices with entries in {0, 1}, each decided on its
+        # own and held to the reference oracle, which runs once per orbit; the
+        # batch oracle runs on each matrix, in chunks to bound its arrays
+        matrices, certs, oracle = box_reference(4, 0, 1)
+        assert [answer for start in range(0, len(matrices), 4096)
+                for answer in oracle_semicascade_batch(matrices[start : start + 4096])] == oracle
+        reference = _per_matrix_sweep(4, 0, 1, matrices, certs, oracle)
         assert reference["total"] == 65536
         assert all(entry["agree"] for entry in reference["entries"])
         assert reference["all_agree"] is True

@@ -550,7 +550,8 @@ class TestOracle:
 
     def test_exhaustive_agreement_d3(self, box_reference):
         # all 19,683 3x3 matrices with entries in {-1, 0, 1}, each decided
-        # with decide_semicascade and run through the reference on its own
+        # with decide_semicascade, run through the reference on its own and
+        # batched by oracle_semicascade_batch
         matrices, certs, oracle = box_reference(3, -1, 1)
         assert matrices == [IntMatrix([c[:3], c[3:6], c[6:]])
                             for c in product((-1, 0, 1), repeat=9)]
@@ -561,6 +562,8 @@ class TestOracle:
             assert by_orbit == (verdict, pair), a
             tame += verdict == TAME
         assert tame == 5383
+        # every entry of oracle now equals reference_oracle of its matrix
+        assert oracle_semicascade_batch(matrices) == oracle
         # verdicts and least pairs from the orbit walk
         swept = _swept(3, -1, 1)
         assert [IntMatrix(rows) for rows, _, _ in swept] == matrices
