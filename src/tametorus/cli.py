@@ -681,6 +681,24 @@ def _read_input(path: str) -> str:
         raise MalformedInputError("cannot read input %r: %s" % (path, exc)) from exc
 
 
+def _input_lines(path: str):
+    """The input's lines, read from the file one at a time and split as
+    str.splitlines splits the whole text (each line read ends at a line
+    boundary, and no boundary spans two reads). A read or decode error
+    raises MalformedInputError where the reader meets it, so bytes that are
+    not UTF-8 fail the job wherever they sit in the file."""
+    try:
+        if path == "-":
+            for line in sys.stdin:
+                yield from line.splitlines()
+        else:
+            with open(path, "r", encoding="utf-8") as handle:
+                for line in handle:
+                    yield from line.splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedInputError("cannot read input %r: %s" % (path, exc)) from exc
+
+
 # Built once per process: parse_args keeps no state in the parser, and
 # building it costs more than parsing a job's argv.
 @functools.cache
@@ -708,15 +726,18 @@ def _job_from_args(args) -> JobSpec:
         value = options[key]
         if requirement and value is not None and not _REQUIREMENTS[requirement](value):
             raise MalformedInputError("%s must be %s, got %r" % (flag, requirement, value))
-    text = _read_input(args.input) if args.input or command.input_required else "{}"
     if args.command == "sidon":
-        vectors = parse_stream(text.splitlines())
-        first = next(vectors, None)
-        if first is not None:
-            # The ratio's grid caps, checked before the rest of the stream is
-            # parsed, whose cost grows with the file.
-            grid_per_axis(len(first), options["grid"])
-        stream = [] if first is None else [first, *vectors]
+        lines = _input_lines(args.input)
+        try:
+            vectors = parse_stream(lines)
+            first = next(vectors, None)
+            if first is not None:
+                # The ratio's grid caps, checked before the rest of the stream
+                # is read, whose cost grows with the file.
+                grid_per_axis(len(first), options["grid"])
+            stream = [] if first is None else [first, *vectors]
+        finally:
+            lines.close()
         # The flag vocabulary has no --trials; 200 is the documented default.
         options["trials"] = 200
         return JobSpec(
@@ -725,6 +746,7 @@ def _job_from_args(args) -> JobSpec:
             options=options,
             payload={"stream": stream},
         )
+    text = _read_input(args.input) if args.input or command.input_required else "{}"
     if args.command == "sweep":
         options["range"] = list(_parse_range(options["range"]))
     return parse_input(text, command=args.command, options=options)

@@ -8,6 +8,15 @@ rounds. Arbitrary precision is mandatory, not a nicety: powers of
 expanding integer matrices grow geometrically (hyperbolic 2x2 matrices
 produce golden-ratio-like entry growth) and overflow fixed-width
 integers within a few dozen steps.
+
+Fixed width still pays where a proof bounds it. mat_mul multiplies in
+signed 64-bit slots whenever max(1, ||A||) * max(1, ||B||) <= 2^63 - 1,
+with ||.|| the maximum absolute row sum: each row of B is packed into one
+Python int, 64 bits per entry, and each row of AB is one sum of bigint
+products, read back slot by slot. The bound proves that every slot holds
+its entry exactly (the lemma is in mat_mul's docstring), so the packed
+product equals the entrywise one. Beyond the bound the entrywise loop
+runs, where nothing can overflow.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import struct
 
 from .errors import CapExceededError, DimensionMismatchError
 
@@ -33,7 +43,10 @@ __all__ = [
 class IntMatrix:
     """Immutable square matrix with arbitrary-precision integer entries."""
 
-    __slots__ = ("d", "entries")
+    # Two caches of mat_mul's, None until filled: _row_norm is ||M||
+    # (_norm), and _packed the rows packed into 64-bit slots, which the
+    # packed kernel keeps on each product it makes.
+    __slots__ = ("d", "entries", "_row_norm", "_packed")
 
     def __init__(self, entries):
         rows = tuple(tuple(operator.index(e) for e in row) for row in entries)
@@ -46,6 +59,7 @@ class IntMatrix:
             )
         self.d = len(rows)
         self.entries = rows
+        self._row_norm = self._packed = None
 
     @classmethod
     def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
@@ -53,6 +67,7 @@ class IntMatrix:
         m = object.__new__(cls)
         m.d = len(rows)
         m.entries = rows
+        m._row_norm = m._packed = None
         return m
 
     @classmethod
@@ -107,14 +122,75 @@ class IntMatrix:
         return "IntMatrix(%s)" % (self.to_lists(),)
 
 
+# The largest value of a signed 64-bit integer.
+_INT64_MAX = 2 ** 63 - 1
+# One little-endian 64-bit slot with only its top bit set.
+_SLOT_BIAS = (1 << 63).to_bytes(8, "little")
+
+
+def _norm(m: IntMatrix) -> int:
+    """||M||, the maximum absolute row sum, computed once per matrix: it
+    bounds every entry of M and is submultiplicative."""
+    if m._row_norm is None:
+        m._row_norm = max(sum(map(abs, row)) for row in m.entries)
+    return m._row_norm
+
+
+@functools.cache
+def _slot_layout(d: int) -> tuple[struct.Struct, int]:
+    """The layout of a row of d signed 64-bit little-endian slots, and its
+    bias sum_j 2^(64 j + 63)."""
+    return struct.Struct("<%dq" % d), int.from_bytes(_SLOT_BIAS * d, "little")
+
+
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Exact product of two square integer matrices of equal dimension."""
+    """Exact product of two square integer matrices of equal dimension.
+
+    When max(1, ||A||) * max(1, ||B||) <= 2^63 - 1 (||.|| the maximum
+    absolute row sum, _norm), the product runs in packed 64-bit slots;
+    otherwise entry by entry over Python ints. Both give the same matrix:
+
+    Lemma. Let M = max(1, ||A||) * max(1, ||B||) <= 2^63 - 1, and pack row
+    l of B as the integer P_l = sum_j b_lj 2^(64 j). Then row i of AB is
+    read exactly from N_i = sum_l a_il P_l.
+      1. Every |b_lj| <= ||B|| <= M, and every entry of AB obeys
+         |c_ij| <= sum_l |a_il| |b_lj| <= ||A|| max_l |b_lj| <= ||A|| ||B||
+         <= M. So every b_lj and c_ij lies in [-(2^63 - 1), 2^63 - 1], the
+         range of a two's-complement 64-bit slot. (Without the max(1, .)
+         a zero A would admit a B of any size, whose rows cannot pack.)
+      2. N_i = sum_j c_ij 2^(64 j) is an identity of integers (substitute
+         x = 2^64 in the row polynomials, Kronecker substitution); the
+         sum of bigint products is exact in whatever order it runs.
+      3. With the bias beta = sum_j 2^(64 j + 63), N_i + beta =
+         sum_j (c_ij + 2^63) 2^(64 j), and every digit c_ij + 2^63 lies in
+         [1, 2^64 - 1] by 1. So these are the base-2^64 digits of
+         N_i + beta: no slot carries into the next, and 0 <= N_i + beta <
+         2^(64 d) fits 8 d bytes.
+      4. XOR with beta flips bit 63 of each digit and turns c + 2^63 into
+         c mod 2^64, the two's-complement slot of c, which struct reads
+         back as the signed c. Packing is the same map run backwards:
+         struct writes b mod 2^64 into each slot, the XOR with beta turns
+         it into b + 2^63, and subtracting beta leaves P_l.
+    N_i is also row i of AB packed, so the product keeps N_1, ..., N_d and
+    a later product with AB on the right packs nothing (a squaring
+    ladder's next rung). Beyond the bound the entrywise loop below runs,
+    where nothing can overflow.
+    """
     if a.d != b.d:
         raise DimensionMismatchError("cannot multiply %dx%d by %dx%d" % (a.d, a.d, b.d, b.d))
-    cols = tuple(zip(*b.entries))
-    return IntMatrix._trusted(
-        tuple(tuple([sum(map(operator.mul, row, col)) for col in cols]) for row in a.entries)
-    )
+    if max(1, _norm(a)) * max(1, _norm(b)) > _INT64_MAX:
+        cols = tuple(zip(*b.entries))
+        return IntMatrix._trusted(
+            tuple(tuple([sum(map(operator.mul, row, col)) for col in cols]) for row in a.entries)
+        )
+    slots, bias = _slot_layout(a.d)
+    packed = b._packed or [(int.from_bytes(slots.pack(*row), "little") ^ bias) - bias
+                           for row in b.entries]
+    rows = [sum(map(operator.mul, row, packed)) for row in a.entries]
+    product = IntMatrix._trusted(tuple([
+        slots.unpack(((n + bias) ^ bias).to_bytes(slots.size, "little")) for n in rows]))
+    product._packed = rows
+    return product
 
 
 def _ladder(a: IntMatrix, top: int) -> list[IntMatrix]:

@@ -49,8 +49,8 @@ from functools import lru_cache
 from itertools import permutations, product
 
 from .errors import DeterminantNotUnitError
-from .exactalg import (IntMatrix, IntPoly, _ladder, _power, _witnesses, min_poly, poly_divmod,
-                       poly_gcd, strip_x_factor)
+from .exactalg import (_INT64_MAX, IntMatrix, IntPoly, _ladder, _norm, _power, _witnesses,
+                       min_poly, poly_divmod, poly_gcd, strip_x_factor)
 
 __all__ = [
     "TAME",
@@ -435,9 +435,6 @@ def oracle_semicascade(a: IntMatrix):
     return oracle_semicascade_batch([a])[0]
 
 
-_INT64_MAX = 2 ** 63 - 1
-
-
 def oracle_semicascade_batch(matrices: Sequence[IntMatrix]) -> list:
     """Brute-force tameness check of each of a chunk of d x d matrices, in
     order, by exact power enumeration: (verdict, minimal_pair or None).
@@ -483,7 +480,7 @@ def oracle_semicascade_batch(matrices: Sequence[IntMatrix]) -> list:
 
     by_dtype: dict = {}
     for i, a in enumerate(matrices):
-        fits = max(sum(map(abs, row)) for row in a.entries) ** limit <= _INT64_MAX
+        fits = _norm(a) ** limit <= _INT64_MAX
         by_dtype.setdefault(np.int64 if fits else object, []).append(i)
     answers = [None] * len(matrices)
     for dtype, indices in by_dtype.items():

@@ -13,7 +13,7 @@ unmutated copy, since a test that fails there kills nothing.
 Run from anywhere: python tests/mutants/run_mutants.py [--catalogue FILE] [NAME ...]
 Names select entries; none runs them all. Exits 1 if any mutant survives
 (or its text is not found exactly once), 2 if the tests fail unmutated,
-0 otherwise. The whole catalogue takes about 40 s on a 2-vCPU Xeon.
+0 otherwise. The whole catalogue takes about 65 s on a 2-vCPU Xeon.
 """
 
 import argparse

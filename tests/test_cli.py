@@ -785,6 +785,38 @@ class TestMainExitCodes:
         assert error["message"].startswith("cannot read input %r: 'utf-8' codec" % str(path))
         assert captured.err == ""
 
+    @pytest.mark.parametrize("width, code", [(2, 2), (40, 4)])
+    def test_sidon_reads_the_stream_as_it_parses(self, capsys, tmp_path, width, code):
+        # Bytes that are not UTF-8, 200 KB into the file, fail a stream whose
+        # first vector passes the grid cap; a first vector too wide for the
+        # grid exits 4 before the reader gets that far.
+        path = tmp_path / "stream.txt"
+        path.write_bytes(b"1 " * width + b"\n" + b"1 2\n" * 50_000 + b"\xff 3\n")
+        code_seen, out = run_cli(["sidon", "--input", str(path)], capsys)
+        assert code_seen == code
+        error = json.loads(out)["result"]["error"]
+        if code == 2:
+            assert error["code"] == "MALFORMED"
+            assert error["message"].startswith("cannot read input %r: 'utf-8' codec" % str(path))
+        else:
+            assert error == {"code": "CAP_EXCEEDED",
+                             "message": "grid of dimension 40 exceeds the cap of 32"}
+
+    @pytest.mark.parametrize("text", [
+        "1 2\r3 4\r\n5 6\n", "1 2\x0c3 4\u20285 6", "\n\n1 2\v\v3 4\n5 6"])
+    def test_sidon_stream_lines_split_as_the_whole_text_splits(self, text, tmp_path,
+                                                                monkeypatch):
+        # Each vector on a line of its own however the lines end, from a file
+        # or from stdin.
+        expected = [(1, 2), (3, 4), (5, 6)]
+        assert list(tametorus.cli.parse_stream(text.splitlines())) == expected
+        path = tmp_path / "stream.txt"
+        path.write_bytes(text.encode())
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        for source in (str(path), "-"):
+            args = tametorus.cli._build_parser().parse_args(["sidon", "--input", source])
+            assert tametorus.cli._job_from_args(args).payload["stream"] == expected
+
     def test_process_level_exit_codes(self, tmp_path):
         # one real subprocess round to pin the installed entry point behavior
         path = tmp_path / "job.json"

@@ -164,6 +164,93 @@ class TestIntMatrix:
         assert a.det() == (-1) ** a.d * poly.coeffs[0]
 
 
+def _reference_product(a, b):
+    """AB by the plain triple loop over Python ints, for lists of rows."""
+    d = len(a)
+    return [[sum(a[i][l] * b[l][j] for l in range(d)) for j in range(d)] for i in range(d)]
+
+
+def _rows_up_to_bits(d):
+    """d x d lists of rows whose entries have at most some bit length 0..70."""
+    return st.integers(0, 70).flatmap(lambda bits: st.lists(
+        st.lists(st.integers(-2 ** bits, 2 ** bits), min_size=d, max_size=d),
+        min_size=d, max_size=d))
+
+
+INT64_MAX = 2 ** 63 - 1
+SEVENTH = INT64_MAX // 7   # 2^63 - 1 = 7 * SEVENTH
+
+
+class TestPackedProduct:
+    """mat_mul's packed 64-bit-slot kernel, which runs exactly when
+    max(1, ||A||) * max(1, ||B||) <= 2^63 - 1 and keeps the product's
+    packed rows (_packed), against the plain loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda d: st.tuples(_rows_up_to_bits(d),
+                                                         _rows_up_to_bits(d))))
+    def test_equals_the_reference_loop(self, pair):
+        a, b = pair
+        ab = mat_mul(IntMatrix(a), IntMatrix(b))
+        assert ab.to_lists() == _reference_product(a, b)
+        # AB on the right reads the rows the kernel kept, when it kept them
+        assert mat_mul(IntMatrix(a), ab).to_lists() == _reference_product(a, ab.to_lists())
+
+    @pytest.mark.parametrize("a, b, packed", [
+        # norm product exactly 2^63 - 1, with entries of +-(2^63 - 1)
+        ([[7]], [[SEVENTH]], True),
+        ([[-1]], [[INT64_MAX]], True),
+        ([[3, 4], [-7, 0]], [[SEVENTH, 0], [0, -SEVENTH]], True),
+        ([[1, 0], [0, -1]], [[INT64_MAX, 0], [0, -INT64_MAX]], True),
+        ([[INT64_MAX, 0], [0, -INT64_MAX]], [[0, 1], [1, 0]], True),
+        # norm product 2^63: an entry of AB is +-2^63, which a slot cannot
+        # hold, and in a row of two it would carry into the next slot
+        ([[2]], [[2 ** 62]], False),
+        ([[1, 1], [0, 1]], [[2 ** 62, 0], [2 ** 62, 0]], False),
+        ([[-1, -1], [0, 1]], [[2 ** 62, 1], [2 ** 62, -1]], False),
+        # a zero or identity factor beside entries far beyond 2^63
+        ([[0, 0], [0, 0]], [[2 ** 100, -3], [5, -2 ** 90]], False),
+        ([[2 ** 100, -3], [5, -2 ** 90]], [[0, 0], [0, 0]], False),
+        ([[1, 0], [0, 1]], [[2 ** 100, -3], [5, -2 ** 90]], False),
+        ([[2 ** 100, -3], [5, -2 ** 90]], [[1, 0], [0, 1]], False),
+    ])
+    def test_boundary_cases(self, a, b, packed):
+        ab = mat_mul(IntMatrix(a), IntMatrix(b))
+        assert ab.to_lists() == _reference_product(a, b)
+        assert (ab._packed is not None) is packed
+
+    def test_just_inside_and_just_outside_the_bound(self):
+        # ||A|| = 2, and ||B|| = 2^62 - 1 inside the bound, 2^62 outside it
+        a = [[1, 1], [1, -1]]
+        inside = [[2 ** 61, 2 ** 61 - 1], [-(2 ** 62 - 1), 0]]
+        outside = [[2 ** 61, 2 ** 61], [-(2 ** 62), 0]]
+        for b, packed in ((inside, True), (outside, False)):
+            ab = mat_mul(IntMatrix(a), IntMatrix(b))
+            assert ab.to_lists() == _reference_product(a, b)
+            assert (ab._packed is not None) is packed
+
+    def test_kept_rows_are_the_packed_rows_of_the_product(self):
+        a = IntMatrix([[3, -1, 0], [2, 2, -5], [0, 1, 4]])
+        ab = mat_mul(a, mat_mul(a, a))
+        # the identity times a fresh copy packs the copy's rows anew
+        fresh = mat_mul(IntMatrix.identity(3), IntMatrix(ab.entries))
+        assert ab._packed == fresh._packed
+        assert ab.entries[0] == (11, -12, 45)
+        assert ab._packed[0] == 45 * 2 ** 128 - 12 * 2 ** 64 + 11
+
+    @pytest.mark.parametrize("a", [
+        [[2, 1], [1, 1]],                                  # hyperbolic: powers leave the bound
+        [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0]],   # order 8
+        [[3, -2, 0, 1, 5], [1, 0, -4, 2, 2], [0, 1, 1, -3, 0], [2, 2, 0, 1, -1],
+         [-5, 0, 1, 0, 3]],
+    ])
+    def test_powers_across_the_bound_equal_repeated_reference_products(self, a):
+        power = [[int(i == j) for j in range(len(a))] for i in range(len(a))]
+        for n in range(130):
+            assert mat_pow(IntMatrix(a), n).to_lists() == power, n
+            power = _reference_product(power, a)
+
+
 class TestRatPoly:
     """The polynomial type, IntPoly since its coefficients became integers."""
 
