@@ -13,7 +13,9 @@ frequencies --iters), MAX_SIMULATE_WORK, dynamics' grid caps, CPython's
 int-to-str digit limit for a report integer, and double range for a
 simulate or sidon entry, orbit point, probe image or phase. Each cap is
 checked before the work it bounds; a sidon stream's grid caps after its
-first vector is parsed and before the rest of the stream is.
+first vector is parsed and before the rest of the stream is, and each
+line's count of components, against the grid's axis cap, before any
+component is converted.
 Verdicts are report data, never exit codes.
 Matrix jobs are described by JSON: {"d": int, "A": [[int]], "b": [...]}
 where translation entries are either decimal angles or rational

@@ -9,17 +9,24 @@ nontrivial combination vanishes (quasi-independence), the standard
 sufficient condition for being Sidon. verify_quasi_independence proves
 it for up to 12 vectors by an exact meet-in-the-middle count. Only the
 floating estimate_sidon_ratio uses numpy, and imports it when it runs.
+It bounds every trial's sup in single precision and computes the exact
+double-precision product only for trials whose bounds lie within a
+proved rounding margin of the least sup so far, so that its result is
+bitwise that of the plain loop over every trial. parse_stream refuses a
+line of more than GRID_DIMENSION_CAP components before converting any.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
-from .dynamics import finite_array, float_array, torus_grid
+from .dynamics import GRID_DIMENSION_CAP, finite_array, float_array, torus_grid
 from .errors import CapExceededError, MalformedInputError, StreamExhaustedError
 
 __all__ = [
@@ -33,6 +40,7 @@ __all__ = [
 
 MAX_QUASI_INDEPENDENCE_VECTORS = 12
 DEFAULT_MAX_SCAN = 100_000
+_COMPONENT = re.compile(r"\S+")  # str.split's fields: \s is str.isspace
 
 
 @dataclass
@@ -134,11 +142,12 @@ def verify_quasi_independence(vectors: Sequence[Sequence[int]]) -> bool:
     return vanishing == 1  # the all-zero pattern only
 
 
-# Every trial's sup is bounded from below over a sub-grid: every
-# _BOUND_STRIDE-th grid point, in row-major order. _BOUND_CHUNK trials share
-# one batched product, 3.3 MB at 32^3 points.
+# Trials are bounded from below in complex64: each over a sub-grid first,
+# every _BOUND_STRIDE-th grid point in row-major order, then over the full
+# grid for the trials that can still set the answer. _BOUND_CHUNK trials
+# share one batched product, 4.2 MB at 32^3 points.
 _BOUND_STRIDE = 4
-_BOUND_CHUNK = 25
+_BOUND_CHUNK = 16
 
 
 def _grid_sup(basis, coeffs) -> float:
@@ -149,15 +158,26 @@ def _grid_sup(basis, coeffs) -> float:
     return float(np.abs(basis @ coeffs).max())
 
 
-def _sub_grid_bounds(sub, coeffs) -> list[float]:
-    """Each trial's max |P| over the sub-grid, from one batched product per
+def _bounds(points, coeffs) -> list[float]:
+    """Each trial's max |P| over the points, from one batched product per
     _BOUND_CHUNK trials; coeffs holds one trial per row."""
     import numpy as np
 
     return np.concatenate([
-        np.abs(sub @ coeffs[lo:lo + _BOUND_CHUNK].T).max(axis=0)
+        np.abs(points @ coeffs[lo:lo + _BOUND_CHUNK].T).max(axis=0)
         for lo in range(0, len(coeffs), _BOUND_CHUNK)
     ]).tolist()
+
+
+def _coefficients(k: int, trials: int, seed: int):
+    """The (trials, k) array of e^{i theta}: trial t's phases theta are
+    drawn by a generator of its own, seeded with (seed, t)."""
+    import numpy as np
+
+    angles = np.empty((trials, k))
+    for t in range(trials):
+        angles[t] = np.random.default_rng([seed, t]).uniform(0.0, 2.0 * np.pi, k)
+    return np.exp(1j * angles)
 
 
 def estimate_sidon_ratio(
@@ -178,41 +198,61 @@ def estimate_sidon_ratio(
     double range raises CapExceededError before the grid is built, and a
     phase <v_k, x> beyond it before any trial.
 
-    Only trials that can attain the least sup get the full-grid product.
-    The answer max_t k/sup_t is k/min_t sup_t, since correctly rounded
-    division by a positive double is monotone. A trial's bound L_t is
-    max |P| over the sub-grid, from batched products over chunks of
-    trials. Trials are visited in increasing order of L_t, and the visit
-    stops at the first one with L_t - m > best, the least sup so far, for
-    the margin m = 4(2k + 1)·k·u, u = 2^-53.
+    Only trials that can attain the least sup get the exact full-grid
+    product in double precision. The answer max_t k/sup_t is
+    k/min_t sup_t, since correctly rounded division by a positive double
+    is monotone. The basis and the coefficients are cast once to complex64,
+    and every bound is a single-precision max |P| from batched products:
+    S_t over the sub-grid for every trial, then F_t over the full grid for
+    one chunk of _BOUND_CHUNK trials at a time, taken in increasing order
+    of S_t. The visit stops at the first chunk whose least S_t has
+    S_t - m > best, the least sup so far. Within a chunk trials go in
+    increasing order of F_t, and the chunk's rest is skipped at the first
+    with F_t - m > best. The margin is m = (3k + 7)·k·v, v = 2^-24, for
+    k <= 2^18, and m = inf beyond, where every trial gets the product.
 
     Proof that no skipped trial has a smaller sup (Higham, Accuracy and
     Stability of Numerical Algorithms, 2nd ed., §3.1 and §3.6). Fix a
     trial's stored coefficients w and a grid row's stored basis entries
-    z. Let s = sum_i z_i w_i exactly, S = sum_i |z_i| |w_i|,
-    γ_n = nu/(1 - nu) and g = sqrt(2)·γ_2k.
-    1. The exact product (basis @ coeffs, zgemv) and the bound's
-       (sub @ chunk, zgemm) each form Re s and Im s as sums of 2k real
+    z, both complex128. Let s = sum_i z_i w_i exactly, S = sum_i |z_i| |w_i|,
+    γ_n(x) = nx/(1 - nx), and u = 2^-53 and v = 2^-24 the unit roundoffs
+    of double and single precision.
+    1. The exact product (basis @ coeffs, zgemv) and a bound's product
+       (points @ chunk, cgemm) each form Re s and Im s as sums of 2k real
        products ±x·y. Each multiply, add or fused multiply-add rounds
        once, in an order of each kernel's own; numpy's scalings by 1 and
        0 round nothing. No product passes through more than 2k roundings,
        so each part is off by at most γ_2k times the sum of its |x·y|
        (§3.1). With z = a + iα and w = b + iβ, a term's two such sums are
-       r = |ab| + |αβ| and q = |aβ| + |αb|, and r² + q² <= 2|z|²|w|². So
-       the error of either product is at most g·S in modulus (§3.6).
+       r = |ab| + |αβ| and q = |aβ| + |αb|, and r² + q² <= 2|z|²|w|². So a
+       product whose terms' moduli sum to S is off by at most g·S in
+       modulus (§3.6): g = sqrt(2)·γ_2k(u) in double and
+       g' = sqrt(2)·γ_2k(v) in single precision.
     2. np.exp(1j·θ) is cos θ + i sin θ within an ulp per part, so
        |z_i|, |w_i| <= 1 + sqrt(2)u and S <= k(1 + sqrt(2)u)².
-    3. np.abs is within an ulp: fl|x| = |x|(1 + δ) with |δ| <= 2u.
-    4. Let P = fl|ŝ| and L = fl|s̃| be the row's values in the exact
-       product and in the bound. Then |ŝ - s̃| <= 2gS and
-       L <= (1 + 2u)(1 + g)S, and P >= (1 - 2u)(L/(1 + 2u) - 2gS). So
-       L - P <= 4u(1 + g)S + 2gS < (8k + 4)·k·u = m for every k below
-       2^30, beyond which no basis fits in memory.
-    5. L_t is attained at a grid row, so trial t's sup is at least
-       L_t - m. The visit stops at the first t with fl(L_t - m) > best.
-       Every trial left has a bound L >= L_t, so fl(L - m) > best too.
-       Rounding is monotone and best is a double, so L - m > best, and
-       that trial's sup exceeds best. Hence min_t sup_t and the returned
+    3. The cast to complex64 rounds each part of z and w to nearest:
+       z' = z + ε with |ε| <= v|z|, and likewise w'. So the cast sum
+       s' = sum_i z'_i w'_i has |s' - s| <= (2v + v²)S, and its terms'
+       moduli sum to S' <= (1 + v)²S.
+    4. np.abs is within two ulps: fl|x| = |x|(1 + δ) with |δ| <= 4u in
+       double and 4v in single. numpy's vector kernel takes
+       max·sqrt(1 + r²), r = min/max, in four roundings, which stays
+       within 3u to first order (2.49u measured on AVX-512).
+    5. Let P = fl|ŝ| and L = fl|s̃| be the row's values in the exact
+       product and in a bound. By 1 and 3, |s̃ - ŝ| <= E·S for
+       E = g + 2v + v² + (1 + v)²g', and |ŝ| <= (1 + g)S. Then
+       L <= (1 + 4v)(|ŝ| + E·S) and P >= (1 - 4u)|ŝ|, so
+       L - P <= ((4v + 4u)(1 + g) + (1 + 4v)E)·S, whose leading term is
+       (2·sqrt(2)·k + 6)·k·v, and which stays below m - k·v for every
+       k <= 2^18. Underflow below 2^-126 adds at most 2^-150 to a cast
+       or a rounding (§2.1): under k·2^-140 in all, inside that slack.
+    6. A bound S_t or F_t is attained at a grid row, so trial t's sup is
+       at least that bound minus m. The visit stops at a chunk whose
+       least sub-grid bound S_t has fl(S_t - m) > best; every trial left
+       has a bound S >= S_t, so fl(S - m) > best too. Rounding is monotone
+       and best is a double, so S - m > best, and that trial's sup
+       exceeds best. Likewise for the rest of a chunk from its first
+       trial with fl(F_t - m) > best. Hence min_t sup_t and the returned
        double are those of the plain loop over every trial.
     """
     import numpy as np
@@ -234,29 +274,39 @@ def estimate_sidon_ratio(
     basis = np.exp(1j * phases)  # (npoints, k)
     del phases
     k = len(vs)
-    coeffs = np.empty((trials, k), dtype=complex)
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        coeffs[t] = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, k))
-    bounds = _sub_grid_bounds(basis[::_BOUND_STRIDE], coeffs)
-    margin = (8 * k + 4) * k * 2.0 ** -53
+    coeffs = _coefficients(k, trials, seed)
+    basis32, coeffs32 = basis.astype(np.complex64), coeffs.astype(np.complex64)
+    sub = _bounds(basis32[::_BOUND_STRIDE], coeffs32)
+    margin = (3 * k + 7) * k * 2.0 ** -24 if k <= 2 ** 18 else math.inf
+    order = sorted(range(trials), key=sub.__getitem__)
     least = math.inf
-    for t in sorted(range(trials), key=bounds.__getitem__):
-        if bounds[t] - margin > least:
+    for lo in range(0, trials, _BOUND_CHUNK):
+        chunk = order[lo:lo + _BOUND_CHUNK]
+        if sub[chunk[0]] - margin > least:
             break
-        # An array of its own, so that no kernel path picked by where a row
-        # of coeffs starts can change the product's bytes.
-        least = min(least, _grid_sup(basis, coeffs[t].copy()))
+        for f, t in sorted(zip(_bounds(basis32, coeffs32[chunk]), chunk)):
+            if f - margin > least:
+                break
+            # An array of its own, so that no kernel path picked by where a
+            # row of coeffs starts can change the product's bytes.
+            least = min(least, _grid_sup(basis, coeffs[t].copy()))
     return k / least
 
 
 def parse_stream(lines: Iterable[str]) -> Iterator[tuple[int, ...]]:
     """Parse the line-based stream format: one vector per line,
-    whitespace-separated integer components; blank lines are skipped."""
+    whitespace-separated integer components; blank lines are skipped.
+    A line of more than GRID_DIMENSION_CAP components, more axes than any
+    grid of estimate_sidon_ratio has, raises CapExceededError before any
+    component is converted and without copying the rest of the line."""
     for lineno, line in enumerate(lines, start=1):
-        parts = line.split()
+        # islice stops the scan at the first component beyond the cap.
+        parts = [m.group() for m in islice(_COMPONENT.finditer(line), GRID_DIMENSION_CAP + 1)]
         if not parts:
             continue
+        if len(parts) > GRID_DIMENSION_CAP:
+            raise CapExceededError("stream line %d has more than %d components, the grid "
+                                   "dimension cap" % (lineno, GRID_DIMENSION_CAP))
         try:
             yield tuple(int(p) for p in parts)
         except ValueError as exc:

@@ -717,7 +717,8 @@ class TestMainExitCodes:
         captured = capsys.readouterr()
         assert code == 4
         assert json.loads(captured.out)["result"]["error"] == {
-            "code": "CAP_EXCEEDED", "message": "grid of dimension 33 exceeds the cap of 32"}
+            "code": "CAP_EXCEEDED",
+            "message": "stream line 1 has more than 32 components, the grid dimension cap"}
         assert captured.err == ""
         # simulate at d = 40 stops at the decide cap, before any grid
         d = 40
@@ -785,11 +786,11 @@ class TestMainExitCodes:
         assert error["message"].startswith("cannot read input %r: 'utf-8' codec" % str(path))
         assert captured.err == ""
 
-    @pytest.mark.parametrize("width, code", [(2, 2), (40, 4)])
+    @pytest.mark.parametrize("width, code", [(2, 2), (5, 4)])
     def test_sidon_reads_the_stream_as_it_parses(self, capsys, tmp_path, width, code):
         # Bytes that are not UTF-8, 200 KB into the file, fail a stream whose
-        # first vector passes the grid cap; a first vector too wide for the
-        # grid exits 4 before the reader gets that far.
+        # first vector passes the grid cap; a first vector whose 32^5 points
+        # exceed the grid cap exits 4 before the reader gets that far.
         path = tmp_path / "stream.txt"
         path.write_bytes(b"1 " * width + b"\n" + b"1 2\n" * 50_000 + b"\xff 3\n")
         code_seen, out = run_cli(["sidon", "--input", str(path)], capsys)
@@ -800,7 +801,64 @@ class TestMainExitCodes:
             assert error["message"].startswith("cannot read input %r: 'utf-8' codec" % str(path))
         else:
             assert error == {"code": "CAP_EXCEEDED",
-                             "message": "grid of dimension 40 exceeds the cap of 32"}
+                             "message": "grid of 32^5 points exceeds the cap of 32768"}
+
+    @pytest.mark.parametrize("width, tokens, code, message", [
+        (32, "1 ", 2, "stream vectors must share one dimension: got 2 then 32"),
+        (33, "1 ", 4, "stream line 2 has more than 32 components, the grid dimension cap"),
+        (33, "x ", 4, "stream line 2 has more than 32 components, the grid dimension cap"),
+    ])
+    def test_sidon_line_at_the_component_cap_and_one_past_it(
+            self, capsys, tmp_path, width, tokens, code, message):
+        # A later line one component past the cap exits 4, where it exited 2
+        # for its dimension; its components are counted, not converted.
+        path = tmp_path / "stream.txt"
+        path.write_text("1 2\n" + tokens * width + "\n")
+        code_seen, out = run_cli(["sidon", "--input", str(path)], capsys)
+        assert code_seen == code
+        assert json.loads(out)["result"]["error"]["message"] == message
+
+    def test_sidon_line_past_the_component_cap_after_the_selection_is_4(self, capsys, tmp_path):
+        # the extraction keeps (1) and (2) before it would reach the wide line
+        path = tmp_path / "stream.txt"
+        path.write_text("1\n2\n" + "1 " * 33 + "\n")
+        code, out = run_cli(["sidon", "--input", str(path), "--iters", "2"], capsys)
+        assert code == 4
+        assert json.loads(out)["result"]["error"]["message"] == (
+            "stream line 3 has more than 32 components, the grid dimension cap")
+
+    def test_sidon_line_of_millions_of_components_is_4_fast(self, capsys, tmp_path):
+        path = tmp_path / "stream.txt"
+        path.write_text("1 " * 5_000_000 + "\n")
+        start = time.perf_counter()
+        code, out = run_cli(["sidon", "--input", str(path)], capsys)
+        assert time.perf_counter() - start < 0.5
+        assert code == 4
+        assert json.loads(out)["result"]["error"] == {
+            "code": "CAP_EXCEEDED",
+            "message": "stream line 1 has more than 32 components, the grid dimension cap"}
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(before=st.lists(st.sampled_from(["1 2", "", "  -3\t4 "]), max_size=4),
+           width=st.integers(33, 300),
+           tokens=st.lists(st.sampled_from(["0", "-7", "12345678901234567890", "x", "1.5"]),
+                           min_size=1, max_size=3),
+           separator=st.sampled_from([" ", "\t", "  ", "\xa0", "\u3000"]))
+    def test_sidon_line_past_the_component_cap_is_4_fast(
+            self, capsys, tmp_path, before, width, tokens, separator):
+        # whatever precedes it that parses, and whatever its components are
+        line = separator.join(tokens[i % len(tokens)] for i in range(width))
+        path = tmp_path / "stream.txt"
+        path.write_text("\n".join(before + [line, "1 2"]) + "\n")
+        start = time.perf_counter()
+        code, out = run_cli(["sidon", "--input", str(path)], capsys)
+        assert time.perf_counter() - start < 0.5
+        assert code == 4
+        assert json.loads(out)["result"]["error"] == {
+            "code": "CAP_EXCEEDED",
+            "message": "stream line %d has more than 32 components, the grid dimension cap"
+                       % (len(before) + 1)}
 
     @pytest.mark.parametrize("text", [
         "1 2\r3 4\r\n5 6\n", "1 2\x0c3 4\u20285 6", "\n\n1 2\v\v3 4\n5 6"])
@@ -946,7 +1004,7 @@ class TestCommands:
             assert code == 4
             assert json.loads(out)["result"]["error"] == {
                 "code": "CAP_EXCEEDED",
-                "message": "grid of dimension %d exceeds the cap of 32" % width,
+                "message": "stream line 1 has more than 32 components, the grid dimension cap",
             }
         assert checks == []
 
@@ -960,9 +1018,10 @@ class TestCommands:
                 yield vector
 
         monkeypatch.setattr(tametorus.cli, "parse_stream", counting_parse)
-        width = 40
+        width = 5
         path = tmp_path / "stream.txt"
-        # too wide for the grid, after a blank line, and malformed further down
+        # 32^5 points, too many for the grid, after a blank line, and malformed
+        # further down
         path.write_text("\n" + ("1 " * width + "\n") * 5 + "1 x\n")
         code, out = run_cli(["sidon", "--input", str(path)], capsys)
         assert code == 4
@@ -970,11 +1029,11 @@ class TestCommands:
         report = json.loads(out)
         assert (report["input"], report["options"]) == ({}, {})
         assert report["result"]["error"] == {
-            "code": "CAP_EXCEEDED", "message": "grid of dimension 40 exceeds the cap of 32"}
+            "code": "CAP_EXCEEDED", "message": "grid of 32^5 points exceeds the cap of 32768"}
         # a job that reaches run without the command line meets the same check
         job = JobSpec(command="sidon", input={}, payload={"stream": [(1,) * width] * 5},
                       options={"count": 4, "max_scan": 10, "grid": 32, "seed": 0, "trials": 200})
-        with pytest.raises(CapExceededError, match="grid of dimension 40 exceeds the cap of 32"):
+        with pytest.raises(CapExceededError, match=r"grid of 32\^5 points exceeds the cap of 32768"):
             run(job)
 
     def test_only_sweep_calls_an_oracle(self, capsys, tmp_path, monkeypatch):

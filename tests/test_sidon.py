@@ -326,21 +326,48 @@ class TestPrunedEstimate:
         assert got.hex() == _reference_ratio([(5, 3, 1)], 200, 32, 0).hex()
         assert calls == [32 ** 3] * 200
 
-    def test_exact_when_a_bound_exceeds_its_sup_by_nearly_the_margin(self, monkeypatch):
-        # The proof allows a sub-grid bound up to the margin m above its
-        # trial's sup, as when the batched product rounds up and the per-trial
-        # one down. Every trial attaining the least sup gets a bound m/2 above
-        # it, the others their own sup. At k = 1 the sups lie within ulps of
-        # each other, so a trial with a larger sup comes first in bound order.
+    def test_exact_when_a_bound_lies_half_the_margin_from_the_least_sup(self, monkeypatch):
+        # The proof allows a complex64 bound up to the margin m above its
+        # trial's sup, and any distance below it: rounding can put it on
+        # either side. Every trial attaining the least sup gets sub-grid and
+        # full-grid bounds m/2 above it, the others m/2 below it. At k = 1
+        # the sups lie within ulps of each other, so the others come first,
+        # in both orders, and set the least sup so far above the answer.
+        import numpy as np
+
         vs = [(5, 3, 1)]
         sups = _reference_sups(vs, 200, 32, 0)
         least = min(sups)
-        margin = (8 * 1 + 4) * 1 * 2.0 ** -53
-        bounds = [sup + margin / 2 if sup == least else sup for sup in sups]
-        assert min(bounds) < least + margin / 2
-        monkeypatch.setattr(sidon, "_sub_grid_bounds", lambda sub, coeffs: bounds)
+        margin = (3 * 1 + 7) * 1 * 2.0 ** -24
+        bounds = [least + margin / 2 if sup == least else least - margin / 2 for sup in sups]
+        assert 0 < bounds.count(least + margin / 2) < 200
+        rows = sidon._coefficients(1, 200, 0).astype(np.complex64)
+        trial_of = {row.tobytes(): t for t, row in enumerate(rows)}
+        assert len(trial_of) == 200
+
+        def planted(points, coeffs):
+            return [bounds[trial_of[row.tobytes()]] for row in coeffs]
+
+        monkeypatch.setattr(sidon, "_bounds", planted)
         got = estimate_sidon_ratio(vs, trials=200, grid_per_axis=32, seed=0)
         assert got.hex() == _reference_ratio(vs, 200, 32, 0).hex()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 12, 1000, 2 ** 18])
+    def test_margin_covers_the_proved_error_bound(self, k):
+        # Step 5 of the proof, in exact rationals: the bound on L - P stays
+        # below m - k·v, and 14143/10000 exceeds sqrt(2).
+        from fractions import Fraction
+
+        u, v, root2 = Fraction(1, 2 ** 53), Fraction(1, 2 ** 24), Fraction(14143, 10000)
+        assert root2 ** 2 > 2
+
+        def gamma(n, x):
+            return n * x / (1 - n * x)
+
+        g, g32 = root2 * gamma(2 * k, u), root2 * gamma(2 * k, v)
+        e = g + 2 * v + v * v + (1 + v) ** 2 * g32
+        error = ((4 * v + 4 * u) * (1 + g) + (1 + 4 * v) * e) * k * (1 + root2 * u) ** 2
+        assert error < (3 * k + 7) * k * v - k * v
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_aliased_frequencies_share_a_column(self, seed):
@@ -353,8 +380,19 @@ class TestPrunedEstimate:
         vs = _random_sidon_selection(random.Random(2720), 3, 12)
         got = estimate_sidon_ratio(vs, trials=200, grid_per_axis=32, seed=0)
         assert got.hex() == _reference_ratio(vs, 200, 32, 0).hex()
-        assert 1 <= len(calls) < 100
+        assert 1 <= len(calls) <= 4
         assert set(calls) == {32 ** 3}
+
+    @pytest.mark.parametrize("trials", [1, 25, 200])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 32])
+    def test_batched_coefficients_equal_the_per_trial_draws(self, trials, seed):
+        import numpy as np
+
+        got = sidon._coefficients(12, trials, seed)
+        for t in range(trials):
+            rng = np.random.default_rng([seed, t])
+            want = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 12))
+            assert got[t].tobytes() == want.tobytes(), t
 
 
 class TestStreamFormat:
@@ -365,6 +403,20 @@ class TestStreamFormat:
     def test_bad_line_rejected(self):
         with pytest.raises(MalformedInputError):
             list(parse_stream(["1 2", "x y"]))
+
+    def test_line_past_the_component_cap_is_refused_unconverted(self):
+        import tracemalloc
+
+        assert list(parse_stream(["1 " * 32])) == [(1,) * 32]
+        line = "x " * 1_000_000  # 2 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match="^stream line 2 has more than 32 comp"):
+                list(parse_stream(["1 2", line]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     def test_load_stream(self, tmp_path):
         path = tmp_path / "stream.txt"
