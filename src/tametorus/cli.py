@@ -20,7 +20,9 @@ Verdicts are report data, never exit codes.
 Matrix jobs are described by JSON: {"d": int, "A": [[int]], "b": [...]}
 where translation entries are either decimal angles or rational
 multiples of 2*pi written "p/q". Sidon jobs read the line-based stream
-format (one integer vector per line) instead.
+format (one integer vector per line) instead. A json report holds the
+bytes of json.dumps(report, sort_keys=True, indent=2), written by this
+module's own writer (_dumps), which parse_report reads back.
 
 semicascade, cascade, certify and frequencies are exact integer work and
 never load numpy, not even on an error path: translation angles parse to
@@ -42,6 +44,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from itertools import product
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Callable
 
 from . import __version__
@@ -267,15 +270,23 @@ def parse_input(text: str, command: str = "semicascade", options: dict | None = 
         raise DimensionInputError(
             "'A' must be %dx%d, got rows of lengths %s" % (d, d, [len(r) for r in a_rows])
         )
-    entries = [[_require_int(e, "A[%d][%d]" % (i, j)) for j, e in enumerate(row)]
-               for i, row in enumerate(a_rows)]
+    # One scan of each row's types; only a row that holds something other
+    # than an exact int goes entry by entry, for the message of its first
+    # bad entry or the conversion of an integral float.
+    rows, bits = [], 0
+    for i, row in enumerate(a_rows):
+        if set(map(type, row)) <= {int}:
+            row = tuple(row)
+        else:
+            row = tuple([_require_int(e, "A[%d][%d]" % (i, j)) for j, e in enumerate(row)])
+        rows.append(row)
+        bits = max(bits, max(max(row), -min(row)).bit_length())
     if cap == MAX_DECIDE_DIMENSION:
-        bits = max(abs(e) for row in entries for e in row).bit_length()
         entry_cap = MAX_DECIDE_ENTRY_WORK // d ** 4
         if bits > entry_cap:
             raise CapExceededError("largest entry of A has %d bits, beyond the cap of %d bits "
                                    "for d = %d" % (bits, entry_cap, d))
-    payload["a"] = IntMatrix(entries)
+    payload["a"] = IntMatrix._trusted(tuple(rows))
 
     payload["b"] = _parse_angles(data["b"], d, "'b'") if "b" in data else (0.0,) * d
     if command == "simulate":
@@ -440,15 +451,75 @@ def _text_sidon(result: dict) -> list[str]:
     ]
 
 
-# A sweep entry sits at depth 4 of a json report (result, exact, entries,
-# the entry), so each line that emit's indent=2 starts inside it begins
-# with 8 spaces.
-_ENTRY_NEWLINE = "\n" + " " * 8
+def _dumps(obj, newline: str = "\n") -> str:
+    """obj exactly as json.dumps(obj, sort_keys=True, indent=2) writes it,
+    with `newline` (a line break and the indent of the line obj starts on)
+    in place of each of its line breaks; a _SweepEntries is written as the
+    list of its entries. Written directly: json's indented encoder is its
+    pure-Python one, which costs a generator step per token.
+
+    The pieces are joined once, at the top, so a sweep's entries, the one
+    large piece, are copied into the report once. A list of exact ints,
+    such as a row of A or a polynomial, is one piece, written with one
+    join. Strings go through json's own ASCII escaper, and floats as json
+    writes them: float.__repr__, or NaN and +-Infinity. Keys must be
+    strings, as in every report. An int beyond CPython's int-to-str digit
+    limit raises ValueError in int.__repr__, as it does in json.dumps."""
+    out: list[str] = []
+    _write(obj, newline, out)
+    return "".join(out)
 
 
-def _as_entry(obj) -> str:
-    """obj as emit writes it in the place of one sweep entry."""
-    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", _ENTRY_NEWLINE)
+def _write(obj, newline: str, out: list) -> None:
+    """Append the pieces of _dumps(obj, newline) to out."""
+    if isinstance(obj, str):
+        out.append(_escape(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        if obj != obj:
+            out.append("NaN")
+        elif obj == math.inf:
+            out.append("Infinity")
+        elif obj == -math.inf:
+            out.append("-Infinity")
+        else:
+            out.append(float.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        inner = newline + "  "
+        if not obj:
+            out.append("[]")
+        elif set(map(type, obj)) <= {int}:
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + newline + "]")
+        else:
+            sep = "[" + inner
+            for item in obj:
+                out.append(sep)
+                _write(item, inner, out)
+                sep = "," + inner
+            out.append(newline + "]")
+    elif isinstance(obj, dict):
+        inner = newline + "  "
+        if not obj:
+            out.append("{}")
+        else:
+            sep = "{" + inner
+            for key, value in sorted(obj.items()):
+                out.append(sep + _escape(key) + ": ")
+                _write(value, inner, out)
+                sep = "," + inner
+            out.append(newline + "}")
+    elif isinstance(obj, _SweepEntries):
+        inner = newline + "  "
+        out += ("[", inner, obj.json_items(inner), newline, "]")
+    else:
+        raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
 
 
 class _SweepEntries:
@@ -462,10 +533,10 @@ class _SweepEntries:
         self.d, self.lo, self.hi = d, lo, hi
         self.classes, self.outcomes = classes, outcomes
 
-    def json_items(self) -> str:
-        """The entries as json.dumps(report, sort_keys=True, indent=2)
-        writes the dicts {"A": rows, "agree", "minimal_pair", "oracle_pair",
-        "oracle_verdict", "verdict"}, joined by its item separator.
+    def json_items(self, newline: str) -> str:
+        """The entries as _dumps writes the dicts {"A": rows, "agree",
+        "minimal_pair", "oracle_pair", "oracle_verdict", "verdict"} on lines
+        that begin with `newline`, joined by its item separator.
 
         Every entry of one outcome fills the same template: the layout of
         A, with a %d for each of its d * d entries, then the rest of the
@@ -473,11 +544,11 @@ class _SweepEntries:
         pairs are tuples, which json writes as lists. A %d beyond CPython's
         int-to-str digit limit raises ValueError, as json.dumps does."""
         d = self.d
-        shape = _as_entry({"A": [[0] * d] * d})
+        shape = _dumps({"A": [[0] * d] * d}, newline)
         head = shape[: shape.rindex("\n")].replace("0", "%d")
         templates = {}
         for decided, oracle in set(self.outcomes):
-            rest = _as_entry({
+            rest = _dumps({
                 "verdict": decided[0],
                 "minimal_pair": decided[1],
                 "oracle_verdict": oracle[0],
@@ -485,11 +556,11 @@ class _SweepEntries:
                 # An UNTAME decision and an UNTAME oracle answer both carry the
                 # pair None, so the two agree exactly when they are equal.
                 "agree": decided == oracle,
-            })
+            }, newline)
             templates[decided, oracle] = head + "," + rest[1:]
         by_class = [templates[outcome] for outcome in self.outcomes]
         values = product(range(self.lo, self.hi + 1), repeat=d * d)
-        return ("," + _ENTRY_NEWLINE).join(
+        return ("," + newline).join(
             map(str.__mod__, map(by_class.__getitem__, self.classes), values))
 
 
@@ -619,13 +690,10 @@ def run(job: JobSpec) -> Report:
 def emit(report: Report, fmt: str = "json") -> str:
     """Serialize a report; json is stable and diff-friendly.
 
-    The entries of a sweep report, which run leaves as a _SweepEntries,
-    are written by its formatter: the report is dumped with "entries": []
-    in their place, and the formatted entries are spliced in at the last
-    occurrence of that text. The keys sort, so every key that follows
-    result.exact.entries is a count of the sweep, timing_ms or tool, and
-    none holds the text. The bytes are those json.dumps writes for the
-    same entries as lists, which is how parse_report returns them.
+    A json report is _dumps of the report's fields: the bytes of
+    json.dumps(..., sort_keys=True, indent=2), with the entries of a sweep,
+    which run leaves as a _SweepEntries, written in place as the lists that
+    parse_report returns.
 
     Raises CapExceededError when the report holds an integer beyond
     CPython's int-to-str digit limit.
@@ -633,15 +701,7 @@ def emit(report: Report, fmt: str = "json") -> str:
     result = report.result
     try:
         if fmt == "json":
-            entries = result.get("exact", {}).get("entries")
-            if not isinstance(entries, _SweepEntries):
-                return json.dumps(report.to_dict(), sort_keys=True, indent=2)
-            data = report.to_dict()
-            data["result"] = {**result, "exact": {**result["exact"], "entries": []}}
-            head, _, tail = json.dumps(data, sort_keys=True, indent=2).rpartition(
-                '"entries": []')
-            return "".join((head, '"entries": [', _ENTRY_NEWLINE, entries.json_items(),
-                            "\n      ]", tail))
+            return _dumps(report.to_dict())
         if fmt == "text":
             if "error" in result:
                 body = ["error: %s" % result["error"]["code"], result["error"]["message"]]

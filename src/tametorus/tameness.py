@@ -308,11 +308,19 @@ def order_of_x_mod(g: IntPoly, s_max: int):
     its leading coefficient divides the others. A monic g has an order
     exactly when it is a product of distinct cyclotomic polynomials Phi_n
     (Kronecker 1857; x^s - 1 is the product of the irreducible Phi_n over
-    n | s), and the order is the lcm of those n. All roots of such a
-    product have modulus 1, so |g(0)| = 1 and |g_i| <= C(deg g, i) filter
-    first. Then g is divided once by each Phi_n with phi(n) <= deg g, all
-    exact monic integer divisions, and it is such a product exactly when
-    the quotient ends at 1. This is trial division, not factorization.
+    n | s), and the order is the lcm of those n.
+
+    Two necessary conditions filter first. Such a product is self-reciprocal
+    up to sign: Phi_n is palindromic, x^phi(n) Phi_n(1/x) = Phi_n, for
+    n >= 2 (its roots are closed under z -> 1/z = conj(z), and
+    Phi_n(0) = 1), while Phi_1 = x - 1 gives x Phi_1(1/x) = -Phi_1. The
+    reversal x^deg g(1/x) is multiplicative, so for g = prod_{n in S} Phi_n
+    it is (-1)^[1 in S] g, and the monic g's coefficient list reversed is
+    itself or its negation; in particular |g(0)| = 1. All roots of g have
+    modulus 1, so also |g_i| <= C(deg g, i). Then g is divided once by each
+    Phi_n with phi(n) <= deg g, all exact monic integer divisions, and it is
+    such a product exactly when the quotient ends at 1. This is trial
+    division, not factorization.
     """
     if g.is_zero:
         raise ValueError("modulus polynomial must be nonzero")
@@ -327,7 +335,10 @@ def order_of_x_mod(g: IntPoly, s_max: int):
     if any(c % lead for c in cs):
         return None
     monic = [c // lead for c in cs]
-    if abs(monic[0]) != 1 or any(abs(c) > math.comb(deg, i) for i, c in enumerate(monic)):
+    reverse = monic[::-1]
+    if reverse != monic and reverse != [-c for c in monic]:
+        return None
+    if any(abs(c) > math.comb(deg, i) for i, c in enumerate(monic)):
         return None
     rest, order = IntPoly(monic), 1
     for n in sorted(order_bound(deg).admissible_orders):
@@ -356,13 +367,16 @@ def _index_and_order(mu: IntPoly, d: int) -> tuple[int, IntPoly, int | None]:
 
 def _untame_witness(g: IntPoly, d: int) -> UntameWitness:
     """Name why x has no order modulo g. Only a product of distinct Phi_n
-    has one, so a squarefree g has exhausted the order bound."""
+    has one, so a squarefree g has exhausted the order bound. g is rendered
+    before the squarefree test, so a g beyond CPython's int-to-str digit
+    limit raises CapExceededError without that gcd."""
+    rendered = str(g)
     if poly_gcd(g, g.derivative()).degree != 0:
         return UntameWitness(
             reason=NON_SQUAREFREE,
             stripped_min_poly=g,
             detail="x-stripped minimal polynomial %s has a repeated factor; "
-            "a divisor of the squarefree x^s - 1 cannot" % g,
+            "a divisor of the squarefree x^s - 1 cannot" % rendered,
         )
     s_max = order_bound(d).s_max
     return UntameWitness(
@@ -370,7 +384,7 @@ def _untame_witness(g: IntPoly, d: int) -> UntameWitness:
         stripped_min_poly=g,
         s_max=s_max,
         detail="x^s mod %s != 1 for all 1 <= s <= %d, the complete order "
-        "bound for dimension %d" % (g, s_max, d),
+        "bound for dimension %d" % (rendered, s_max, d),
     )
 
 

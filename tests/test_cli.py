@@ -1,6 +1,7 @@
 import errno
 import io
 import json
+import math
 import os
 import random
 import re
@@ -121,6 +122,55 @@ class TestParseInput:
         job = parse_input('{"d":1,"A":[[2.0]]}')
         assert job.payload["a"].entries == ((2,),)
 
+    @pytest.mark.parametrize("where", [(0, 0), (1, 1), (2, 2)], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize(("value", "message"), [
+        ("true", "booleans are not integers"),
+        ("1.5", "1.5 is not an integer"),
+        ('"3"', "'3' is not an integer"),
+        ("[1]", "[1] is not an integer"),
+        ("1e400", "inf is not an integer"),
+    ], ids=["bool", "float", "string", "list", "1e400"])
+    def test_bad_entry_of_a_is_named(self, capsys, tmp_path, where, value, message):
+        # The first bad entry in row order is named, whichever rows before it
+        # pass the one-pass type scan and whatever bad entry comes later.
+        i, j = where
+        rows = [["1", "-2", "3"], [str(10 ** 50), "0", "5"], ["7", "8", "9"]]
+        rows[i][j] = value
+        if i < 2:
+            rows[2][1] = "false"
+        job = '{"d":3,"A":[%s]}' % ",".join("[%s]" % ",".join(row) for row in rows)
+        with pytest.raises(NonIntegerInputError) as raised:
+            parse_input(job)
+        assert str(raised.value) == "A[%d][%d]: %s" % (i, j, message)
+        path = tmp_path / "job.json"
+        path.write_text(job)
+        code, out = run_cli(["semicascade", "--input", str(path)], capsys)
+        assert code == 2
+        assert json.loads(out)["result"]["error"] == {
+            "code": "NONINTEGER", "message": "A[%d][%d]: %s" % (i, j, message)}
+
+    def test_bad_entry_comes_before_the_entry_cap(self):
+        # Every row is validated before the entry cap is checked.
+        d = 8
+        rows = [[0] * d for _ in range(d)]
+        rows[0][0] = 2 ** (MAX_DECIDE_ENTRY_WORK // d ** 4 + 1)
+        with pytest.raises(CapExceededError):
+            parse_input(json.dumps({"d": d, "A": rows}))
+        rows[d - 1][d - 1] = 0.5
+        with pytest.raises(NonIntegerInputError, match=r"^A\[7\]\[7\]: 0.5 is not an integer$"):
+            parse_input(json.dumps({"d": d, "A": rows}))
+
+    @pytest.mark.parametrize("where", [(0, 0), (1, 1), (2, 2)], ids=["first", "middle", "last"])
+    def test_integral_float_accepted_anywhere_in_a(self, where):
+        rows = [[1, -2, 3], [4, 0, 5], [7, 8, 9]]
+        rows[where[0]][where[1]] = 2.0
+        job = parse_input(json.dumps({"d": 3, "A": rows}))
+        entries = job.payload["a"].entries
+        assert entries[where[0]][where[1]] == 2
+        assert {type(e) for row in entries for e in row} == {int}
+        assert all(type(row) is tuple for row in entries)
+        assert job.payload["a"] == IntMatrix([[int(e) for e in row] for row in rows])
+
     @pytest.mark.parametrize("field", ["b", "x0"])
     @pytest.mark.parametrize(
         "value",
@@ -210,7 +260,89 @@ class TestRunAndEmit:
         assert no_floats(report.result["exact"])
 
 
+def _past_the_digit_limit(digits: int) -> int:
+    return -(10 ** digits) if digits % 2 else 10 ** digits
+
+
+# Every JSON value kind a report may hold: ints past CPython's int-to-str
+# digit limit among the integers, non-ASCII text, -0.0, NaN and +-inf.
+_JSON_SCALARS = (st.none() | st.booleans() | st.floats() | st.integers() | st.text()
+                 | st.integers(4300, 4400).map(_past_the_digit_limit))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=5)
+                   | st.lists(st.integers() | st.booleans() | st.none(), max_size=6)),
+    max_leaves=30,
+)
+
+
+def _json_dumps_or_error(obj):
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2)
+    except ValueError as exc:
+        return type(exc)
+
+
+class TestJsonWriter:
+    """emit's writer, cli._dumps, equals json.dumps(sort_keys=True, indent=2)."""
+
+    @staticmethod
+    def _dumps_or_error(obj):
+        try:
+            return tametorus.cli._dumps(obj)
+        except ValueError as exc:
+            return type(exc)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_JSON_VALUES)
+    def test_equals_json_dumps(self, obj):
+        assert self._dumps_or_error(obj) == _json_dumps_or_error(obj)
+
+    @pytest.mark.parametrize("obj", [
+        [], {}, (), [[]], {"a": {}}, [1, True], [False, 0], [None, 1], [1, 2.0], [-0.0],
+        [math.nan, math.inf, -math.inf], {"\u00e9\u2603\U0001f600": "\n\"\\\x00"},
+        {"b": (1, 2), "a": [(), ((3,),)]}, [10 ** 4300], [1, [10 ** 4300]], 2 ** 64 - 1,
+    ])
+    def test_edge_values(self, obj):
+        assert self._dumps_or_error(obj) == _json_dumps_or_error(obj)
+
+    def test_int_past_the_digit_limit_is_exit_4(self):
+        report = Report(command="semicascade", input={"A": [[10 ** 4300]]}, options={},
+                        result={}, timing_ms=0.0)
+        with pytest.raises(CapExceededError) as raised:
+            emit(report)
+        assert str(raised.value) == str(CapExceededError.digit_limit("report holds an integer"))
+
+    def test_every_report_kind_equals_json_dumps(self):
+        jobs = [("semicascade", '{"d":2,"A":[[2,1],[1,1]],"b":["1/3",0.25]}', {}),
+                ("cascade", '{"d":2,"A":[[0,-1],[1,0]]}', {}),
+                ("frequencies", '{"d":2,"A":[[2,1],[1,1]]}', {"iters": 10, "bound": 100}),
+                ("simulate", '{"d":2,"A":[[0,-1],[1,0]],"x0":[0.5,-0.0]}',
+                 {"iters": 8, "grid": 4, "tol": 1e-9})]
+        for command, text, options in jobs:
+            report = run(parse_input(text, command, options))
+            assert emit(report) == json.dumps(report.to_dict(), sort_keys=True, indent=2)
+
+
 class TestMainExitCodes:
+    @pytest.mark.parametrize("lower", [1, 0], ids=["squarefree", "square"])
+    def test_witness_past_the_digit_limit_is_4_without_the_gcd(self, capsys, tmp_path,
+                                                               monkeypatch, lower):
+        # g = x^2 - 2c x + c^2 - lower has a coefficient of ~6000 digits, so
+        # no report can print it, and the squarefree test is not run for it.
+        c = 10 ** 3000 + 7
+        calls = []
+        monkeypatch.setattr(tametorus.tameness, "poly_gcd", lambda *args: calls.append(args))
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"d": 2, "A": [[c, 1], [lower, c]]}))
+        code, out = run_cli(["semicascade", "--input", str(path)], capsys)
+        assert code == 4
+        assert json.loads(out)["result"]["error"] == {
+            "code": "CAP_EXCEEDED",
+            "message": str(CapExceededError.digit_limit("polynomial coefficient"))}
+        assert calls == []
+
     def test_success(self, capsys, tmp_path):
         path = tmp_path / "job.json"
         path.write_text('{"d":2,"A":[[1,0],[0,1]]}')
@@ -1630,9 +1762,9 @@ class TestOrbitSweep:
 
 
 class TestSweepReportBytes:
-    """emit writes a sweep's entries with its own formatter, while a parsed
-    report holds plain lists and goes through json.dumps: both writers give
-    the same bytes."""
+    """emit writes a sweep's entries with their own formatter, while a parsed
+    report holds plain lists: emit and json.dumps write those with the same
+    bytes."""
 
     @staticmethod
     def _round_trip(job_input, lo, hi):
@@ -1640,6 +1772,7 @@ class TestSweepReportBytes:
         assert not isinstance(report.result["exact"]["entries"], list)
         text = emit(report)
         assert emit(parse_report(text)) == text
+        assert json.dumps(json.loads(text), sort_keys=True, indent=2) == text
         return json.loads(text)
 
     @pytest.mark.parametrize(("d", "lo", "hi"), [(1, -3, 3), (2, -2, 2), (2, -12, -10),

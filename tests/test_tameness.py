@@ -1,3 +1,4 @@
+import functools
 import math
 import operator
 import random
@@ -257,6 +258,115 @@ class TestOrderOfXMod:
             orders = [cyclotomic.get(f) if m == 1 else None for f, m in factors]
             expected = None if None in orders else math.lcm(*orders)
             assert order_of_x_mod(g, order_bound(g.degree).s_max) == expected, g
+
+
+def _reference_order_of_x_mod(g, s_max):
+    """order_of_x_mod as it was before its reciprocity filter: the same
+    Kronecker trial division behind the filters |g(0)| = 1 and
+    |g_i| <= C(deg g, i) alone."""
+    if g.is_zero:
+        raise ValueError("modulus polynomial must be nonzero")
+    cs = g.coeffs
+    if cs[0] == 0:
+        raise ValueError("modulus polynomial must have nonzero constant term")
+    deg = g.degree
+    if deg == 0:
+        return 1
+    lead = cs[-1]
+    if any(c % lead for c in cs):
+        return None
+    monic = [c // lead for c in cs]
+    if abs(monic[0]) != 1 or any(abs(c) > math.comb(deg, i) for i, c in enumerate(monic)):
+        return None
+    rest, order = IntPoly(monic), 1
+    for n in sorted(order_bound(deg).admissible_orders):
+        phi_n = _cyclotomic(n)
+        if phi_n.degree > rest.degree:
+            continue
+        quot, rem = poly_divmod(rest, phi_n)
+        if rem.is_zero:
+            rest, order = quot, math.lcm(order, n)
+            if rest.degree == 0:
+                return order if order <= s_max else None
+    return None
+
+
+def _order_or_error(order, g, s_max):
+    try:
+        return order(g, s_max)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _distinct_cyclotomic_products(top):
+    """Every product of distinct Phi_n of degree at most top, 1 included."""
+    orders = [n for n in range(1, 2 * top * top + 1) if euler_phi(n) <= top]
+
+    def walk(start, left, g):
+        yield g
+        for i in range(start, len(orders)):
+            phi = _cyclotomic(orders[i])
+            if phi.degree <= left:
+                yield from walk(i + 1, left - phi.degree, g * phi)
+
+    return walk(0, top, IntPoly([1]))
+
+
+class TestOrderOfXModEqualsReference:
+    """The reciprocity filter changes no answer of order_of_x_mod."""
+
+    def test_every_distinct_cyclotomic_product_up_to_degree_16(self):
+        rng = random.Random(3500)
+        count = 0
+        for g in _distinct_cyclotomic_products(16):
+            count += 1
+            for s_max in (order_bound(max(1, g.degree)).s_max, rng.randint(1, 60)):
+                expected = _reference_order_of_x_mod(g, s_max)
+                assert order_of_x_mod(g, s_max) == expected, (g, s_max)
+                assert expected is not None or s_max < order_bound(max(1, g.degree)).s_max
+        assert count == 2313
+
+    def test_signed_scaled_and_x_multiples(self):
+        # -g turns the palindromic products anti-palindromic and back; c*g
+        # needs the leading coefficient to divide; x^j * g has no order.
+        rng = random.Random(3501)
+        products = list(_distinct_cyclotomic_products(8))
+        for g in products:
+            for factor in ([-1], [2], [-3], [0, 1], [0, 0, -1], [0, 0, 0, 1]):
+                h = g * IntPoly(factor)
+                s_max = rng.choice((order_bound(h.degree or 1).s_max, rng.randint(1, 30)))
+                assert (_order_or_error(order_of_x_mod, h, s_max)
+                        == _order_or_error(_reference_order_of_x_mod, h, s_max)), (h, s_max)
+
+    def test_random_integer_polynomials(self):
+        # Random coefficients, small enough that the binomial bound passes
+        # some; products of cyclotomics times a random factor; and squares.
+        rng = random.Random(3502)
+        for _ in range(3000):
+            kind = rng.randrange(3)
+            if kind == 0:
+                deg = rng.randint(1, 10)
+                g = IntPoly([rng.randint(-3, 3) for _ in range(deg)] + [rng.choice((1, -1, 2))])
+            elif kind == 1:
+                g = _random_cyclotomic_product(rng, rng.randint(1, 8))
+                g = g * IntPoly([rng.choice((1, -1))] + [rng.randint(-2, 2)
+                                                         for _ in range(rng.randint(0, 3))] + [1])
+            else:
+                g = _random_cyclotomic_product(rng, rng.randint(1, 6))
+                g = g * g
+            s_max = rng.choice((order_bound(g.degree or 1).s_max, rng.randint(1, 30)))
+            assert (_order_or_error(order_of_x_mod, g, s_max)
+                    == _order_or_error(_reference_order_of_x_mod, g, s_max)), (g, s_max)
+
+    def test_identity_and_phi_1_products_have_orders(self):
+        # The anti-palindromic branch: x - 1 times palindromic factors.
+        for orders, expected in (((1,), 1), ((1, 2), 2), ((1, 3, 4), 12), ((1, 5, 7), 35)):
+            g = IntPoly([1])
+            for n in orders:
+                g = g * _cyclotomic(n)
+            assert g.coeffs[::-1] == tuple(-c for c in g.coeffs)
+            assert order_of_x_mod(g, order_bound(g.degree).s_max) == expected
+        assert decide_semicascade(IntMatrix.identity(3)).verdict == TAME
 
 
 def _random_cyclotomic_product(rng, degree):
@@ -979,6 +1089,7 @@ def _primes_dividing(n):
     return [r for r in range(2, n + 1) if n % r == 0 and all(r % t for t in range(2, r))]
 
 
+@functools.cache
 def _cyclotomic(n):
     """Phi_n as a IntPoly, by dividing x^n - 1 by Phi_m for m | n, m < n."""
     f = IntPoly([-1] + [0] * (n - 1) + [1])
